@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .family import FamilySummary
-from .numerics import NEG_INF, LogProb, log_add, log_add_floats, minimize_scalar
+from .numerics import NEG_INF, LogProb, json_log_linear, log_add, log_add_floats, minimize_scalar
 
 # Canonical emission order for evaluate_all.
 METHOD_ORDER = (
@@ -51,9 +51,6 @@ T_GRID_MAX = 50.0
 T_GRID_POINTS = 200
 T_REFINE_TOL = 1e-9
 
-_LINEAR_JSON_FLOOR = math.log(1e-300)
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """One evaluated bound; ``t`` is set only for the lv-* methods.
@@ -72,11 +69,10 @@ class BoundResult:
         return self.value.log_value >= 0.0
 
     def to_json_dict(self) -> dict[str, Any]:
-        lv = self.value.log_value
-        linear = self.value.linear if _LINEAR_JSON_FLOOR <= lv < 700.0 else None
+        log_value, linear = json_log_linear(self.value)
         d: dict[str, Any] = {
             "method": self.method,
-            "log_value": None if lv == NEG_INF else lv,
+            "log_value": log_value,
             "value": linear,
             "t": self.t,
             "vacuous": self.vacuous,

@@ -23,13 +23,11 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import models, oracles
 from .family import FamilySummary, ModelSpec, validate
-from .numerics import LogProb
+from .numerics import LogProb, json_log_linear, log_exceeds
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-
-_DOMINATION_TOL = 1e-9
 
 _VARIANT_ALIASES = {
     "first-principles": models.FIRST_PRINCIPLES,
@@ -37,20 +35,24 @@ _VARIANT_ALIASES = {
     "paper-as-printed": models.PAPER_AS_PRINTED,
 }
 
-_MODEL_ALIASES = {
-    "runs": "runs",
-    "triangles": "triangles",
-    "ustat": "ustat",
-    "hypergraph": "hypergraph-cover",
-    "hypergraph-cover": "hypergraph-cover",
+_MODEL_NAMES = {
+    alias: name
+    for name, family in models.FAMILIES.items()
+    for alias in (name, *family.aliases)
 }
 
-_PARAM_FLAGS = ("n", "k", "p", "N", "n_draws")
+# Every family parameter is one flag, with its cast as the flag's type, in
+# first-seen order over FAMILIES; spec params and table columns use the order.
+_PARAMS = {
+    name: cast
+    for family in models.FAMILIES.values()
+    for name, cast in family.params.items()
+}
 
 CSV_METHODS = bounds_mod.METHOD_ORDER
 
 CSV_COLUMNS = (
-    ["model", "variant", "eq2_form", "n", "k", "p", "N", "n_draws"]
+    ["model", "variant", "eq2_form", *_PARAMS]
     + ["count", "lambda", "delta", "delta_bar", "cov_sum", "max_mean"]
     + [f"{m}_{suffix}" for m in CSV_METHODS for suffix in ("log", "linear", "vacuous")]
     + ["lv-optimal_t", "tightest_method"]
@@ -85,22 +87,13 @@ def _parse_t(text: str) -> tuple[float | None, float | None]:
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
     if args.model is None:
-        raise UsageError("--model is required (or pass --summary)")
-    model = _MODEL_ALIASES.get(args.model)
-    if model is None:
-        raise UsageError(f"unknown model {args.model!r}")
-    params: dict[str, Any] = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.k is not None:
-        params["k"] = args.k
-    if args.p is not None:
-        params["p"] = args.p
-    if args.N is not None:
-        params["N"] = args.N
-    if args.n_draws is not None:
-        params["n_draws"] = args.n_draws
-    spec = ModelSpec(model=model, params=params)
+        raise UsageError("--model is required")
+    params = {
+        name: getattr(args, name)
+        for name in _PARAMS
+        if getattr(args, name) is not None
+    }
+    spec = ModelSpec(model=_MODEL_NAMES[args.model], params=params)
     violations = spec.validate()
     if violations:
         raise UsageError("; ".join(violations))
@@ -116,15 +109,6 @@ def _resolve_variants(name: str, allow_both: bool = False) -> list[str]:
     if resolved is None:
         raise UsageError(f"unknown variant {name!r}")
     return [resolved]
-
-
-def _json_log_linear(lp: LogProb | None) -> tuple[float | None, float | None]:
-    if lp is None:
-        return None, None
-    lv = lp.log_value
-    log_out = None if lv == float("-inf") else lv
-    linear = lp.linear if math.log(1e-300) <= lv < 700.0 else None
-    return log_out, linear
 
 
 def _emit(obj: Any) -> None:
@@ -197,11 +181,7 @@ class ComparisonRow:
             "model": self.spec.model,
             "variant": self.variant,
             "eq2_form": self.eq2_form,
-            "n": q.get("n"),
-            "k": q.get("k"),
-            "p": q.get("p"),
-            "N": q.get("N"),
-            "n_draws": q.get("n_draws"),
+            **{name: q.get(name) for name in _PARAMS},
             "count": s.count,
             "lambda": s.lambda_,
             "delta": s.delta,
@@ -214,7 +194,7 @@ class ComparisonRow:
         for m in CSV_METHODS:
             e = by_method.get(m)
             if isinstance(e, bounds_mod.BoundResult):
-                log_out, linear = _json_log_linear(e.value)
+                log_out, linear = json_log_linear(e.value)
                 row[f"{m}_log"] = log_out
                 row[f"{m}_linear"] = linear
                 row[f"{m}_vacuous"] = e.vacuous
@@ -226,7 +206,7 @@ class ComparisonRow:
                 row[f"{m}_vacuous"] = None
         row["lv-optimal_t"] = lv_t
         row["tightest_method"] = self.tightest()
-        ol, olin = _json_log_linear(self.oracle)
+        ol, olin = json_log_linear(self.oracle)
         row["oracle_log"] = ol
         row["oracle_linear"] = olin
         if self.mc is None:
@@ -278,43 +258,21 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     return name.strip(), [float(v) for v in values]
 
 
-_INT_PARAMS = {"n", "k", "N", "n_draws"}
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.sweep is None:
         raise UsageError("--sweep param=start:stop:count[:geom] is required")
     param, grid = _parse_sweep(args.sweep)
-    if param not in _PARAM_FLAGS:
+    if param not in _PARAMS:
         raise UsageError(f"cannot sweep unknown parameter {param!r}")
-    if args.model is None:
-        raise UsageError("--model is required")
-    model = _MODEL_ALIASES.get(args.model)
-    if model is None:
-        raise UsageError(f"unknown model {args.model!r}")
-    base_params: dict[str, Any] = {}
-    for name in _PARAM_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            base_params[name] = value
-    # the swept parameter is filled per grid point; each point is validated
-    # inside the loop
-    base_spec = ModelSpec(model=model, params=base_params)
 
     variants = _resolve_variants(args.variant, allow_both=True)
     t, log_t = (None, None) if args.t is None else _parse_t(args.t)
 
     rows: list[ComparisonRow] = []
     for value in grid:
-        cast = round(value) if param in _INT_PARAMS else value
-        params = dict(base_spec.params)
-        params[param] = cast
-        spec = ModelSpec(model=base_spec.model, params=params)
-        violations = spec.validate()
-        if violations:
-            raise UsageError(
-                f"sweep point {param}={cast} invalid: " + "; ".join(violations)
-            )
+        cast = round(value) if _PARAMS[param] is int else value
+        # each point is validated on its own; violations name the bad values
+        spec = _spec_from_args(argparse.Namespace(**{**vars(args), param: cast}))
         for variant in variants:
             summary = models.summary_for(spec, variant=variant)
             entries = bounds_mod.evaluate_all(
@@ -388,13 +346,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         mc = oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
 
     if oracle is not None:
-        truth = oracle.linear
-        upper_floor = truth - _DOMINATION_TOL
-        lower_ceiling = truth + _DOMINATION_TOL
-        reference = {"kind": "oracle", "value": truth}
+        # log domain, so the check still separates values below 1e-9 or near 1
+        def above(b: LogProb) -> bool:
+            return log_exceeds(b.log_value, oracle.log_value)
+
+        def below(b: LogProb) -> bool:
+            return log_exceeds(oracle.log_value, b.log_value)
+
+        reference = {"kind": "oracle", "value": oracle.linear}
     else:
-        upper_floor = mc.ci.lower
-        lower_ceiling = mc.ci.upper
+        def above(b: LogProb) -> bool:
+            return b.linear > mc.ci.upper
+
+        def below(b: LogProb) -> bool:
+            return b.linear < mc.ci.lower
+
         reference = {"kind": "monte-carlo", "value": mc.estimate,
                      "ci_lower": mc.ci.lower, "ci_upper": mc.ci.upper}
 
@@ -406,28 +372,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 {"method": e.method, "status": "skipped", "reason": e.reason}
             )
             continue
-        value = e.value.linear
-        if e.method == "independent-lower":
-            ok = value <= lower_ceiling
-            checks.append(
-                {
-                    "method": e.method,
-                    "status": "pass" if ok else "fail",
-                    "direction": "lower",
-                    "bound": value,
-                }
-            )
-        else:
-            ok = e.vacuous or value >= upper_floor
-            checks.append(
-                {
-                    "method": e.method,
-                    "status": "pass" if ok else "fail",
-                    "direction": "upper",
-                    "bound": value,
-                    "vacuous": e.vacuous,
-                }
-            )
+        lower = e.method == "independent-lower"
+        ok = not above(e.value) if lower else e.vacuous or not below(e.value)
+        check = {
+            "method": e.method,
+            "status": "pass" if ok else "fail",
+            "direction": "lower" if lower else "upper",
+            "bound": e.value.linear,
+        }
+        if not lower:
+            check["vacuous"] = e.vacuous
+        checks.append(check)
         passed = passed and ok
 
     _emit(
@@ -506,12 +461,15 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=sorted(_MODEL_ALIASES), help="built-in family")
-    p.add_argument("--n", type=int, help="n for runs/triangles/ustat")
-    p.add_argument("--k", type=int, help="k for runs/ustat/hypergraph")
-    p.add_argument("--p", type=float, help="success probability")
-    p.add_argument("--N", type=int, help="vertex count for hypergraph-cover")
-    p.add_argument("--n-draws", dest="n_draws", type=int, help="draws for hypergraph-cover")
+    p.add_argument("--model", choices=sorted(_MODEL_NAMES), help="built-in family")
+    for name, cast in _PARAMS.items():
+        users = [m for m, family in models.FAMILIES.items() if name in family.params]
+        p.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=cast,
+            help=f"{name} for {'/'.join(users)}",
+        )
     p.add_argument(
         "--variant",
         choices=["first-principles", "paper", "paper-as-printed", "both"],

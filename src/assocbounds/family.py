@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-MODELS = ("runs", "triangles", "ustat", "hypergraph-cover")
-
 _REL_TOL_LAMBDA = 1e-10
 _REL_TOL_DERIVED = 1e-12
 
@@ -41,12 +39,6 @@ class FamilySummary:
     @property
     def is_homogeneous(self) -> bool:
         return not isinstance(self.means, tuple)
-
-    def mean_values(self) -> Iterable[float]:
-        """Per-indicator means; avoid for huge homogeneous families."""
-        if self.is_homogeneous:
-            return (self.means for _ in range(self.count))
-        return iter(self.means)
 
     @classmethod
     def homogeneous(
@@ -193,62 +185,23 @@ def ensure_valid(summary: FamilySummary) -> FamilySummary:
 class ModelSpec:
     """A tagged description of one of the built-in indicator families.
 
-    Parameters by model:
-      runs             n, k, p
-      triangles        n, p
-      ustat            n, k, p
-      hypergraph-cover N, k, n_draws
+    ``model`` names a record of ``models.FAMILIES``, whose ``params`` schema
+    lists the parameters the model requires.
     """
 
     model: str
     params: dict[str, Any]
 
     def validate(self) -> list[str]:
-        v: list[str] = []
-        m, q = self.model, self.params
-        if m not in MODELS:
-            return [f"unknown model {m!r}; expected one of {MODELS}"]
+        from .models import FAMILIES  # models imports this module
 
-        def need(names: tuple[str, ...]) -> bool:
-            missing = [x for x in names if q.get(x) is None]
-            if missing:
-                v.append(f"model {m!r} requires parameters {missing}")
-                return False
-            return True
-
-        if m == "runs":
-            if need(("n", "k", "p")):
-                n, k, p = int(q["n"]), int(q["k"]), float(q["p"])
-                if k < 1:
-                    v.append(f"runs requires k >= 1, got k={k}")
-                # sampling and the exact oracle need only n >= k; the summary
-                # formulas additionally require n >= 2k and enforce it there
-                if n < max(k, 1):
-                    v.append(f"runs requires n >= k, got n={n}, k={k}")
-                if not 0.0 <= p <= 1.0:
-                    v.append(f"runs requires p in [0, 1], got p={p}")
-        elif m == "triangles":
-            if need(("n", "p")):
-                n, p = int(q["n"]), float(q["p"])
-                if n < 3:
-                    v.append(f"triangles requires n >= 3, got n={n}")
-                if not 0.0 <= p <= 1.0:
-                    v.append(f"triangles requires p in [0, 1], got p={p}")
-        elif m == "ustat":
-            if need(("n", "k", "p")):
-                n, k, p = int(q["n"]), int(q["k"]), float(q["p"])
-                if not 1 <= k <= n:
-                    v.append(f"ustat requires 1 <= k <= n, got n={n}, k={k}")
-                if not 0.0 <= p <= 1.0:
-                    v.append(f"ustat requires p in [0, 1], got p={p}")
-        elif m == "hypergraph-cover":
-            if need(("N", "k", "n_draws")):
-                N, k, nd = int(q["N"]), int(q["k"]), int(q["n_draws"])
-                if not 2 <= k <= N:
-                    v.append(f"hypergraph-cover requires 2 <= k <= N, got N={N}, k={k}")
-                if nd < 1:
-                    v.append(f"hypergraph-cover requires n_draws >= 1, got {nd}")
-        return v
+        family = FAMILIES.get(self.model)
+        if family is None:
+            return [f"unknown model {self.model!r}; expected one of {tuple(FAMILIES)}"]
+        missing = [x for x in family.params if self.params.get(x) is None]
+        if missing:
+            return [f"model {self.model!r} requires parameters {missing}"]
+        return family.check(**family.cast(self.params))
 
     def ensure_valid(self) -> "ModelSpec":
         violations = self.validate()

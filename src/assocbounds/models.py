@@ -1,4 +1,5 @@
-"""The four built-in indicator families: summaries and Monte Carlo samplers.
+"""The four built-in indicator families, one :class:`Family` record each in
+:data:`FAMILIES`: summaries, Monte Carlo samplers and exact oracles.
 
 Each family ships in two formula variants:
 
@@ -12,14 +13,22 @@ Samplers are pure functions of (seed, trial_index): every trial owns a fixed
 block range of a Philox counter-based stream, so scalar evaluation, batched
 evaluation, and any parallel split of the trial range produce bit-identical
 results.
+
+The exact oracles deliberately use different machinery than the summary
+formulas (transfer matrices, binomial tails, exhaustive enumeration,
+inclusion-exclusion) and call no summary code, so they can anchor the bounds
+without sharing code paths with them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,6 +48,46 @@ def _check_variant(variant: str) -> None:
 def _check_prob(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
+def _raise_first(violations: list[str]) -> None:
+    if violations:
+        raise ValueError(violations[0])
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one built-in indicator family.
+
+    ``params`` maps each parameter name to its cast (``int`` or ``float``);
+    ``aliases`` are extra names the CLI accepts.  Every callable takes the
+    parameters as keywords, cast by ``params``:
+
+      check(**q)             range violations, one message each
+      summary(**q, variant)  the FamilySummary
+      budget(**q)            uniform doubles consumed per trial
+      sample(u, **q)         per row of uniforms u, whether Z = 0
+      exact(**q)             exact P(Z = 0), or None outside the exact range
+    """
+
+    params: dict[str, type]
+    check: Callable[..., list[str]]
+    summary: Callable[..., FamilySummary]
+    budget: Callable[..., int]
+    sample: Callable[..., np.ndarray]
+    exact: Callable[..., LogProb | None]
+    aliases: tuple[str, ...] = ()
+
+    def cast(self, params: dict[str, Any]) -> dict[str, Any]:
+        return {name: to(params[name]) for name, to in self.params.items()}
+
+
+def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
+    """The spec's family record and its parameters, cast by the record."""
+    family = FAMILIES.get(spec.model)
+    if family is None:
+        raise ValueError(f"unknown model {spec.model!r}")
+    return family, family.cast(spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +155,67 @@ def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
     return center, radius
 
 
+def _runs_violations(n: int, k: int, p: float) -> list[str]:
+    v = []
+    if k < 1:
+        v.append(f"runs requires k >= 1, got k={k}")
+    # sampling and the exact oracle need only n >= k; the summary formulas
+    # additionally require n >= 2k and enforce it there
+    if n < max(k, 1):
+        v.append(f"runs requires n >= k, got n={n}, k={k}")
+    if not 0.0 <= p <= 1.0:
+        v.append(f"runs requires p in [0, 1], got p={p}")
+    return v
+
+
+def _runs_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
+    """Row-wise: does the circular string (uniforms < p) lack k consecutive ones?"""
+    bits = (uniforms < p).astype(np.int8)
+    ext = np.concatenate([bits, bits[:, : k - 1]], axis=1) if k > 1 else bits
+    cs = np.cumsum(ext, axis=1, dtype=np.int64)
+    zero = np.zeros((bits.shape[0], 1), dtype=np.int64)
+    cs = np.concatenate([zero, cs], axis=1)
+    window = cs[:, k:] - cs[:, :-k]
+    return ~(window[:, :n] == k).any(axis=1)
+
+
+def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
+    """Exact P(no k consecutive ones in a Bernoulli(p) string of length n).
+
+    State s in {0..k-1} is the current trailing count of ones; a one moves
+    s -> s+1 (reaching k is absorbing failure and is dropped), a zero resets
+    to 0.  Linear strings sum the first row of M^n; circular strings take
+    the trace, which sums over closed state walks and handles the seam.
+    """
+    if k < 1 or n < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    _check_prob(p)
+    if circular and n < k:
+        raise ValueError(f"circular runs requires n >= k, got n={n}, k={k}")
+    if not circular and n < k:
+        return LogProb(0.0)
+
+    m = np.zeros((k, k), dtype=np.float64)
+    m[:, 0] = 1.0 - p
+    for s in range(k - 1):
+        m[s, s + 1] = p
+    power = np.linalg.matrix_power(m, n)
+    value = float(np.trace(power)) if circular else float(power[0, :].sum())
+    return LogProb.from_linear(min(max(value, 0.0), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # Triangles in G(n, p).
 # ---------------------------------------------------------------------------
+
+def _triangles_violations(n: int, p: float) -> list[str]:
+    v = []
+    if n < 3:
+        v.append(f"triangles requires n >= 3, got n={n}")
+    if not 0.0 <= p <= 1.0:
+        v.append(f"triangles requires p in [0, 1], got p={p}")
+    return v
+
 
 def triangles_summary(
     n: int, p: float, variant: str = FIRST_PRINCIPLES
@@ -120,9 +227,7 @@ def triangles_summary(
     variant uses 3n partners instead and reuses delta as the covariance sum.
     """
     _check_variant(variant)
-    _check_prob(p)
-    if n < 3:
-        raise ValueError(f"triangles requires n >= 3, got n={n}")
+    _raise_first(_triangles_violations(n, p))
     count = comb(n, 3)
     mean = p**3
     if variant == PAPER_AS_PRINTED:
@@ -135,9 +240,81 @@ def triangles_summary(
     return FamilySummary.homogeneous(count=count, p=mean, delta=delta, cov_sum=cov)
 
 
+@lru_cache(maxsize=None)
+def _triangle_edge_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    edges = list(combinations(range(n), 2))
+    eidx = {e: i for i, e in enumerate(edges)}
+    t0, t1, t2 = [], [], []
+    for a, b, c in combinations(range(n), 3):
+        t0.append(eidx[(a, b)])
+        t1.append(eidx[(a, c)])
+        t2.append(eidx[(b, c)])
+    return np.array(t0), np.array(t1), np.array(t2)
+
+
+def _triangles_sample(uniforms: np.ndarray, n: int, p: float) -> np.ndarray:
+    edges = uniforms < p
+    t0, t1, t2 = _triangle_edge_indices(n)
+    has_triangle = (edges[:, t0] & edges[:, t1] & edges[:, t2]).any(axis=1)
+    return ~has_triangle
+
+
+@lru_cache(maxsize=None)
+def _triangle_free_counts(n: int) -> tuple[int, ...]:
+    """counts[m] = number of triangle-free graphs on n labeled vertices with m edges."""
+    n_edges = comb(n, 2)
+    edges = list(combinations(range(n), 2))
+    eidx = {e: i for i, e in enumerate(edges)}
+    masks = np.arange(1 << n_edges, dtype=np.int64)
+    bad = np.zeros(masks.shape, dtype=bool)
+    for a, b, c in combinations(range(n), 3):
+        t = (1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)])
+        bad |= (masks & t) == t
+    popcounts = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+    counts = np.bincount(popcounts[~bad], minlength=n_edges + 1)
+    return tuple(int(c) for c in counts)
+
+
+def triangle_free_exact(n: int, p: float) -> LogProb:
+    """Exact P(G(n,p) contains no triangle), for 3 <= n <= 7.
+
+    Counts triangle-free graphs per edge count by bitmask enumeration, then
+    evaluates sum_m counts[m] p^m (1-p)^(M-m) in log-safe form.
+    """
+    if not 3 <= n <= 7:
+        raise ValueError(f"exhaustive oracle supports 3 <= n <= 7, got n={n}")
+    _check_prob(p)
+    counts = _triangle_free_counts(n)
+    n_edges = comb(n, 2)
+    terms = []
+    for m, c in enumerate(counts):
+        if c == 0:
+            continue
+        if p == 0.0 and m > 0:
+            continue
+        if p == 1.0 and m < n_edges:
+            continue
+        lp = m * math.log(p) if m else 0.0
+        lq = (n_edges - m) * math.log1p(-p) if n_edges - m else 0.0
+        terms.append(math.log(c) + lp + lq)
+    if not terms:
+        return LogProb(float("-inf"))
+    hi = max(terms)
+    return LogProb(hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
+
+
 # ---------------------------------------------------------------------------
 # Complete U-statistics: products over k-subsets of n Bernoulli variables.
 # ---------------------------------------------------------------------------
+
+def _ustat_violations(n: int, k: int, p: float) -> list[str]:
+    v = []
+    if not 1 <= k <= n:
+        v.append(f"ustat requires 1 <= k <= n, got n={n}, k={k}")
+    if not 0.0 <= p <= 1.0:
+        v.append(f"ustat requires p in [0, 1], got p={p}")
+    return v
+
 
 def ustat_summary(
     n: int, k: int, p: float, variant: str = FIRST_PRINCIPLES
@@ -150,9 +327,7 @@ def ustat_summary(
     and reuses delta as the covariance sum.
     """
     _check_variant(variant)
-    _check_prob(p)
-    if not 1 <= k <= n:
-        raise ValueError(f"ustat requires 1 <= k <= n, got n={n}, k={k}")
+    _raise_first(_ustat_violations(n, k, p))
     count = comb(n, k)
     mean = p**k
     if variant == PAPER_AS_PRINTED:
@@ -172,15 +347,45 @@ def ustat_summary(
     return FamilySummary.homogeneous(count=count, p=mean, delta=delta, cov_sum=cov)
 
 
+def _ustat_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
+    ones = (uniforms < p).sum(axis=1)
+    return ones <= k - 1
+
+
+def ustat_zero_exact(n: int, k: int, p: float) -> LogProb:
+    """P(Z=0) = P(Binomial(n, p) <= k-1), in log domain.
+
+    The complete U-statistic vanishes iff fewer than k of the underlying
+    variables succeed.
+    """
+    _raise_first(_ustat_violations(n, k, p))
+    if p == 0.0:
+        return LogProb(0.0)
+    terms = []
+    log_p = math.log(p)
+    log_q = math.log1p(-p) if p < 1.0 else None
+    for j in range(k):
+        if p == 1.0 and n - j > 0:
+            continue
+        lb = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        terms.append(lb + j * log_p + (n - j) * log_q)
+    if not terms:
+        return LogProb(float("-inf"))
+    hi = max(terms)
+    return LogProb(hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
+
+
 # ---------------------------------------------------------------------------
 # Hypergraph coverage: n_draws i.i.d. uniform k-cliques covering K_N.
 # ---------------------------------------------------------------------------
 
-def _hyper_check(N: int, k: int, n_draws: int) -> None:
+def _hyper_violations(N: int, k: int, n_draws: int) -> list[str]:
+    v = []
     if not 2 <= k <= N:
-        raise ValueError(f"hypergraph-cover requires 2 <= k <= N, got N={N}, k={k}")
+        v.append(f"hypergraph-cover requires 2 <= k <= N, got N={N}, k={k}")
     if n_draws < 1:
-        raise ValueError(f"hypergraph-cover requires n_draws >= 1, got {n_draws}")
+        v.append(f"hypergraph-cover requires n_draws >= 1, got {n_draws}")
+    return v
 
 
 def _per_draw_avoid_single(N: int, k: int) -> Fraction:
@@ -207,7 +412,7 @@ def _per_draw_avoid_disjoint(N: int, k: int) -> Fraction:
 
 def hypergraph_edge_prob(N: int, k: int, n_draws: int) -> LogProb:
     """P(a fixed edge of K_N is uncovered after n_draws uniform k-cliques)."""
-    _hyper_check(N, k, n_draws)
+    _raise_first(_hyper_violations(N, k, n_draws))
     a = _per_draw_avoid_single(N, k)
     if a == 0:
         return LogProb(NEG_INF)
@@ -220,7 +425,7 @@ def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogPr
     Requires N >= 3 for the sharing pair; for N = 3 no disjoint pair exists
     and the disjoint probability is reported as zero.
     """
-    _hyper_check(N, k, n_draws)
+    _raise_first(_hyper_violations(N, k, n_draws))
     if N < 3:
         raise ValueError(f"joint probabilities require N >= 3, got N={N}")
 
@@ -265,7 +470,7 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     case the family is not positively associated and the additive bounds
     refuse to run.
     """
-    _hyper_check(N, k, n_draws)
+    _raise_first(_hyper_violations(N, k, n_draws))
     if N < 4:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
@@ -286,39 +491,153 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     return FamilySummary.homogeneous(count=count, p=p, delta=delta, cov_sum=cov)
 
 
+@lru_cache(maxsize=None)
+def _edge_table(N: int) -> np.ndarray:
+    table = np.zeros((N, N), dtype=np.int64)
+    for i, (a, b) in enumerate(combinations(range(N), 2)):
+        table[a, b] = i
+        table[b, a] = i
+    return table
+
+
+def _hyper_sample(
+    uniforms: np.ndarray, N: int, k: int, n_draws: int
+) -> np.ndarray:
+    """Full coverage of K_N, the hypergraph family's event {Z = 0}."""
+    batch = uniforms.shape[0]
+    n_edges = comb(N, 2)
+    table = _edge_table(N)
+    covered = np.zeros((batch, n_edges), dtype=bool)
+    rows = np.arange(batch)
+    pairs = list(combinations(range(k), 2))
+    for r in range(n_draws):
+        u = uniforms[:, r * k : (r + 1) * k]
+        # partial Fisher-Yates: k selection steps, one uniform each
+        perm = np.tile(np.arange(N, dtype=np.int64), (batch, 1))
+        for j in range(k):
+            idx = j + (u[:, j] * (N - j)).astype(np.int64)
+            np.minimum(idx, N - 1, out=idx)
+            chosen_vals = perm[rows, idx]
+            perm[rows, idx] = perm[:, j]
+            perm[:, j] = chosen_vals
+        for a, b in pairs:
+            covered[rows, table[perm[:, a], perm[:, b]]] = True
+        if covered.all():
+            break
+    return covered.all(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _cover_terms(N: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Inclusion-exclusion grouped by avoid count, and C(N, k).
+
+    a(S) counts the k-subsets whose clique avoids the edge subset S; the
+    result pairs each value a that occurs with c_a = sum of (-1)^|S| over
+    the S with a(S) = a, dropping a = 0 and every a whose c_a cancels to 0.
+    There are at most C(N, k) + 1 values, against 2^C(N,2) subsets.
+    """
+    n_edges = comb(N, 2)
+    edges = list(combinations(range(N), 2))
+    eidx = {e: i for i, e in enumerate(edges)}
+    total = comb(N, k)
+    # N <= 7: masks fit in 21 bits and counts in C(7,3) = 35
+    masks = np.arange(1 << n_edges, dtype=np.uint32)
+    avoid = np.zeros(masks.shape, dtype=np.uint8)
+    for w in combinations(range(N), k):
+        wmask = 0
+        for e in combinations(w, 2):
+            wmask |= 1 << eidx[e]
+        avoid += (masks & wmask) == 0
+    odd = (np.bitwise_count(masks) & 1).astype(bool)
+    signed = np.bincount(avoid[~odd], minlength=total + 1) - np.bincount(
+        avoid[odd], minlength=total + 1
+    )
+    terms = tuple((a, int(c)) for a, c in enumerate(signed) if a and c)
+    return terms, total
+
+
+def cover_all_exact(N: int, k: int, n_draws: int) -> LogProb:
+    """Exact P(n_draws uniform k-cliques cover every edge of K_N), N <= 7.
+
+    Inclusion-exclusion over edge subsets S: sum over S of
+    (-1)^|S| (a(S)/C(N,k))^n_draws, where a(S) counts the k-subsets whose
+    clique avoids S.  The subsets are grouped by a(S) once per (N, k), and
+    the alternating sum is taken in Python integers over C(N,k)^n_draws.
+    The result is the exact rational correctly rounded, through log1p of
+    the exact deficit when it is near one, and exactly zero (log -inf)
+    wherever coverage is impossible.  The integers grow with n_draws, to
+    about n_draws * log2(C(N,k)) bits.
+    """
+    _raise_first(_hyper_violations(N, k, n_draws))
+    if N > 7:
+        raise ValueError(f"exhaustive oracle supports N <= 7, got N={N}")
+    terms, total = _cover_terms(N, k)
+    # the number of covering draw sequences out of total**n_draws
+    covering = sum(c * a**n_draws for a, c in terms)
+    if covering < 0:
+        raise ArithmeticError(f"inclusion-exclusion produced {covering} < 0")
+    outcomes = total**n_draws
+    missing = outcomes - covering
+    if 2 * missing > outcomes:
+        return LogProb.from_linear(covering / outcomes)
+    # near one, log1p of the exact deficit keeps the log's relative accuracy
+    return LogProb(math.log1p(-missing / outcomes))
+
+
+# ---------------------------------------------------------------------------
+# The family table, and the functions that dispatch through it.
+# ---------------------------------------------------------------------------
+
+FAMILIES: dict[str, Family] = {
+    "runs": Family(
+        params={"n": int, "k": int, "p": float},
+        check=_runs_violations,
+        summary=runs_summary,
+        budget=lambda n, k, p: n,
+        sample=_runs_sample,
+        exact=runs_zero_exact,
+    ),
+    "triangles": Family(
+        params={"n": int, "p": float},
+        check=_triangles_violations,
+        summary=triangles_summary,
+        budget=lambda n, p: comb(n, 2),
+        sample=_triangles_sample,
+        exact=lambda n, p: triangle_free_exact(n, p) if n <= 7 else None,
+    ),
+    "ustat": Family(
+        params={"n": int, "k": int, "p": float},
+        check=_ustat_violations,
+        summary=ustat_summary,
+        budget=lambda n, k, p: n,
+        sample=_ustat_sample,
+        exact=ustat_zero_exact,
+    ),
+    "hypergraph-cover": Family(
+        params={"N": int, "k": int, "n_draws": int},
+        check=_hyper_violations,
+        # No printed/first-principles split here: delta and covariances come
+        # straight from the exact joint-probability formulas.
+        summary=lambda N, k, n_draws, variant: hypergraph_summary(N, k, n_draws),
+        budget=lambda N, k, n_draws: n_draws * k,
+        sample=_hyper_sample,
+        exact=lambda N, k, n_draws: cover_all_exact(N, k, n_draws) if N <= 7 else None,
+        aliases=("hypergraph",),
+    ),
+}
+
+
 def summary_for(spec: ModelSpec, variant: str = FIRST_PRINCIPLES) -> FamilySummary:
     """Build the FamilySummary for a validated ModelSpec."""
     spec.ensure_valid()
-    q = spec.params
-    if spec.model == "runs":
-        return runs_summary(int(q["n"]), int(q["k"]), float(q["p"]), variant)
-    if spec.model == "triangles":
-        return triangles_summary(int(q["n"]), float(q["p"]), variant)
-    if spec.model == "ustat":
-        return ustat_summary(int(q["n"]), int(q["k"]), float(q["p"]), variant)
-    if spec.model == "hypergraph-cover":
-        # No printed/first-principles split here: delta and covariances come
-        # straight from the exact joint-probability formulas.
-        return hypergraph_summary(int(q["N"]), int(q["k"]), int(q["n_draws"]))
-    raise ValueError(f"unknown model {spec.model!r}")
+    family, q = bind(spec)
+    return family.summary(**q, variant=variant)
 
-
-# ---------------------------------------------------------------------------
-# Counter-based sampling.
-# ---------------------------------------------------------------------------
 
 def trial_budget(spec: ModelSpec) -> int:
     """Uniform doubles consumed per trial (fixed per spec, never data-dependent)."""
-    q = spec.params
-    if spec.model == "runs":
-        return int(q["n"])
-    if spec.model == "ustat":
-        return int(q["n"])
-    if spec.model == "triangles":
-        return comb(int(q["n"]), 2)
-    if spec.model == "hypergraph-cover":
-        return int(q["n_draws"]) * int(q["k"])
-    raise ValueError(f"unknown model {spec.model!r}")
+    family, q = bind(spec)
+    return family.budget(**q)
 
 
 def _blocks_per_trial(spec: ModelSpec) -> int:
@@ -343,90 +662,13 @@ def trial_uniforms(
     return raw.reshape(count, bpt * 4)[:, :budget]
 
 
-def _run_in_row(bits: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise: does the circular 0/1 row contain k consecutive ones?"""
-    n = bits.shape[1]
-    ext = np.concatenate([bits, bits[:, : k - 1]], axis=1) if k > 1 else bits
-    cs = np.cumsum(ext, axis=1, dtype=np.int64)
-    zero = np.zeros((bits.shape[0], 1), dtype=np.int64)
-    cs = np.concatenate([zero, cs], axis=1)
-    window = cs[:, k:] - cs[:, :-k]
-    return (window[:, :n] == k).any(axis=1)
-
-
-_TRIANGLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _triangle_edge_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n not in _TRIANGLE_CACHE:
-        edges = list(combinations(range(n), 2))
-        eidx = {e: i for i, e in enumerate(edges)}
-        t0, t1, t2 = [], [], []
-        for a, b, c in combinations(range(n), 3):
-            t0.append(eidx[(a, b)])
-            t1.append(eidx[(a, c)])
-            t2.append(eidx[(b, c)])
-        _TRIANGLE_CACHE[n] = (np.array(t0), np.array(t1), np.array(t2))
-    return _TRIANGLE_CACHE[n]
-
-
-_EDGE_TABLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _edge_table(N: int) -> np.ndarray:
-    if N not in _EDGE_TABLE_CACHE:
-        table = np.zeros((N, N), dtype=np.int64)
-        for i, (a, b) in enumerate(combinations(range(N), 2)):
-            table[a, b] = i
-            table[b, a] = i
-        _EDGE_TABLE_CACHE[N] = table
-    return _EDGE_TABLE_CACHE[N]
-
-
 def simulate_batch(spec: ModelSpec, uniforms: np.ndarray) -> np.ndarray:
     """Map per-trial uniforms to the event {Z = 0}, vectorized over rows.
 
     For hypergraph-cover the event is full coverage of K_N.
     """
-    q = spec.params
-    if spec.model == "runs":
-        k, p = int(q["k"]), float(q["p"])
-        bits = (uniforms < p).astype(np.int8)
-        return ~_run_in_row(bits, k)
-    if spec.model == "ustat":
-        k, p = int(q["k"]), float(q["p"])
-        ones = (uniforms < p).sum(axis=1)
-        return ones <= k - 1
-    if spec.model == "triangles":
-        p = float(q["p"])
-        edges = uniforms < p
-        t0, t1, t2 = _triangle_edge_indices(int(q["n"]))
-        has_triangle = (edges[:, t0] & edges[:, t1] & edges[:, t2]).any(axis=1)
-        return ~has_triangle
-    if spec.model == "hypergraph-cover":
-        N, k, n_draws = int(q["N"]), int(q["k"]), int(q["n_draws"])
-        batch = uniforms.shape[0]
-        n_edges = comb(N, 2)
-        table = _edge_table(N)
-        covered = np.zeros((batch, n_edges), dtype=bool)
-        rows = np.arange(batch)
-        pairs = list(combinations(range(k), 2))
-        for r in range(n_draws):
-            u = uniforms[:, r * k : (r + 1) * k]
-            # partial Fisher-Yates: k selection steps, one uniform each
-            perm = np.tile(np.arange(N, dtype=np.int64), (batch, 1))
-            for j in range(k):
-                idx = j + (u[:, j] * (N - j)).astype(np.int64)
-                np.minimum(idx, N - 1, out=idx)
-                chosen_vals = perm[rows, idx]
-                perm[rows, idx] = perm[:, j]
-                perm[:, j] = chosen_vals
-            for a, b in pairs:
-                covered[rows, table[perm[:, a], perm[:, b]]] = True
-            if covered.all():
-                break
-        return covered.all(axis=1)
-    raise ValueError(f"unknown model {spec.model!r}")
+    family, q = bind(spec)
+    return family.sample(uniforms, **q)
 
 
 def sample_is_zero(spec: ModelSpec, rng_seed: int, trial_index: int) -> bool:

@@ -59,7 +59,36 @@ class LogProb:
 
 
 ZERO = LogProb(NEG_INF)
-ONE = LogProb(0.0)
+
+# Relative tolerance of log_exceeds, about 4500 ulps of a double.
+LOG_RTOL = 1e-12
+
+_JSON_LOG_FLOOR = math.log(1e-300)
+
+
+def log_exceeds(a: float, b: float) -> bool:
+    """True iff log value ``a`` lies above ``b`` by more than LOG_RTOL of the
+    larger magnitude.
+
+    Unlike an absolute linear tolerance, this still separates values far
+    below the tolerance and values near one.  -inf (exactly zero) lies below
+    every finite value rather than widening the tolerance to infinity.
+    """
+    if a == NEG_INF:
+        return False
+    if b == NEG_INF:
+        return True
+    return a - b > LOG_RTOL * max(abs(a), abs(b))
+
+
+def json_log_linear(lp: LogProb | None) -> tuple[float | None, float | None]:
+    """(log, linear) for JSON: null for exact zero, and null linear outside
+    [1e-300, e^700), where the linear value would underflow or overflow."""
+    if lp is None:
+        return None, None
+    lv = lp.log_value
+    linear = lp.linear if _JSON_LOG_FLOOR <= lv < 700.0 else None
+    return (None if lv == NEG_INF else lv), linear
 
 
 @dataclass(frozen=True)
@@ -96,13 +125,6 @@ def log_add_floats(la: float, lb: float) -> float:
 def log_add(a: LogProb, b: LogProb) -> LogProb:
     """ln(e^a + e^b) without overflow; -inf acts as the additive identity."""
     return LogProb(log_add_floats(a.log_value, b.log_value))
-
-
-def log_sum(values: list[LogProb]) -> LogProb:
-    total = ZERO
-    for v in values:
-        total = log_add(total, v)
-    return total
 
 
 def log_binom(n: int, k: int) -> LogProb:

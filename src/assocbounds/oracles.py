@@ -1,10 +1,6 @@
-"""Independent ground truth for P(Z=0), a Monte Carlo driver, and the
-moment-generating-function gap verifier.
-
-The exact oracles deliberately use different machinery than the bound
-formulas (transfer matrices, binomial tails, exhaustive enumeration,
-inclusion-exclusion) so they can anchor the bounds without sharing code
-paths with them.
+"""Ground truth for P(Z=0): the exact oracle of each family (defined with
+its family in :mod:`models` and re-exported here), a Monte Carlo driver, and
+the moment-generating-function gap verifier.
 """
 
 from __future__ import annotations
@@ -12,15 +8,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from math import comb
 from typing import Any
 
 import numpy as np
 
 from .family import ModelSpec
-from .models import simulate_batch, trial_budget, trial_uniforms
+from .models import bind, simulate_batch, trial_budget, trial_uniforms
+from .models import (  # noqa: F401  (re-exported: each oracle lives with its family)
+    cover_all_exact,
+    runs_zero_exact,
+    triangle_free_exact,
+    ustat_zero_exact,
+)
 from .numerics import ConfidenceInterval, LogProb, clopper_pearson
 
 DEFAULT_SEED = 0xA55C1A7E  # documented constant so bare runs are reproducible
@@ -55,183 +54,12 @@ class EstimateWithCI:
 
 
 # ---------------------------------------------------------------------------
-# k-runs: transfer matrix over trailing-run-length states.
-# ---------------------------------------------------------------------------
-
-def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
-    """Exact P(no k consecutive ones in a Bernoulli(p) string of length n).
-
-    State s in {0..k-1} is the current trailing count of ones; a one moves
-    s -> s+1 (reaching k is absorbing failure and is dropped), a zero resets
-    to 0.  Linear strings sum the first row of M^n; circular strings take
-    the trace, which sums over closed state walks and handles the seam.
-    """
-    if k < 1 or n < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if circular and n < k:
-        raise ValueError(f"circular runs requires n >= k, got n={n}, k={k}")
-    if not circular and n < k:
-        return LogProb(0.0)
-
-    m = np.zeros((k, k), dtype=np.float64)
-    m[:, 0] = 1.0 - p
-    for s in range(k - 1):
-        m[s, s + 1] = p
-    power = np.linalg.matrix_power(m, n)
-    value = float(np.trace(power)) if circular else float(power[0, :].sum())
-    return LogProb.from_linear(min(max(value, 0.0), 1.0))
-
-
-# ---------------------------------------------------------------------------
-# U-statistics: binomial tail.
-# ---------------------------------------------------------------------------
-
-def ustat_zero_exact(n: int, k: int, p: float) -> LogProb:
-    """P(Z=0) = P(Binomial(n, p) <= k-1), in log domain.
-
-    The complete U-statistic vanishes iff fewer than k of the underlying
-    variables succeed.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return LogProb(0.0)
-    terms = []
-    log_p = math.log(p)
-    log_q = math.log1p(-p) if p < 1.0 else None
-    for j in range(k):
-        if p == 1.0 and n - j > 0:
-            continue
-        lb = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        terms.append(lb + j * log_p + (n - j) * log_q)
-    if not terms:
-        return LogProb(float("-inf"))
-    hi = max(terms)
-    return LogProb(hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
-
-
-# ---------------------------------------------------------------------------
-# Triangle-free probability: exhaustive over all graphs on n <= 7 vertices.
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _triangle_free_counts(n: int) -> tuple[int, ...]:
-    """counts[m] = number of triangle-free graphs on n labeled vertices with m edges."""
-    n_edges = comb(n, 2)
-    edges = list(combinations(range(n), 2))
-    eidx = {e: i for i, e in enumerate(edges)}
-    masks = np.arange(1 << n_edges, dtype=np.int64)
-    bad = np.zeros(masks.shape, dtype=bool)
-    for a, b, c in combinations(range(n), 3):
-        t = (1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)])
-        bad |= (masks & t) == t
-    popcounts = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-    counts = np.bincount(popcounts[~bad], minlength=n_edges + 1)
-    return tuple(int(c) for c in counts)
-
-
-def triangle_free_exact(n: int, p: float) -> LogProb:
-    """Exact P(G(n,p) contains no triangle), for 3 <= n <= 7.
-
-    Counts triangle-free graphs per edge count by bitmask enumeration, then
-    evaluates sum_m counts[m] p^m (1-p)^(M-m) in log-safe form.
-    """
-    if not 3 <= n <= 7:
-        raise ValueError(f"exhaustive oracle supports 3 <= n <= 7, got n={n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    counts = _triangle_free_counts(n)
-    n_edges = comb(n, 2)
-    terms = []
-    for m, c in enumerate(counts):
-        if c == 0:
-            continue
-        if p == 0.0 and m > 0:
-            continue
-        if p == 1.0 and m < n_edges:
-            continue
-        lp = m * math.log(p) if m else 0.0
-        lq = (n_edges - m) * math.log1p(-p) if n_edges - m else 0.0
-        terms.append(math.log(c) + lp + lq)
-    if not terms:
-        return LogProb(float("-inf"))
-    hi = max(terms)
-    return LogProb(hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
-
-
-# ---------------------------------------------------------------------------
-# Coverage probability: inclusion-exclusion over edge subsets of K_N.
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _cover_terms(N: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Inclusion-exclusion grouped by avoid count, and C(N, k).
-
-    a(S) counts the k-subsets whose clique avoids the edge subset S; the
-    result pairs each value a that occurs with c_a = sum of (-1)^|S| over
-    the S with a(S) = a, dropping a = 0 and every a whose c_a cancels to 0.
-    There are at most C(N, k) + 1 values, against 2^C(N,2) subsets.
-    """
-    n_edges = comb(N, 2)
-    edges = list(combinations(range(N), 2))
-    eidx = {e: i for i, e in enumerate(edges)}
-    total = comb(N, k)
-    # N <= 7: masks fit in 21 bits and counts in C(7,3) = 35
-    masks = np.arange(1 << n_edges, dtype=np.uint32)
-    avoid = np.zeros(masks.shape, dtype=np.uint8)
-    for w in combinations(range(N), k):
-        wmask = 0
-        for e in combinations(w, 2):
-            wmask |= 1 << eidx[e]
-        avoid += (masks & wmask) == 0
-    odd = (np.bitwise_count(masks) & 1).astype(bool)
-    signed = np.bincount(avoid[~odd], minlength=total + 1) - np.bincount(
-        avoid[odd], minlength=total + 1
-    )
-    terms = tuple((a, int(c)) for a, c in enumerate(signed) if a and c)
-    return terms, total
-
-
-def cover_all_exact(N: int, k: int, n_draws: int) -> LogProb:
-    """Exact P(n_draws uniform k-cliques cover every edge of K_N), N <= 7.
-
-    Inclusion-exclusion over edge subsets S: sum over S of
-    (-1)^|S| (a(S)/C(N,k))^n_draws, where a(S) counts the k-subsets whose
-    clique avoids S.  The subsets are grouped by a(S) once per (N, k), and
-    the alternating sum is taken in Python integers over C(N,k)^n_draws.
-    The result is the exact rational correctly rounded, through log1p of
-    the exact deficit when it is near one, and exactly zero (log -inf)
-    wherever coverage is impossible.  The integers grow with n_draws, to
-    about n_draws * log2(C(N,k)) bits.
-    """
-    if not 2 <= k <= N:
-        raise ValueError(f"need 2 <= k <= N, got N={N}, k={k}")
-    if N > 7:
-        raise ValueError(f"exhaustive oracle supports N <= 7, got N={N}")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    terms, total = _cover_terms(N, k)
-    # the number of covering draw sequences out of total**n_draws
-    covering = sum(c * a**n_draws for a, c in terms)
-    if covering < 0:
-        raise ArithmeticError(f"inclusion-exclusion produced {covering} < 0")
-    outcomes = total**n_draws
-    missing = outcomes - covering
-    if 2 * missing > outcomes:
-        return LogProb.from_linear(covering / outcomes)
-    # near one, log1p of the exact deficit keeps the log's relative accuracy
-    return LogProb(math.log1p(-missing / outcomes))
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo driver.
 # ---------------------------------------------------------------------------
 
 _BATCH_DOUBLES = 4_000_000
+# Checked before the pool starts, so an oversized request starts no threads.
+MAX_WORKERS = 64
 
 
 def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> int:
@@ -258,13 +86,13 @@ def monte_carlo(
 
     The success count is a sum over per-trial outcomes that depend only on
     (seed, trial_index), so the result is bit-identical for any worker count
-    or batching schedule.
+    (1 to MAX_WORKERS threads) or batching schedule.
     """
     spec.ensure_valid()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     if workers == 1 or trials < 2 * workers:
         successes = _count_chunk(spec, seed, 0, trials)
     else:
@@ -285,20 +113,8 @@ def monte_carlo(
 def oracle_for(spec: ModelSpec) -> LogProb | None:
     """Exact P(Z=0) for the given model spec, or None outside the exact range."""
     spec.ensure_valid()
-    q = spec.params
-    if spec.model == "runs":
-        return runs_zero_exact(int(q["n"]), int(q["k"]), float(q["p"]))
-    if spec.model == "ustat":
-        return ustat_zero_exact(int(q["n"]), int(q["k"]), float(q["p"]))
-    if spec.model == "triangles":
-        if int(q["n"]) <= 7:
-            return triangle_free_exact(int(q["n"]), float(q["p"]))
-        return None
-    if spec.model == "hypergraph-cover":
-        if int(q["N"]) <= 7:
-            return cover_all_exact(int(q["N"]), int(q["k"]), int(q["n_draws"]))
-        return None
-    raise ValueError(f"unknown model {spec.model!r}")
+    family, q = bind(spec)
+    return family.exact(**q)
 
 
 # ---------------------------------------------------------------------------

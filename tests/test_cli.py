@@ -11,7 +11,11 @@ import sys
 
 import pytest
 
+from assocbounds import bounds
+from assocbounds.bounds import BoundResult
 from assocbounds.cli import CSV_COLUMNS, main
+from assocbounds.models import FAMILIES
+from assocbounds.numerics import LogProb
 from assocbounds.oracles import runs_zero_exact
 
 
@@ -281,6 +285,32 @@ class TestVerifyCommand:
         uppers = [c for c in doc["checks"] if c.get("direction") == "upper"]
         assert uppers and all(c["status"] == "pass" for c in uppers)
 
+    def test_product_above_truth_near_one_fails(self, capsys):
+        # the product's log, -1.396983862086e-9, lies above the exact truth's,
+        # -1.396983862465e-9: a linear 1e-9 tolerance cannot see the gap
+        code, out, _ = run_main(
+            capsys, "verify", "--model", "hypergraph", "--N", "4", "--k", "3",
+            "--n-draws", "32",
+        )
+        assert code == 1
+        by = {c["method"]: c for c in json.loads(out)["checks"]}
+        assert by["independent-lower"]["status"] == "fail"
+
+    def test_upper_bound_below_tiny_truth_fails(self, capsys, monkeypatch):
+        # the truth is 1.52e-37, far below any linear tolerance
+        truth = runs_zero_exact(400, 2, 0.5).log_value
+        monkeypatch.setattr(
+            bounds, "janson_basic",
+            lambda s: BoundResult("janson-basic", LogProb(truth - 1.0)),
+        )
+        code, out, _ = run_main(
+            capsys, "verify", "--model", "runs", "--n", "400", "--k", "2",
+            "--p", "0.5",
+        )
+        assert code == 1
+        fails = [c["method"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+        assert fails == ["janson-basic"]
+
     def test_oracle_unavailable_without_mc_exits_two(self, capsys):
         code, _, err = run_main(
             capsys, "verify", "--model", "triangles", "--n", "9", "--p", "0.1"
@@ -352,6 +382,32 @@ class TestLemmaCheckCommand:
     def test_too_many_variables_exits_two(self, capsys):
         code, _, err = run_main(capsys, "lemma-check", "--m", "12")
         assert code == 2 and "m" in err
+
+
+# Flags given out of order; printed params follow the flag order n, k, p, N,
+# n_draws, whatever order a family's schema lists them in.
+FAMILY_FLAGS = {
+    "runs": (["--n", "12", "--p", "0.5", "--k", "2"], ["n", "k", "p"]),
+    "triangles": (["--p", "0.5", "--n", "5"], ["n", "p"]),
+    "ustat": (["--p", "0.2", "--k", "3", "--n", "12"], ["n", "k", "p"]),
+    "hypergraph-cover": (
+        ["--n-draws", "16", "--N", "5", "--k", "3"], ["k", "N", "n_draws"]
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(FAMILIES))
+def test_family_flags_aliases_and_params_order(capsys, model):
+    flags, keys = FAMILY_FLAGS[model]
+    for alias in (model, *FAMILIES[model].aliases):
+        for command, extra in (("bound", []), ("verify", []), ("mc", ["--trials", "200"])):
+            code, out, _ = run_main(capsys, command, "--model", alias, *flags, *extra)
+            assert code in (0, 1), (command, alias)
+            doc = json.loads(out)
+            assert doc["model"] == model
+            assert list(doc["params"]) == keys
+    code, _, err = run_main(capsys, "bound", "--model", model, *flags[2:])
+    assert code == 2 and "requires parameters" in err
 
 
 class TestParsing:

@@ -17,6 +17,7 @@ from assocbounds.numerics import (
     clopper_pearson,
     log_add,
     log_binom,
+    log_exceeds,
     minimize_scalar,
 )
 
@@ -77,6 +78,21 @@ class TestLogAdd:
         left = log_add(log_add(LogProb(a), LogProb(b)), LogProb(c)).log_value
         right = log_add(LogProb(a), log_add(LogProb(b), LogProb(c))).log_value
         assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
+
+
+class TestLogExceeds:
+    def test_zero_lies_below_every_finite_value(self):
+        assert log_exceeds(-1e6, NEG_INF)
+        assert not log_exceeds(NEG_INF, -1e6)
+        assert not log_exceeds(NEG_INF, NEG_INF)
+
+    def test_relative_tolerance_separates_tiny_and_near_one_values(self):
+        # 3e-37 against 1e-37, and two values near one whose logs differ by
+        # 3.8e-19; within 1e-13 relative nothing exceeds
+        assert log_exceeds(math.log(3e-37), math.log(1e-37))
+        assert log_exceeds(-1.396983862086e-9, -1.396983862465e-9)
+        assert not log_exceeds(-85.0 * (1 + 1e-13), -85.0)
+        assert not log_exceeds(-85.0 * (1 - 1e-13), -85.0)
 
 
 class TestLogBinom:

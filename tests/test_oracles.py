@@ -11,6 +11,7 @@ import pytest
 from assocbounds.family import ModelSpec
 from assocbounds.numerics import clopper_pearson
 from assocbounds.oracles import (
+    MAX_WORKERS,
     EstimateWithCI,
     cover_all_exact,
     mgf_gap_check,
@@ -248,6 +249,12 @@ class TestMonteCarlo:
         est = monte_carlo(spec, 5000, seed=8)
         assert est.ci.lower <= est.estimate <= est.ci.upper
         assert est.successes == round(est.estimate * est.trials)
+
+    def test_worker_count_capped(self):
+        # rejected before the pool exists, so no thread starts
+        spec = ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5})
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo(spec, 10, workers=MAX_WORKERS + 1)
 
     def test_inconsistent_estimate_rejected(self):
         with pytest.raises(ValueError, match="inside"):
