@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .family import FamilySummary
 from .numerics import NEG_INF, LogProb, json_log_linear, log_add, log_add_floats, minimize_scalar
@@ -104,17 +104,10 @@ class SkippedBound:
 BoundEntry = BoundResult | SkippedBound
 
 
-def _log1m(p: float) -> float:
-    """ln(1 - p) with the p=1 endpoint mapped to -inf."""
-    if p >= 1.0:
-        return NEG_INF
-    return math.log1p(-p)
-
-
 def _sum_log1m_means(s: FamilySummary) -> float:
-    if s.is_homogeneous:
-        return s.count * _log1m(s.means)
-    return math.fsum(_log1m(p) for p in s.means)
+    return (s.count // len(s.means)) * math.fsum(
+        [NEG_INF if p >= 1.0 else math.log1p(-p) for p in s.means]
+    )
 
 
 def _require_nonneg_cov(s: FamilySummary, method: str) -> None:
@@ -190,27 +183,22 @@ def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
     return math.exp(log_t), log_t
 
 
-def _tilt_term(p: float, t: float) -> float:
-    """ln(1 - p + p e^{-t}), the per-indicator factor of the tilted product.
+def _lv_objective(s: FamilySummary) -> Callable[[float, float], LogProb]:
+    """lv-general as a function of (t, ln t), with the summary's terms bound
+    once: the optimizer evaluates it a few hundred times per summary."""
+    weight, means = s.count // len(s.means), s.means
+    log_cov = NEG_INF if s.cov_sum == 0 else math.log(s.cov_sum)
 
-    Equal to ln((1-p)(1 + e^{-t} p/(1-p))) for p < 1; stable for all t > 0.
-    """
-    if p >= 1.0:
-        return -t
-    return math.log1p(p * math.expm1(-t))
+    def value(t: float, log_t: float) -> LogProb:
+        # ln(1 - p + p e^{-t}) per indicator, stable for all t > 0 and
+        # exactly -t at p = 1
+        e = math.expm1(-t)
+        product_term = weight * math.fsum(
+            [-t if p >= 1.0 else math.log1p(p * e) for p in means]
+        )
+        return LogProb(log_add_floats(product_term, 2.0 * log_t + log_cov))
 
-
-def _lv_value(s: FamilySummary, t: float, log_t: float) -> LogProb:
-    if s.is_homogeneous:
-        product_term = s.count * _tilt_term(s.means, t)
-    else:
-        product_term = math.fsum(_tilt_term(p, t) for p in s.means)
-    if s.cov_sum == 0:
-        cov_term = NEG_INF
-    else:
-        cov_term = 2.0 * log_t + math.log(s.cov_sum)
-    # the optimizer's objective: one LogProb per evaluation
-    return LogProb(log_add_floats(product_term, cov_term))
+    return value
 
 
 def lv_general(
@@ -223,7 +211,7 @@ def lv_general(
     """
     _require_nonneg_cov(s, "lv-general")
     t_lin, lt = _resolve_t(t, log_t)
-    return BoundResult("lv-general", _lv_value(s, t_lin, lt), t=t_lin, log_t=lt)
+    return BoundResult("lv-general", _lv_objective(s)(t_lin, lt), t=t_lin, log_t=lt)
 
 
 def lv_iid(
@@ -232,20 +220,14 @@ def lv_iid(
     """(1-p)^{|I|} (1 + e^{-t} p/(1-p))^{|I|} + t^2 cov_sum, homogeneous only."""
     if not s.is_homogeneous:
         raise ValueError("lv-iid requires a homogeneous summary")
-    if s.means >= 1.0:
+    if s.means[0] >= 1.0:
         raise ValueError("lv-iid requires p < 1")
     _require_nonneg_cov(s, "lv-iid")
     t_lin, lt = _resolve_t(t, log_t)
-    return BoundResult("lv-iid", _lv_value(s, t_lin, lt), t=t_lin, log_t=lt)
+    return BoundResult("lv-iid", _lv_objective(s)(t_lin, lt), t=t_lin, log_t=lt)
 
 
-def lv_optimal(
-    s: FamilySummary,
-    t_min: float = T_GRID_MIN,
-    t_max: float = T_GRID_MAX,
-    grid_points: int = T_GRID_POINTS,
-    refine_tolerance: float = T_REFINE_TOL,
-) -> BoundResult:
+def lv_optimal(s: FamilySummary) -> BoundResult:
     """lv-general minimized over t on a log-spaced grid with refinement.
 
     The objective is a sum of a decreasing and an increasing term and is not
@@ -253,12 +235,13 @@ def lv_optimal(
     refinement; the result never exceeds lv-general at any grid t.
     """
     _require_nonneg_cov(s, "lv-optimal")
+    value = _lv_objective(s)
     t_star, f_star = minimize_scalar(
-        lambda t: _lv_value(s, t, math.log(t)),
-        t_min,
-        t_max,
-        grid_points=grid_points,
-        refine_tolerance=refine_tolerance,
+        lambda t: value(t, math.log(t)),
+        T_GRID_MIN,
+        T_GRID_MAX,
+        grid_points=T_GRID_POINTS,
+        refine_tolerance=T_REFINE_TOL,
     )
     return BoundResult("lv-optimal", f_star, t=t_star, log_t=math.log(t_star))
 

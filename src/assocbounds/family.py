@@ -24,21 +24,33 @@ _REL_TOL_DERIVED = 1e-12
 class FamilySummary:
     """Sufficient statistics of an indicator family.
 
-    ``means`` is either a single float (homogeneous family) or a tuple of
-    per-indicator means.  ``lambda_`` is serialized as ``"lambda"``.
+    ``means`` is a non-empty tuple whose entries each stand for
+    ``count // len(means)`` indicators: ``(p,)`` when all ``count``
+    indicators share the mean p (a bare number p is stored as ``(p,)``),
+    one entry per indicator otherwise.  ``lambda_`` is serialized as
+    ``"lambda"``.
     """
 
     count: int
-    means: float | tuple[float, ...]
+    means: tuple[float, ...]
     lambda_: float
     delta: float
     delta_bar: float
     cov_sum: float
     max_mean: float
 
+    def __post_init__(self) -> None:
+        try:
+            means = tuple(self.means)
+        except TypeError:  # a bare number, shared by every indicator
+            means = (self.means,)
+        if not means:
+            raise ValueError("means must hold at least one entry")
+        object.__setattr__(self, "means", means)
+
     @property
     def is_homogeneous(self) -> bool:
-        return not isinstance(self.means, tuple)
+        return len(self.means) == 1
 
     @classmethod
     def homogeneous(
@@ -47,7 +59,7 @@ class FamilySummary:
         lam = count * p
         return cls(
             count=count,
-            means=p,
+            means=(p,),
             lambda_=lam,
             delta=delta,
             delta_bar=lam + 2.0 * delta,
@@ -59,7 +71,7 @@ class FamilySummary:
     def heterogeneous(
         cls, means: Iterable[float], delta: float, cov_sum: float
     ) -> "FamilySummary":
-        ms = tuple(float(m) for m in means)
+        ms = tuple(map(float, means))
         lam = math.fsum(ms)
         return cls(
             count=len(ms),
@@ -68,14 +80,13 @@ class FamilySummary:
             delta=delta,
             delta_bar=lam + 2.0 * delta,
             cov_sum=cov_sum,
-            max_mean=max(ms) if ms else 0.0,
+            max_mean=max(ms, default=0.0),
         )
 
     def to_json_dict(self) -> dict[str, Any]:
-        means = list(self.means) if isinstance(self.means, tuple) else self.means
         return {
             "count": self.count,
-            "means": means,
+            "means": self.means[0] if len(self.means) == 1 else list(self.means),
             "lambda": self.lambda_,
             "delta": self.delta,
             "delta_bar": self.delta_bar,
@@ -89,13 +100,16 @@ class FamilySummary:
         missing = required - set(d)
         if missing:
             raise ValueError(f"summary JSON missing fields: {sorted(missing)}")
-        means = d["means"]
-        if isinstance(means, list):
-            means = tuple(float(m) for m in means)
-        else:
-            means = float(means)
+        count, means = int(d["count"]), d["means"]
+        try:
+            means = tuple(map(float, means))
+        except TypeError:  # a number: the mean of every indicator
+            means = (float(means),)
+        else:  # a list holds one mean per indicator, even when it has one entry
+            if len(means) != count:
+                raise ValueError(f"means has {len(means)} entries but count is {count}")
         return cls(
-            count=int(d["count"]),
+            count=count,
             means=means,
             lambda_=float(d["lambda"]),
             delta=float(d["delta"]),
@@ -125,20 +139,14 @@ def validate(summary: FamilySummary) -> list[str]:
     if s.count < 1:
         v.append(f"count must be a positive integer, got {s.count}")
 
-    if s.is_homogeneous:
-        means = [s.means]
-    else:
-        means = list(s.means)
-        if len(means) != s.count:
-            v.append(f"means has {len(means)} entries but count is {s.count}")
-    bad = [m for m in means if not (0.0 <= m <= 1.0) or math.isnan(m)]
+    if len(s.means) not in (1, s.count):
+        v.append(f"means has {len(s.means)} entries but count is {s.count}")
+    bad = [m for m in s.means if not (0.0 <= m <= 1.0) or math.isnan(m)]
     if bad:
         v.append(f"means must lie in [0, 1], offending values: {bad[:5]}")
 
-    if s.is_homogeneous:
-        lam_expected = s.count * s.means
-    else:
-        lam_expected = math.fsum(means)
+    # each entry of means stands for count // len(means) indicators
+    lam_expected = (s.count // len(s.means)) * math.fsum(s.means)
     if not _rel_close(s.lambda_, lam_expected, _REL_TOL_LAMBDA):
         v.append(
             f"lambda={s.lambda_} does not match the sum of means {lam_expected}"
@@ -159,13 +167,14 @@ def validate(summary: FamilySummary) -> list[str]:
             f"associated (some pairwise covariance is below zero)"
         )
 
-    if s.is_homogeneous and not bad and s.cov_sum > s.delta * (1.0 + _REL_TOL_DERIVED) + 1e-300:
+    # each covariance is a joint expectation minus a nonnegative product
+    if not bad and s.cov_sum > s.delta * (1.0 + _REL_TOL_DERIVED) + 1e-300:
         v.append(
             f"cov_sum={s.cov_sum} exceeds delta={s.delta}; covariances cannot "
             f"exceed the joint expectations they come from"
         )
 
-    max_expected = max(means) if means else 0.0
+    max_expected = max(s.means)
     if not bad and not _rel_close(s.max_mean, max_expected, _REL_TOL_LAMBDA):
         v.append(
             f"max_mean={s.max_mean} does not match the largest mean {max_expected}"
@@ -201,7 +210,11 @@ class ModelSpec:
         missing = [x for x in family.params if self.params.get(x) is None]
         if missing:
             return [f"model {self.model!r} requires parameters {missing}"]
-        return family.check(**family.cast(self.params))
+        try:
+            q = family.cast(self.params)
+        except ValueError as exc:  # e.g. a fractional value of an int parameter
+            return [f"model {self.model!r}: {exc}"]
+        return family.check(**q)
 
     def ensure_valid(self) -> "ModelSpec":
         violations = self.validate()

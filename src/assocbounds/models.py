@@ -39,6 +39,10 @@ FIRST_PRINCIPLES = "first-principles"
 PAPER_AS_PRINTED = "paper-as-printed"
 VARIANTS = (FIRST_PRINCIPLES, PAPER_AS_PRINTED)
 
+_LN2 = math.log(2.0)
+# runs_zero_exact rescales its matrix powers only below this value
+_SCALE_BELOW = 2.0**-960
+
 
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
@@ -53,6 +57,11 @@ def _check_prob(p: float) -> None:
 def _raise_first(violations: list[str]) -> None:
     if violations:
         raise ValueError(violations[0])
+
+
+def _log_sum_exp(terms: list[float]) -> float:
+    hi = max(terms)
+    return hi + math.log(math.fsum(math.exp(t - hi) for t in terms))
 
 
 @dataclass(frozen=True)
@@ -79,7 +88,17 @@ class Family:
     aliases: tuple[str, ...] = ()
 
     def cast(self, params: dict[str, Any]) -> dict[str, Any]:
-        return {name: to(params[name]) for name, to in self.params.items()}
+        """The parameters, cast; an ``int`` cast would truncate a fractional
+        value, which is refused rather than evaluated elsewhere."""
+        q = {name: to(params[name]) for name, to in self.params.items()}
+        fractional = [
+            f"{x}={params[x]}" for x in q if self.params[x] is int and q[x] != params[x]
+        ]
+        if fractional:
+            raise ValueError(
+                f"integer parameters got fractional values: {', '.join(fractional)}"
+            )
+        return q
 
 
 def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
@@ -179,6 +198,31 @@ def _runs_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
     return ~(window[:, :n] == k).any(axis=1)
 
 
+def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """(a, e) with m^n = a * 2^e, for n >= 1, by repeated squaring.
+
+    Each product is divided by a power of two that brings its largest entry
+    into [0.5, 1).  That division is exact, so the entries stay in the double
+    range however far m^n falls below it.
+    """
+    def rescale(a: np.ndarray, e: int) -> tuple[np.ndarray, int]:
+        shift = int(np.frexp(a.max())[1])
+        return np.ldexp(a, -shift), e + shift
+
+    square, square_e = m, 0
+    power, power_e = None, 0
+    while n:
+        n, bit = divmod(n, 2)
+        if bit:
+            power, power_e = (
+                (square, square_e) if power is None
+                else rescale(power @ square, power_e + square_e)
+            )
+        if n:
+            square, square_e = rescale(square @ square, 2 * square_e)
+    return power, power_e
+
+
 def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
     """Exact P(no k consecutive ones in a Bernoulli(p) string of length n).
 
@@ -186,6 +230,8 @@ def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
     s -> s+1 (reaching k is absorbing failure and is dropped), a zero resets
     to 0.  Linear strings sum the first row of M^n; circular strings take
     the trace, which sums over closed state walks and handles the seam.
+    Below 2^-960, M^n is recomputed with a separate binary scale, so values
+    below the double range keep their log.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -199,9 +245,21 @@ def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
     m[:, 0] = 1.0 - p
     for s in range(k - 1):
         m[s, s + 1] = p
-    power = np.linalg.matrix_power(m, n)
-    value = float(np.trace(power)) if circular else float(power[0, :].sum())
-    return LogProb.from_linear(min(max(value, 0.0), 1.0))
+
+    def walks(power: np.ndarray) -> float:
+        return float(np.trace(power)) if circular else float(power[0, :].sum())
+
+    # M is substochastic, so no partial product is smaller than M^n in norm:
+    # where the value lies far above the subnormal range, the unscaled power
+    # is accurate, and it is the cheaper one
+    value = walks(np.linalg.matrix_power(m, n))
+    if value >= _SCALE_BELOW:
+        return LogProb.from_linear(min(value, 1.0))
+    power, power_e = _scaled_power(m, n)
+    value = walks(power)
+    if value <= 0.0:
+        return LogProb(NEG_INF)
+    return LogProb(min(math.log(value) + power_e * _LN2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +357,7 @@ def triangle_free_exact(n: int, p: float) -> LogProb:
         terms.append(math.log(c) + lp + lq)
     if not terms:
         return LogProb(float("-inf"))
-    hi = max(terms)
-    return LogProb(hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
+    return LogProb(_log_sum_exp(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +413,32 @@ def ustat_zero_exact(n: int, k: int, p: float) -> LogProb:
     """P(Z=0) = P(Binomial(n, p) <= k-1), in log domain.
 
     The complete U-statistic vanishes iff fewer than k of the underlying
-    variables succeed.
+    variables succeed.  Where that lower tail exceeds 1/2, the upper tail
+    is summed instead and the result is log1p(-upper), which keeps the
+    log's relative accuracy near one.
     """
     _raise_first(_ustat_violations(n, k, p))
     if p == 0.0:
         return LogProb(0.0)
-    terms = []
-    log_p = math.log(p)
-    log_q = math.log1p(-p) if p < 1.0 else None
-    for j in range(k):
-        if p == 1.0 and n - j > 0:
-            continue
-        lb = math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        terms.append(lb + j * log_p + (n - j) * log_q)
-    if not terms:
-        return LogProb(float("-inf"))
-    hi = max(terms)
-    return LogProb(hi + math.log(math.fsum(math.exp(t - hi) for t in terms)))
+    if p == 1.0:
+        return LogProb(NEG_INF)  # all n succeed, and k <= n
+    log_p, log_q, lgn = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+
+    def term(j: int) -> float:  # ln P(Binomial(n, p) = j)
+        lb = lgn - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        return lb + j * log_p + (n - j) * log_q
+
+    lower = _log_sum_exp([term(j) for j in range(k)])
+    if lower <= -_LN2:
+        return LogProb(lower)
+    # k - 1 is at least the median here, so k is at least the mode and the
+    # upper terms only fall; stop once the rest would underflow the sum
+    upper = [term(k)]
+    for j in range(k + 1, n + 1):
+        upper.append(term(j))
+        if upper[-1] < upper[0] - 750.0:
+            break
+    return LogProb(math.log1p(-math.exp(_log_sum_exp(upper))))
 
 
 # ---------------------------------------------------------------------------

@@ -175,14 +175,14 @@ def minimize_scalar(
     step = (log_hi - log_lo) / (grid_points - 1)
     grid = [math.exp(log_lo + i * step) for i in range(grid_points)]
 
-    values: list[LogProb | None] = []
-    failures = 0
-    for t in grid:
+    def probe(t: float) -> LogProb | None:
         try:
-            values.append(f(t))
+            return f(t)
         except (ValueError, ArithmeticError):
-            values.append(None)
-            failures += 1
+            return None
+
+    values = [probe(t) for t in grid]
+    failures = sum(v is None for v in values)
     if failures > grid_points // 2:
         raise ValueError(
             f"objective failed at {failures}/{grid_points} grid points; "
@@ -197,12 +197,6 @@ def minimize_scalar(
 
     a = grid[max(best_i - 1, 0)]
     b = grid[min(best_i + 1, grid_points - 1)]
-
-    def probe(t: float) -> LogProb | None:
-        try:
-            return f(t)
-        except (ValueError, ArithmeticError):
-            return None
 
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)

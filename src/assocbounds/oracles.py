@@ -122,9 +122,9 @@ def oracle_for(spec: ModelSpec) -> LogProb | None:
 # ---------------------------------------------------------------------------
 
 def mgf_gap_check(
-    joint: np.ndarray | list[float], t: float, kappa: float = 1.0
+    joint: np.ndarray | list[float], t: float
 ) -> tuple[float, float, bool]:
-    """Check |E e^{t sum X} - prod E e^{t X_i}| <= t^2 e^{m t kappa} sum Cov.
+    """Check |E e^{t sum X} - prod E e^{t X_i}| <= t^2 e^{m t} sum Cov.
 
     ``joint`` is an explicit law over m binary variables given as 2^m atom
     probabilities (atom index = bitmask, bit i = value of variable i).
@@ -158,7 +158,7 @@ def mgf_gap_check(
     second = bits.T @ (probs[:, None] * bits)
     cov = second - np.outer(marginals, marginals)
     cov_sum = float(np.triu(cov, k=1).sum())
-    bound = t * t * math.exp(m * t * kappa) * cov_sum
+    bound = t * t * math.exp(m * t) * cov_sum
     return gap, bound, gap <= bound + 1e-12
 
 

@@ -30,6 +30,7 @@ from assocbounds.models import (
     hypergraph_summary,
     runs_summary,
 )
+from assocbounds.numerics import log_exceeds
 from assocbounds.oracles import runs_zero_exact
 
 
@@ -298,6 +299,23 @@ class TestEvaluateAll:
         by = {e.method: e for e in evaluate_all(s)}
         assert isinstance(by["lv-iid"], SkippedBound)
         assert isinstance(by["lv-optimal"], BoundResult)
+
+    @pytest.mark.parametrize(
+        "count,p,delta,cov_sum",
+        [(1, 0.3, 0.0, 0.0), (10, 0.1, 0.2, 0.05), (400, 0.02, 3.0, 1.5), (57, 0.9, 40.0, 2.0)],
+    )
+    def test_list_of_equal_means_matches_one_entry_summary(self, count, p, delta, cov_sum):
+        one = homog(count, p, delta, cov_sum)
+        listed = FamilySummary.heterogeneous([p] * count, delta=delta, cov_sum=cov_sum)
+        for t in (None, 0.7):
+            a = {e.method: e for e in evaluate_all(one, t=t)}
+            b = {e.method: e for e in evaluate_all(listed, t=t)}
+            assert set(a) == set(b)
+            for method, e in b.items():
+                if method == "lv-iid" and count > 1:
+                    continue  # evaluated for (p,) only, and equal to lv-general
+                x, y = e.value.log_value, a[method].value.log_value
+                assert not log_exceeds(x, y) and not log_exceeds(y, x), (method, x, y)
 
     def test_negative_cov_skips_additive_bounds_only(self):
         s = hypergraph_summary(6, 2, 16)

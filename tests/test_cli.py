@@ -76,6 +76,25 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["model"] is None
 
+    @pytest.mark.parametrize("count,means", [(10, [0.1]), (4, [0.1, 0.2, 0.3])])
+    def test_list_summary_length_must_match_count(self, capsys, count, means):
+        # a one-entry list is still one indicator's mean, not a shared one
+        doc = {"count": count, "means": means, "lambda": 1.0, "delta": 0.2,
+               "delta_bar": 1.4, "cov_sum": 0.05, "max_mean": max(means)}
+        code, out, err = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert "entries but count" in err
+
+    def test_count_one_list_summary_is_a_single_mean(self, capsys):
+        doc = {"count": 1, "means": [0.3], "lambda": 0.3, "delta": 0.0,
+               "delta_bar": 0.3, "cov_sum": 0.0, "max_mean": 0.3}
+        code, out, _ = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 0
+        assert '"means": 0.3,' in out
+        by = {b["method"]: b for b in json.loads(out)["bounds"]}
+        assert by["lv-iid"]["skipped_reason"] is None
+        assert by["lv-iid"]["log_value"] == pytest.approx(math.log(0.7), rel=1e-12)
+
     def test_degenerate_p_zero_runs(self, capsys):
         code, out, _ = run_main(
             capsys, "bound", "--model", "runs", "--n", "10", "--k", "2", "--p", "0"
@@ -295,6 +314,20 @@ class TestVerifyCommand:
         assert code == 1
         by = {c["method"]: c for c in json.loads(out)["checks"]}
         assert by["independent-lower"]["status"] == "fail"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the truth 0.1^400 lies below the double range
+            ["--model", "runs", "--n", "400", "--k", "1", "--p", "0.9"],
+            # the truth 1 - 1e-8 is the product, exactly
+            ["--model", "ustat", "--n", "4", "--k", "4", "--p", "0.01"],
+        ],
+    )
+    def test_exact_product_passes(self, capsys, argv):
+        code, out, _ = run_main(capsys, "verify", *argv)
+        by = {c["method"]: c for c in json.loads(out)["checks"]}
+        assert by["independent-lower"]["status"] == "pass"
 
     def test_upper_bound_below_tiny_truth_fails(self, capsys, monkeypatch):
         # the truth is 1.52e-37, far below any linear tolerance

@@ -51,6 +51,11 @@ class TestValidate:
     def test_cov_sum_above_delta_flagged(self):
         out = validate(consistent_summary(cov_sum=0.5))
         assert any("exceeds delta" in v for v in out)
+        # every covariance is its joint expectation minus a nonnegative
+        # product, whatever the means
+        s = FamilySummary.heterogeneous([0.1, 0.2, 0.3], delta=0.02, cov_sum=0.05)
+        out = validate(s)
+        assert len(out) == 1 and "exceeds delta" in out[0]
 
     def test_means_out_of_range_flagged(self):
         out = validate(consistent_summary(means=1.5, lambda_=15.0, delta_bar=15.4,
@@ -67,6 +72,8 @@ class TestValidate:
             delta_bar=0.3, cov_sum=0.0, max_mean=0.2,
         )
         assert any("count" in v for v in validate(s))
+        with pytest.raises(ValueError, match="at least one"):
+            FamilySummary.heterogeneous([], delta=0.0, cov_sum=0.0)
 
 
 class TestJsonInterchange:
@@ -78,6 +85,9 @@ class TestJsonInterchange:
             "count", "means", "lambda", "delta", "delta_bar", "cov_sum", "max_mean"
         }
         assert FamilySummary.from_json(json.dumps(d)) == s
+        # a bare number, given or read, is the one-entry tuple
+        assert s.means == (0.1,) and d["means"] == 0.1
+        assert FamilySummary.from_json(json.dumps(d)).means == (0.1,)
 
     def test_heterogeneous_roundtrip(self):
         s = FamilySummary.heterogeneous([0.1, 0.25, 0.4], delta=0.1, cov_sum=0.02)
@@ -98,6 +108,11 @@ class TestModelSpec:
         assert ModelSpec("runs", {"n": 1, "k": 2, "p": 0.5}).validate() != []
         assert ModelSpec("runs", {"n": 10, "k": 0, "p": 0.5}).validate() != []
         assert ModelSpec("runs", {"n": 10, "k": 2, "p": 1.5}).validate() != []
+        # the int cast would truncate these to n=10, k=2; integral floats,
+        # as JSON may carry them, still cast
+        out = ModelSpec("runs", {"n": 10.7, "k": 2.9, "p": 0.5}).validate()
+        assert len(out) == 1 and "n=10.7, k=2.9" in out[0]
+        assert ModelSpec("runs", {"n": 10.0, "k": 2.0, "p": 0.5}).validate() == []
 
     def test_remaining_models(self):
         assert ModelSpec("triangles", {"n": 3, "p": 0.0}).validate() == []
@@ -105,6 +120,7 @@ class TestModelSpec:
         assert ModelSpec("ustat", {"n": 4, "k": 5, "p": 0.5}).validate() != []
         assert ModelSpec("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4}).validate() == []
         assert ModelSpec("hypergraph-cover", {"N": 6, "k": 1, "n_draws": 4}).validate() != []
+        assert ModelSpec("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4.5}).validate() != []
         assert ModelSpec("nope", {}).validate() != []
 
     def test_missing_parameters_reported(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +61,18 @@ class TestRunsZeroExact:
     def test_k_one_counts_all_zero_strings(self):
         assert runs_zero_exact(7, 1, 0.3).linear == pytest.approx(0.7**7, rel=1e-12)
 
+    def test_log_below_the_double_range(self):
+        # 0.1^400: the linear value underflows, its log must not
+        with mpmath.workdps(40):
+            truth = float(400 * mpmath.log(1 - mpmath.mpf(0.9)))
+        assert runs_zero_exact(400, 1, 0.9).log_value == pytest.approx(truth, rel=1e-12)
+        # the dominant eigenvalue's share: the log grows linearly in n
+        at_1e6 = runs_zero_exact(10**6, 10, 0.5).log_value
+        assert at_1e6 == pytest.approx(-490.804, rel=1e-5)
+        assert runs_zero_exact(10**7, 10, 0.5).log_value == pytest.approx(
+            10 * at_1e6, rel=1e-9
+        )
+
 
 class TestUstatZeroExact:
     def test_k_one_is_no_successes(self):
@@ -72,6 +85,21 @@ class TestUstatZeroExact:
 
     def test_certain_success(self):
         assert ustat_zero_exact(6, 3, 1.0).linear == 0.0
+
+    @pytest.mark.parametrize("n,k,p", [(4, 4, 0.01), (60, 60, 0.3), (24, 3, 0.02), (200, 2, 1e-6)])
+    def test_log_accurate_near_one(self, n, k, p):
+        with mpmath.workdps(60):
+            q = mpmath.mpf(p)
+            pmf = [mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j) for j in range(n + 1)]
+            lower = mpmath.fsum(pmf[:k])
+            # the smaller tail carries the digits
+            if lower <= 0.5:
+                truth = float(mpmath.log(lower))
+            else:
+                truth = float(mpmath.log1p(-mpmath.fsum(pmf[k:])))
+        value = ustat_zero_exact(n, k, p).log_value
+        assert value < 0.0
+        assert value == pytest.approx(truth, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n,k", [(8, 2), (11, 4), (12, 6)])
     @pytest.mark.parametrize("p", [0.15, 0.5, 0.85])
