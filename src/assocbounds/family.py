@@ -24,7 +24,7 @@ _REL_TOL_DERIVED = 1e-12
 class FamilySummary:
     """Sufficient statistics of an indicator family.
 
-    ``means`` is a non-empty tuple whose entries each stand for
+    ``means`` is a tuple of one or ``count`` entries, each standing for
     ``count // len(means)`` indicators: ``(p,)`` when all ``count``
     indicators share the mean p (a bare number p is stored as ``(p,)``),
     one entry per indicator otherwise.  ``lambda_`` is serialized as
@@ -46,6 +46,8 @@ class FamilySummary:
             means = (self.means,)
         if not means:
             raise ValueError("means must hold at least one entry")
+        if len(means) not in (1, self.count):
+            raise ValueError(f"means has {len(means)} entries but count is {self.count}")
         object.__setattr__(self, "means", means)
 
     @property
@@ -139,13 +141,10 @@ def validate(summary: FamilySummary) -> list[str]:
     if s.count < 1:
         v.append(f"count must be a positive integer, got {s.count}")
 
-    if len(s.means) not in (1, s.count):
-        v.append(f"means has {len(s.means)} entries but count is {s.count}")
     bad = [m for m in s.means if not (0.0 <= m <= 1.0) or math.isnan(m)]
     if bad:
         v.append(f"means must lie in [0, 1], offending values: {bad[:5]}")
 
-    # each entry of means stands for count // len(means) indicators
     lam_expected = (s.count // len(s.means)) * math.fsum(s.means)
     if not _rel_close(s.lambda_, lam_expected, _REL_TOL_LAMBDA):
         v.append(

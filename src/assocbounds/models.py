@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from numbers import Real
 from typing import Any, Callable
 
 import numpy as np
@@ -40,8 +41,6 @@ PAPER_AS_PRINTED = "paper-as-printed"
 VARIANTS = (FIRST_PRINCIPLES, PAPER_AS_PRINTED)
 
 _LN2 = math.log(2.0)
-# runs_zero_exact rescales its matrix powers only below this value
-_SCALE_BELOW = 2.0**-960
 
 
 def _check_variant(variant: str) -> None:
@@ -89,10 +88,12 @@ class Family:
 
     def cast(self, params: dict[str, Any]) -> dict[str, Any]:
         """The parameters, cast; an ``int`` cast would truncate a fractional
-        value, which is refused rather than evaluated elsewhere."""
+        number, which is refused rather than evaluated elsewhere.  A string
+        is left to the cast: ``int("10")`` is 10, ``int("10.7")`` raises."""
         q = {name: to(params[name]) for name, to in self.params.items()}
         fractional = [
-            f"{x}={params[x]}" for x in q if self.params[x] is int and q[x] != params[x]
+            f"{x}={params[x]}" for x in q
+            if self.params[x] is int and isinstance(params[x], Real) and q[x] != params[x]
         ]
         if fractional:
             raise ValueError(
@@ -201,13 +202,18 @@ def _runs_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
 def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """(a, e) with m^n = a * 2^e, for n >= 1, by repeated squaring.
 
-    Each product is divided by a power of two that brings its largest entry
-    into [0.5, 1).  That division is exact, so the entries stay in the double
-    range however far m^n falls below it.
+    A product whose largest entry falls below 2^-256 is divided by the power
+    of two that brings that entry into [0.5, 1).  The division is exact, so
+    the entries stay in the double range however far m^n falls below it;
+    above 2^-256 the products are those of ``np.linalg.matrix_power``.
     """
-    def rescale(a: np.ndarray, e: int) -> tuple[np.ndarray, int]:
-        shift = int(np.frexp(a.max())[1])
-        return np.ldexp(a, -shift), e + shift
+    def times(a: np.ndarray, b: np.ndarray, e: int) -> tuple[np.ndarray, int]:
+        c = a @ b
+        top = c.max()
+        if 0.0 < top < 2.0**-256:
+            shift = math.frexp(top)[1]
+            return np.ldexp(c, -shift), e + shift
+        return c, e
 
     square, square_e = m, 0
     power, power_e = None, 0
@@ -216,10 +222,10 @@ def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         if bit:
             power, power_e = (
                 (square, square_e) if power is None
-                else rescale(power @ square, power_e + square_e)
+                else times(power, square, power_e + square_e)
             )
         if n:
-            square, square_e = rescale(square @ square, 2 * square_e)
+            square, square_e = times(square, square, 2 * square_e)
     return power, power_e
 
 
@@ -230,8 +236,8 @@ def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
     s -> s+1 (reaching k is absorbing failure and is dropped), a zero resets
     to 0.  Linear strings sum the first row of M^n; circular strings take
     the trace, which sums over closed state walks and handles the seam.
-    Below 2^-960, M^n is recomputed with a separate binary scale, so values
-    below the double range keep their log.
+    M^n carries a binary scale, so values below the double range keep
+    their log.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
@@ -246,17 +252,8 @@ def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
     for s in range(k - 1):
         m[s, s + 1] = p
 
-    def walks(power: np.ndarray) -> float:
-        return float(np.trace(power)) if circular else float(power[0, :].sum())
-
-    # M is substochastic, so no partial product is smaller than M^n in norm:
-    # where the value lies far above the subnormal range, the unscaled power
-    # is accurate, and it is the cheaper one
-    value = walks(np.linalg.matrix_power(m, n))
-    if value >= _SCALE_BELOW:
-        return LogProb.from_linear(min(value, 1.0))
     power, power_e = _scaled_power(m, n)
-    value = walks(power)
+    value = float(np.trace(power)) if circular else float(power[0, :].sum())
     if value <= 0.0:
         return LogProb(NEG_INF)
     return LogProb(min(math.log(value) + power_e * _LN2, 0.0))

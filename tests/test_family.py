@@ -67,11 +67,13 @@ class TestValidate:
         assert len(out) == 1 and "max_mean" in out[0]
 
     def test_heterogeneous_length_checked(self):
-        s = FamilySummary(
-            count=3, means=(0.1, 0.2), lambda_=0.3, delta=0.0,
-            delta_bar=0.3, cov_sum=0.0, max_mean=0.2,
-        )
-        assert any("count" in v for v in validate(s))
+        # each entry stands for count // len(means) indicators, so no other
+        # length can be built, validated or not
+        with pytest.raises(ValueError, match="2 entries but count is 3"):
+            FamilySummary(
+                count=3, means=(0.1, 0.2), lambda_=0.3, delta=0.0,
+                delta_bar=0.3, cov_sum=0.0, max_mean=0.2,
+            )
         with pytest.raises(ValueError, match="at least one"):
             FamilySummary.heterogeneous([], delta=0.0, cov_sum=0.0)
 
@@ -113,6 +115,10 @@ class TestModelSpec:
         out = ModelSpec("runs", {"n": 10.7, "k": 2.9, "p": 0.5}).validate()
         assert len(out) == 1 and "n=10.7, k=2.9" in out[0]
         assert ModelSpec("runs", {"n": 10.0, "k": 2.0, "p": 0.5}).validate() == []
+        # a string is left to the cast, which reads an integral one
+        assert ModelSpec("runs", {"n": "10", "k": "2", "p": 0.5}).validate() == []
+        out = ModelSpec("runs", {"n": "10.7", "k": 2, "p": 0.5}).validate()
+        assert len(out) == 1 and "fractional" not in out[0]
 
     def test_remaining_models(self):
         assert ModelSpec("triangles", {"n": 3, "p": 0.0}).validate() == []

@@ -86,7 +86,23 @@ class TestUstatZeroExact:
     def test_certain_success(self):
         assert ustat_zero_exact(6, 3, 1.0).linear == 0.0
 
-    @pytest.mark.parametrize("n,k,p", [(4, 4, 0.01), (60, 60, 0.3), (24, 3, 0.02), (200, 2, 1e-6)])
+    @pytest.mark.parametrize(
+        "n,k,p",
+        [
+            (4, 4, 0.01),
+            (60, 60, 0.3),
+            (24, 3, 0.02),
+            (200, 2, 1e-6),
+            pytest.param(
+                2000, 3, 1e-4,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="lgamma(n + 1) - lgamma(j + 1) - ... loses about n ulps "
+                    "of lgamma(n + 1): relative 1.9e-12 here (FOUND in CHANGES.md)",
+                ),
+            ),
+        ],
+    )
     def test_log_accurate_near_one(self, n, k, p):
         with mpmath.workdps(60):
             q = mpmath.mpf(p)
