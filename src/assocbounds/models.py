@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from numbers import Real
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -419,21 +419,32 @@ def ustat_zero_exact(n: int, k: int, p: float) -> LogProb:
         return LogProb(0.0)
     if p == 1.0:
         return LogProb(NEG_INF)  # all n succeed, and k <= n
-    log_p, log_q, lgn = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
 
-    def term(j: int) -> float:  # ln P(Binomial(n, p) = j)
-        lb = lgn - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-        return lb + j * log_p + (n - j) * log_q
+    def terms() -> Iterator[float]:  # ln P(Binomial(n, p) = j), j = 0, 1, ..., n
+        # ln C(n, j) sums the ratios ln((n - i)/(i + 1)), i < j, and carries
+        # each addition's rounding (Fast2Sum: no ratio exceeds ln C(n, i) in
+        # size), so a term is off by a few ulps of ln n, not by the rounding
+        # of lgamma(n + 1), which is about n ln n in size
+        log_c = carry = 0.0
+        for j in range(n):
+            yield log_c + carry + j * log_p + (n - j) * log_q
+            ratio = math.log((n - j) / (j + 1))
+            total = log_c + ratio
+            carry += log_c - total + ratio
+            log_c = total
+        yield log_c + carry + n * log_p
 
-    lower = _log_sum_exp([term(j) for j in range(k)])
+    term = terms()
+    lower = _log_sum_exp([next(term) for _ in range(k)])
     if lower <= -_LN2:
         return LogProb(lower)
     # k - 1 is at least the median here, so k is at least the mode and the
     # upper terms only fall; stop once the rest would underflow the sum
-    upper = [term(k)]
-    for j in range(k + 1, n + 1):
-        upper.append(term(j))
-        if upper[-1] < upper[0] - 750.0:
+    upper = [next(term)]
+    for t in term:
+        upper.append(t)
+        if t < upper[0] - 750.0:
             break
     return LogProb(math.log1p(-math.exp(_log_sum_exp(upper))))
 
@@ -473,13 +484,20 @@ def _per_draw_avoid_disjoint(N: int, k: int) -> Fraction:
     )
 
 
+def _log_rational(x: Fraction) -> float:
+    """ln x for an exact rational x >= 0.  Above 1/2 it is log1p of the
+    exact x - 1, so the log keeps its relative accuracy near one, where
+    log(float(x)) would keep only its absolute accuracy."""
+    num, den = x.numerator, x.denominator  # int / int rounds correctly
+    if num == 0:
+        return NEG_INF
+    return math.log1p((num - den) / den) if 2 * num > den else math.log(num / den)
+
+
 def hypergraph_edge_prob(N: int, k: int, n_draws: int) -> LogProb:
     """P(a fixed edge of K_N is uncovered after n_draws uniform k-cliques)."""
     _raise_first(_hyper_violations(N, k, n_draws))
-    a = _per_draw_avoid_single(N, k)
-    if a == 0:
-        return LogProb(NEG_INF)
-    return LogProb(n_draws * math.log(float(a)))
+    return LogProb(n_draws * _log_rational(_per_draw_avoid_single(N, k)))
 
 
 def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogProb]:
@@ -491,35 +509,28 @@ def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogPr
     _raise_first(_hyper_violations(N, k, n_draws))
     if N < 3:
         raise ValueError(f"joint probabilities require N >= 3, got N={N}")
-
-    def power(b: Fraction) -> LogProb:
-        if b == 0:
-            return LogProb(NEG_INF)
-        return LogProb(n_draws * math.log(float(b)))
-
-    q_share = power(_per_draw_avoid_share(N, k))
+    q_share = LogProb(n_draws * _log_rational(_per_draw_avoid_share(N, k)))
     if N < 4:
         q_disjoint = LogProb(NEG_INF)
     else:
-        q_disjoint = power(_per_draw_avoid_disjoint(N, k))
+        q_disjoint = LogProb(n_draws * _log_rational(_per_draw_avoid_disjoint(N, k)))
     return q_share, q_disjoint
 
 
 def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     """b^n - a^(2n) without catastrophic cancellation.
 
-    Written as a^(2n) * expm1(n * ln(b / a^2)); exact rationals keep the
-    near-one ratio accurate, which matters when the two exponentials agree
-    to ten digits.  May be negative: disjoint edge pairs are negatively
-    correlated in this family.
+    Written as a^(2n) * expm1(n * ln(b / a^2)), with both logs taken from
+    exact rationals by :func:`_log_rational`, so the difference keeps its
+    relative accuracy when the two powers agree to many digits.  It is not
+    exact: the error is a few ulps plus exp's rounding at its argument
+    2n ln a, about |2n ln a| ulps.  May be negative: disjoint edge pairs are
+    negatively correlated in this family.
     """
     if a_single == 0:
         return 0.0
-    p2 = math.exp(2 * n_draws * math.log(float(a_single)))
-    if b_joint == 0:
-        return -p2
-    ratio = b_joint / (a_single * a_single)
-    return p2 * math.expm1(n_draws * math.log(float(ratio)))
+    p2 = math.exp(2 * n_draws * _log_rational(a_single))
+    return p2 * math.expm1(n_draws * _log_rational(b_joint / (a_single * a_single)))
 
 
 def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
@@ -527,11 +538,11 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
 
     Every pair of edges is correlated: each edge has 2(N-2) vertex-sharing
     partners and C(N-2,2) disjoint ones, giving C(N,2)(N-2) unordered
-    sharing pairs and C(N,2) C(N-2,2)/2 disjoint pairs.  Covariances are
-    computed exactly; the disjoint ones are negative (two disjoint edges can
-    only compete for draws), so cov_sum itself can be negative, in which
-    case the family is not positively associated and the additive bounds
-    refuse to run.
+    sharing pairs and C(N,2) C(N-2,2)/2 disjoint pairs.  Covariances come
+    from exact per-draw rationals (:func:`_pair_cov`); the disjoint ones are
+    negative (two disjoint edges can only compete for draws), so cov_sum
+    itself can be negative, in which case the family is not positively
+    associated and the additive bounds refuse to run.
     """
     _raise_first(_hyper_violations(N, k, n_draws))
     if N < 4:
@@ -563,28 +574,107 @@ def _edge_table(N: int) -> np.ndarray:
     return table
 
 
+def _draw_vertices(u: np.ndarray, N: int, k: int) -> np.ndarray:
+    """The k vertices of K_N that each row of uniforms u (rows, k) draws.
+
+    Partial Fisher-Yates: step j swaps position j with position
+    j + min(floor(u_j (N - j)), N - 1 - j), one uniform per step.
+    """
+    rows = np.arange(u.shape[0])
+    perm = np.tile(np.arange(N, dtype=np.int64), (u.shape[0], 1))
+    for j in range(k):
+        idx = j + (u[:, j] * (N - j)).astype(np.int64)
+        np.minimum(idx, N - 1, out=idx)
+        chosen = perm[rows, idx]
+        perm[rows, idx] = perm[:, j]
+        perm[:, j] = chosen
+    return perm[:, :k]
+
+
+# Largest clique-mask table that _cover_table builds, in 64-bit words (codes
+# x words per mask): 2 MB, which at N = 10, k = 6 takes about 0.15 s and 30 MB
+# of scratch to build on a 2-core Xeon.  A cap on codes alone would let
+# N = 100, k = 3 build 600 MB.  Larger shapes sample draw by draw.
+_TABLE_WORDS = 1 << 18
+# Mask words (trials x draws x words) that one step of the table sampler
+# gathers before the batch checks for full cover.
+_GATHER_WORDS = 1 << 16
+
+
+@lru_cache(maxsize=16)  # at most 32 MB of tables
+def _cover_table(N: int, k: int) -> np.ndarray | None:
+    """Clique edge masks of every Fisher-Yates draw, or None over the cap.
+
+    Row c holds the edges of K_N (bit e % 64 of word e // 64) that the draw
+    with choice code c covers.  The draw's choices c_j = min(floor(u_j (N-j)),
+    N-1-j) form the mixed-radix code c = (..(c_0 (N-1) + c_1)(N-2) + ..)
+    (N-k+1) + c_{k-1} in [0, N!/(N-k)!).  Each row is built by running the
+    draw on the midpoint uniforms (c_j + 1/2)/(N - j), whose choices are c_j.
+    The table is shared between callers and read-only.
+    """
+    words = -(-comb(N, 2) // 64)
+    codes = math.perm(N, k)
+    if codes * words > _TABLE_WORDS:
+        return None
+    choices = np.empty((codes, k), dtype=np.float64)
+    rest = np.arange(codes, dtype=np.int64)
+    for j in reversed(range(k)):
+        rest, choices[:, j] = np.divmod(rest, N - j)
+    vertices = _draw_vertices((choices + 0.5) / (N - np.arange(k)), N, k)
+    edges = _edge_table(N)
+    table = np.zeros((codes, words), dtype=np.uint64)
+    rows = np.arange(codes)
+    for a, b in combinations(range(k), 2):
+        e = edges[vertices[:, a], vertices[:, b]]
+        table[rows, e >> 6] |= np.uint64(1) << (e & 63).astype(np.uint64)
+    table.flags.writeable = False
+    return table
+
+
 def _hyper_sample(
     uniforms: np.ndarray, N: int, k: int, n_draws: int
 ) -> np.ndarray:
-    """Full coverage of K_N, the hypergraph family's event {Z = 0}."""
+    """Full coverage of K_N, the hypergraph family's event {Z = 0}.
+
+    The batch stops early once every trial is covered, which cannot change
+    any trial's outcome.
+    """
     batch = uniforms.shape[0]
-    n_edges = comb(N, 2)
+    table = _cover_table(N, k)
+    if table is None:
+        return _hyper_sample_by_draw(uniforms, N, k, n_draws)
+    full = np.bitwise_or.reduce(table)  # every edge lies in some draw
+    step = max(1, min(n_draws, _GATHER_WORDS // (max(batch, 1) * table.shape[1])))
+    radix = np.tile(N - np.arange(k, dtype=np.int32), step)  # N - j per uniform
+    covered = np.zeros((batch, table.shape[1]), dtype=np.uint64)
+    for r in range(0, n_draws, step):
+        draws = min(step, n_draws - r)
+        u = uniforms[:, r * k : (r + draws) * k]
+        choice = (u * radix[: draws * k]).astype(np.int32)
+        np.minimum(choice, radix[: draws * k] - 1, out=choice)
+        choice = choice.reshape(batch, draws, k)
+        code = choice[..., 0]
+        for j in range(1, k):
+            code = code * (N - j) + choice[..., j]
+        covered |= np.bitwise_or.reduce(table[code], axis=1)
+        if (covered == full).all():
+            break
+    return (covered == full).all(axis=1)
+
+
+def _hyper_sample_by_draw(
+    uniforms: np.ndarray, N: int, k: int, n_draws: int
+) -> np.ndarray:
+    """:func:`_hyper_sample` one draw at a time, for shapes over the table cap."""
+    batch = uniforms.shape[0]
     table = _edge_table(N)
-    covered = np.zeros((batch, n_edges), dtype=bool)
+    covered = np.zeros((batch, comb(N, 2)), dtype=bool)
     rows = np.arange(batch)
     pairs = list(combinations(range(k), 2))
     for r in range(n_draws):
-        u = uniforms[:, r * k : (r + 1) * k]
-        # partial Fisher-Yates: k selection steps, one uniform each
-        perm = np.tile(np.arange(N, dtype=np.int64), (batch, 1))
-        for j in range(k):
-            idx = j + (u[:, j] * (N - j)).astype(np.int64)
-            np.minimum(idx, N - 1, out=idx)
-            chosen_vals = perm[rows, idx]
-            perm[rows, idx] = perm[:, j]
-            perm[:, j] = chosen_vals
+        vertices = _draw_vertices(uniforms[:, r * k : (r + 1) * k], N, k)
         for a, b in pairs:
-            covered[rows, table[perm[:, a], perm[:, b]]] = True
+            covered[rows, table[vertices[:, a], vertices[:, b]]] = True
         if covered.all():
             break
     return covered.all(axis=1)

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from assocbounds import models, oracles
 from assocbounds.family import ModelSpec
 from assocbounds.models import (
     FIRST_PRINCIPLES,
     PAPER_AS_PRINTED,
+    _pair_cov,
+    _per_draw_avoid_disjoint,
+    _per_draw_avoid_share,
+    _per_draw_avoid_single,
     hypergraph_edge_prob,
     hypergraph_joint_probs,
     hypergraph_summary,
@@ -23,7 +30,7 @@ from assocbounds.models import (
     ustat_summary,
 )
 from assocbounds.numerics import clopper_pearson
-from assocbounds.oracles import monte_carlo, triangle_free_exact
+from assocbounds.oracles import DEFAULT_SEED, monte_carlo, triangle_free_exact
 
 from conftest import (
     enum_hypergraph_family,
@@ -176,6 +183,45 @@ class TestHypergraphProbabilities:
         s = hypergraph_summary(N, k, n_draws)
         assert_matches_enumeration(s, enum_hypergraph_family(N, k, n_draws))
 
+    @pytest.mark.parametrize("N", [10**4, 10**6])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_large_N_against_exact_rationals(self, N, k):
+        # per-draw probabilities by inclusion-exclusion over the vertices a
+        # draw must contain: one edge needs 2, a sharing pair 3, a disjoint
+        # pair 4, and a draw contains a given j-set with prob (k)_j / (N)_j
+        contains = [Fraction(math.perm(k, j), math.perm(N, j)) for j in range(5)]
+        a = 1 - contains[2]
+        b_share = 1 - 2 * contains[2] + contains[3]
+        b_disjoint = 1 - 2 * contains[2] + contains[4]
+        assert (a, b_share, b_disjoint) == (
+            _per_draw_avoid_single(N, k),
+            _per_draw_avoid_share(N, k),
+            _per_draw_avoid_disjoint(N, k),
+        )
+
+        def mp(x: Fraction) -> mpmath.mpf:
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        for n_draws in (1, 1000, N * N // 10, N * N):
+            with mpmath.workdps(60):
+                log_a = float(n_draws * mpmath.log(mp(a)))
+                log_share = float(n_draws * mpmath.log(mp(b_share)))
+                log_disjoint = float(n_draws * mpmath.log(mp(b_disjoint)))
+                cov_share = float(mp(b_share) ** n_draws - mp(a) ** (2 * n_draws))
+                cov_disjoint = float(mp(b_disjoint) ** n_draws - mp(a) ** (2 * n_draws))
+            q_s, q_d = hypergraph_joint_probs(N, k, n_draws)
+            assert hypergraph_edge_prob(N, k, n_draws).log_value == pytest.approx(
+                log_a, rel=1e-12, abs=0.0
+            )
+            assert q_s.log_value == pytest.approx(log_share, rel=1e-12, abs=0.0)
+            assert q_d.log_value == pytest.approx(log_disjoint, rel=1e-12, abs=0.0)
+            assert _pair_cov(b_share, a, n_draws) == pytest.approx(
+                cov_share, rel=1e-12, abs=0.0
+            )
+            assert _pair_cov(b_disjoint, a, n_draws) == pytest.approx(
+                cov_disjoint, rel=1e-12, abs=0.0
+            )
+
     def test_degenerate_k_equals_n(self):
         s = hypergraph_summary(4, 4, 5)
         assert s.lambda_ == 0.0 and s.delta == 0.0 and s.cov_sum == 0.0
@@ -266,3 +312,88 @@ class TestSampling:
         est = monte_carlo(spec, 500, seed=1)
         assert est.estimate == 1.0
         assert est.ci == clopper_pearson(500, 500, 0.95)
+
+
+class TestPhiloxContract:
+    """Exact success counts at the default seed, the same for one worker,
+    two workers and small batches; a change to a sampler or to the stream
+    layout shows here.  Criterion 6 pins the 1M-trial coverage count."""
+
+    @pytest.mark.parametrize("schedule", ["workers=1", "workers=2", "small batches"])
+    @pytest.mark.parametrize(
+        "model,params,trials,successes",
+        [
+            ("hypergraph-cover", {"N": 10, "k": 3, "n_draws": 60}, 20_000, 9509),
+            ("hypergraph-cover", {"N": 12, "k": 4, "n_draws": 30}, 20_000, 324),
+            # over the table cap: sampled draw by draw
+            ("hypergraph-cover", {"N": 16, "k": 6, "n_draws": 25}, 5_000, 92),
+            ("runs", {"n": 100, "k": 3, "p": 0.3}, 100_000, 13013),
+            ("triangles", {"n": 20, "p": 0.1}, 20_000, 7646),
+            ("ustat", {"n": 24, "k": 3, "p": 0.05}, 100_000, 88266),
+        ],
+        ids=lambda v: "-".join(map(str, v.values())) if isinstance(v, dict) else None,
+    )
+    def test_pinned_success_count(
+        self, model, params, trials, successes, schedule, monkeypatch
+    ):
+        if schedule == "small batches":
+            monkeypatch.setattr(oracles, "_BATCH_DOUBLES", 5000)
+        workers = 2 if schedule == "workers=2" else 1
+        est = monte_carlo(ModelSpec(model, params), trials, seed=DEFAULT_SEED, workers=workers)
+        assert est.successes == successes
+
+
+@pytest.fixture
+def fresh_cover_tables():
+    models._cover_table.cache_clear()
+    yield
+    models._cover_table.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_cover_tables")
+class TestCoverTable:
+    @pytest.mark.parametrize(
+        "N,k,n_draws",
+        [
+            (6, 2, 20),  # k = 2
+            (5, 5, 3),  # k = N
+            (7, 3, 1),  # one draw
+            (10, 3, 60),
+            (12, 4, 30),  # 66 edges: two mask words
+            (20, 3, 150),  # 190 edges: three mask words
+            (6, 3, 200),  # every trial covers within a few table steps
+        ],
+    )
+    def test_table_equals_draw_by_draw(self, N, k, n_draws, monkeypatch):
+        spec = ModelSpec("hypergraph-cover", {"N": N, "k": k, "n_draws": n_draws})
+        u = trial_uniforms(spec, 4242, 0, 3000)
+        by_table = simulate_batch(spec, u)
+        assert models._cover_table(N, k) is not None
+        monkeypatch.setattr(models, "_TABLE_WORDS", 0)
+        models._cover_table.cache_clear()
+        by_draw = simulate_batch(spec, u)
+        assert models._cover_table(N, k) is None
+        assert np.array_equal(by_table, by_draw)
+
+    @pytest.mark.parametrize("N,k", [(10, 3), (16, 6)])  # table, then loop
+    def test_empty_batch(self, N, k):
+        spec = ModelSpec("hypergraph-cover", {"N": N, "k": k, "n_draws": 5})
+        assert simulate_batch(spec, trial_uniforms(spec, 1, 0, 0)).shape == (0,)
+
+    def test_table_respects_cap(self):
+        shapes = [(4, 2), (10, 3), (12, 4), (10, 6), (12, 5), (70, 2),
+                  (13, 5), (16, 6), (10, 10), (100, 3)]
+        built = {}
+        for N, k in shapes:
+            table = models._cover_table(N, k)
+            if table is not None:
+                assert table.shape[0] == math.perm(N, k)
+                assert table.shape[1] * 64 >= math.comb(N, 2) > (table.shape[1] - 1) * 64
+                assert table.size <= models._TABLE_WORDS
+                assert not table.flags.writeable
+            built[N, k] = table is not None
+        assert built == {
+            (4, 2): True, (10, 3): True, (12, 4): True, (10, 6): True,
+            (12, 5): True, (70, 2): True,
+            (13, 5): False, (16, 6): False, (10, 10): False, (100, 3): False,
+        }

@@ -93,14 +93,9 @@ class TestUstatZeroExact:
             (60, 60, 0.3),
             (24, 3, 0.02),
             (200, 2, 1e-6),
-            pytest.param(
-                2000, 3, 1e-4,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="lgamma(n + 1) - lgamma(j + 1) - ... loses about n ulps "
-                    "of lgamma(n + 1): relative 1.9e-12 here (FOUND in CHANGES.md)",
-                ),
-            ),
+            (2000, 3, 1e-4),
+            # the lower tail, through ln C(n, j) summed over 1500 ratios
+            (3000, 1500, 0.5),
         ],
     )
     def test_log_accurate_near_one(self, n, k, p):
