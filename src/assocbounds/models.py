@@ -23,6 +23,7 @@ without sharing code paths with them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -379,10 +380,18 @@ def ustat_summary(
     a fixed subset has C(k,m) C(n-k,k-m) partners with overlap m.  The
     printed variant drops the overlap-choice factor, using C(n-k,j) p^(k+j),
     and reuses delta as the covariance sum.
+
+    Raises ValueError where C(n,k) or the pair sums exceed the double range
+    (about 1.8e308); ``ustat_zero_exact`` still covers such specs.
     """
     _check_variant(variant)
     _raise_first(_ustat_violations(n, k, p))
     count = comb(n, k)
+    if count > sys.float_info.max:
+        raise ValueError(
+            f"ustat summary: C({n}, {k}) is about 10^{math.log10(count):.1f}, "
+            f"beyond the double range (about 1.8e308)"
+        )
     mean = p**k
     if variant == PAPER_AS_PRINTED:
         delta = 0.5 * count * math.fsum(
@@ -397,6 +406,11 @@ def ustat_summary(
         cov = 0.5 * count * math.fsum(
             comb(k, m) * comb(n - k, k - m) * (p ** (2 * k - m) - p ** (2 * k))
             for m in range(1, k)
+        )
+    if math.isinf(delta) or math.isinf(cov):
+        raise ValueError(
+            f"ustat summary: delta or cov_sum at n={n}, k={k}, p={p} exceeds "
+            f"the double range (about 1.8e308)"
         )
     return FamilySummary.homogeneous(count=count, p=mean, delta=delta, cov_sum=cov)
 

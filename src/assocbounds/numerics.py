@@ -155,13 +155,18 @@ def minimize_scalar(
     grid_points: int = 200,
     refine_tolerance: float = 1e-9,
 ) -> tuple[float, LogProb]:
-    """Grid-then-golden-section minimization of a log-domain objective.
+    """Grid-then-golden-section minimization of a log-domain objective in ln t.
 
-    A log-spaced grid localizes the minimum (the objective is not assumed
-    unimodal), then golden-section search refines inside the bracketing
-    triple until the bracket width falls below ``refine_tolerance`` relative
-    to the bracket's right endpoint.  The returned value never exceeds the
-    minimum over the evaluation grid.
+    A grid evenly spaced in ln t, whose ends are exactly ``t_min`` and
+    ``t_max``, localizes the minimum (the objective is not assumed
+    unimodal).  Golden-section search in ln t then refines inside the
+    bracketing triple until the bracket is ``refine_tolerance`` wide in ln t,
+    that is, that wide relative to t.  With ``grid_points=2`` the grid is
+    the two ends and the search spans the whole range, which suffices for an
+    objective unimodal in ln t, such as lv-general (see ``bounds``).  The
+    returned t is a point the objective was evaluated at, so it lies in
+    ``[t_min, t_max]`` and is exactly an end when the minimum is there; the
+    returned value never exceeds the minimum over the grid.
 
     Raises ValueError if the objective fails to evaluate at more than half
     of the grid points.
@@ -173,7 +178,8 @@ def minimize_scalar(
 
     log_lo, log_hi = math.log(t_min), math.log(t_max)
     step = (log_hi - log_lo) / (grid_points - 1)
-    grid = [math.exp(log_lo + i * step) for i in range(grid_points)]
+    logs = [log_lo + i * step for i in range(grid_points - 1)] + [log_hi]
+    grid = [t_min] + [math.exp(u) for u in logs[1:-1]] + [t_max]
 
     def probe(t: float) -> LogProb | None:
         try:
@@ -195,29 +201,32 @@ def minimize_scalar(
     )
     best_t, best_f = grid[best_i], values[best_i]
 
-    a = grid[max(best_i - 1, 0)]
-    b = grid[min(best_i + 1, grid_points - 1)]
+    a = logs[max(best_i - 1, 0)]
+    b = logs[min(best_i + 1, grid_points - 1)]
 
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = probe(c), probe(d)
+    tc, td = math.exp(c), math.exp(d)
+    fc, fd = probe(tc), probe(td)
     for _ in range(_MAX_REFINE_STEPS):
-        if (b - a) <= refine_tolerance * max(abs(b), 1e-300):
+        if b - a <= refine_tolerance:
             break
-        for t, v in ((c, fc), (d, fd)):
+        for t, v in ((tc, fc), (td, fd)):
             if v is not None and v.log_value < best_f.log_value:
                 best_t, best_f = t, v
         fc_key = math.inf if fc is None else fc.log_value
         fd_key = math.inf if fd is None else fd.log_value
         if fc_key <= fd_key:
-            b, d, fd = d, c, fc
+            b, d, td, fd = d, c, tc, fc
             c = b - _INV_PHI * (b - a)
-            fc = probe(c)
+            tc = math.exp(c)
+            fc = probe(tc)
         else:
-            a, c, fc = c, d, fd
+            a, c, tc, fc = c, d, td, fd
             d = a + _INV_PHI * (b - a)
-            fd = probe(d)
-    for t, v in ((c, fc), (d, fd)):
+            td = math.exp(d)
+            fd = probe(td)
+    for t, v in ((tc, fc), (td, fd)):
         if v is not None and v.log_value < best_f.log_value:
             best_t, best_f = t, v
 

@@ -7,8 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from assocbounds import bounds
 from assocbounds.bounds import (
+    T_GRID_MAX,
+    T_GRID_MIN,
     BoundResult,
     SkippedBound,
     boppona_spencer,
@@ -36,6 +41,33 @@ from assocbounds.oracles import runs_zero_exact
 
 def homog(count, p, delta, cov_sum):
     return FamilySummary.homogeneous(count=count, p=p, delta=delta, cov_sum=cov_sum)
+
+
+# lv-optimal's former search grid: 200 points evenly spaced in ln t
+FORMER_GRID = [
+    float(t) for t in np.exp(np.linspace(math.log(T_GRID_MIN), math.log(T_GRID_MAX), 200))
+]
+MAX_LV_OPTIMAL_EVALS = 60
+
+# cov_sum = 0 and tiny cov_sum put t* on the right edge (or, with a product
+# term far below the covariance term, on the left), huge cov_sum on the left
+# edge, and moderate cov_sum mostly inside
+_cov_sums = st.one_of(
+    st.just(0.0),
+    st.floats(1e-300, 1e-30),
+    st.floats(1e-6, 10.0),
+    st.floats(1e20, 1e60),
+)
+_means = st.floats(1e-6, 0.99)
+
+
+@st.composite
+def lv_summaries(draw):
+    cov = draw(_cov_sums)
+    if draw(st.booleans()):
+        return homog(draw(st.integers(1, 10**6)), draw(_means), cov, cov)
+    means = draw(st.lists(_means, min_size=1, max_size=40))
+    return FamilySummary.heterogeneous(means, delta=cov, cov_sum=cov)
 
 
 class TestJansonBasic:
@@ -240,6 +272,41 @@ class TestLvOptimal:
         assert s.cov_sum < 0
         with pytest.raises(ValueError, match="associat"):
             lv_optimal(s)
+
+    @pytest.mark.parametrize(
+        "s,edge",
+        [
+            (homog(25, 0.2, 0.0, 0.0), T_GRID_MAX),
+            (FamilySummary.heterogeneous([0.1, 0.3, 0.6], delta=0.0, cov_sum=0.0), T_GRID_MAX),
+            (homog(25, 0.2, 1e40, 1e40), T_GRID_MIN),
+            (FamilySummary.heterogeneous([0.1, 0.3, 0.6], delta=1e40, cov_sum=1e40), T_GRID_MIN),
+        ],
+    )
+    def test_edge_minimum_reports_the_exact_end(self, s, edge):
+        r = lv_optimal(s)
+        assert T_GRID_MIN <= r.t <= T_GRID_MAX
+        assert r.t == edge and r.log_t == math.log(edge)
+
+    @given(lv_summaries())
+    def test_no_former_grid_point_beats_it_within_the_evaluation_budget(self, s):
+        calls = []
+        search = bounds.minimize_scalar
+
+        def counting(f, *args, **kwargs):
+            def counted(t):
+                calls.append(t)
+                return f(t)
+
+            return search(counted, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "minimize_scalar", counting)
+            r = lv_optimal(s)
+        assert 0 < len(calls) <= MAX_LV_OPTIMAL_EVALS
+        assert T_GRID_MIN <= r.t <= T_GRID_MAX
+        for t in FORMER_GRID:
+            general = lv_general(s, t).value.log_value
+            assert not log_exceeds(r.value.log_value, general), (t, r, general)
 
 
 class TestIndependentLower:

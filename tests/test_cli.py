@@ -44,6 +44,15 @@ class TestBoundCommand:
         assert len(doc["bounds"]) == 7
         assert all(b["skipped_reason"] is None for b in doc["bounds"])
 
+    @pytest.mark.parametrize("command", ["bound", "verify", "compare"])
+    def test_ustat_count_beyond_double_range_exits_two(self, capsys, command):
+        argv = [command, "--model", "ustat", "--n", "3000", "--k", "1500", "--p", "0.5"]
+        if command == "compare":
+            argv += ["--sweep", "p=0.4:0.5:2", "--oracle"]
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "double range" in err
+
     def test_inconsistent_summary_exits_two(self, capsys):
         bad = json.dumps(
             {

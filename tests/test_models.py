@@ -133,6 +133,22 @@ class TestUstatSummary:
         printed = ustat_summary(4, 2, 0.5, PAPER_AS_PRINTED)
         assert printed.delta == pytest.approx(0.75, rel=1e-15)
 
+    @pytest.mark.parametrize("variant", [FIRST_PRINCIPLES, PAPER_AS_PRINTED])
+    @pytest.mark.parametrize("n,k", [(3000, 1500), (1100, 550), (1030, 515)])
+    def test_count_beyond_double_range_refused(self, n, k, variant):
+        # C(n, k) exceeds 1.8e308; the oracle at the same spec still works
+        with pytest.raises(ValueError, match="double range"):
+            ustat_summary(n, k, 0.5, variant)
+        truth = oracles.ustat_zero_exact(n, k, 0.5).log_value
+        assert -0.72 < truth < -0.7
+
+    @pytest.mark.parametrize("variant", [FIRST_PRINCIPLES, PAPER_AS_PRINTED])
+    def test_pair_sums_beyond_double_range_refused(self, variant):
+        # C(1020, 510), about 2.8e305, fits in a double; delta, a sum over
+        # pairs of subsets, does not
+        with pytest.raises(ValueError, match="double range"):
+            ustat_summary(1020, 510, 0.9, variant)
+
 
 class TestHypergraphProbabilities:
     def test_full_clique_covers_everything(self):

@@ -149,6 +149,30 @@ class TestMinimizeScalar:
         assert f_star.log_value <= grid_min + 1e-15
         assert f(t_star).log_value == pytest.approx(f_star.log_value, rel=1e-12)
 
+    def test_two_point_grid_searches_the_whole_range(self):
+        # unimodal in ln t, minimum at t = 1e-3; the bracket starts as the
+        # whole range and shrinks to 1e-9 in ln t
+        evals = []
+
+        def f(t):
+            evals.append(t)
+            return LogProb((math.log(t) - math.log(1e-3)) ** 2)
+
+        t, v = minimize_scalar(f, 1e-12, 50.0, grid_points=2, refine_tolerance=1e-9)
+        assert abs(math.log(t) - math.log(1e-3)) < 1e-9
+        assert v.log_value < 1e-18
+        assert len(evals) == 55
+
+    @pytest.mark.parametrize("tolerance", [1e-9, 0.0])
+    @pytest.mark.parametrize("grid_points", [2, 16, 200])
+    @pytest.mark.parametrize("lo,hi", [(1e-12, 50.0), (0.1, 0.3), (1e-300, 1e300)])
+    def test_minimum_at_an_end_is_that_end_exactly(self, lo, hi, grid_points, tolerance):
+        # exp(ln 50) and exp(ln 1e-12) round off 50 and 1e-12: the ends must
+        # not come from exp
+        kw = {"grid_points": grid_points, "refine_tolerance": tolerance}
+        assert minimize_scalar(lambda t: LogProb(t), lo, hi, **kw)[0] == lo
+        assert minimize_scalar(lambda t: LogProb(-t), lo, hi, **kw)[0] == hi
+
     def test_ill_posed_objective_rejected(self):
         def mostly_broken(t):
             if t < 5.0:
