@@ -176,18 +176,12 @@ class ComparisonRow:
 
     def to_flat_dict(self) -> dict[str, Any]:
         q = self.spec.params
-        s = self.summary
         row: dict[str, Any] = {
             "model": self.spec.model,
             "variant": self.variant,
             "eq2_form": self.eq2_form,
             **{name: q.get(name) for name in _PARAMS},
-            "count": s.count,
-            "lambda": s.lambda_,
-            "delta": s.delta,
-            "delta_bar": s.delta_bar,
-            "cov_sum": s.cov_sum,
-            "max_mean": s.max_mean,
+            **{k: v for k, v in self.summary.to_json_dict().items() if k != "means"},
         }
         by_method = {e.method: e for e in self.entries}
         lv_t = None

@@ -1,20 +1,22 @@
 """Model-agnostic summary of an indicator family and its consistency checks.
 
 A :class:`FamilySummary` carries exactly the statistics the inequalities
-consume: the indicator count, per-indicator means, lambda (the mean of the
-sum), delta (the pairwise joint-expectation sum over correlated pairs),
-delta_bar = lambda + 2*delta, the exact pairwise covariance sum, and the
-largest mean.  ``delta`` and ``cov_sum`` are stored separately: the additive
-bounds use the covariance sum, the multiplicative ones use delta, and some
-published variants substitute one for the other.
+consume: the indicator count, per-indicator means, delta (the pairwise
+joint-expectation sum over correlated pairs) and the exact pairwise
+covariance sum.  lambda (the mean of the sum), delta_bar = lambda + 2*delta
+and the largest mean are derived from them.  ``delta`` and ``cov_sum`` are
+stored separately: the additive bounds use the covariance sum, the
+multiplicative ones use delta, and some published variants substitute one
+for the other.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from numbers import Real
+from typing import Any
 
 _REL_TOL_LAMBDA = 1e-10
 _REL_TOL_DERIVED = 1e-12
@@ -27,17 +29,17 @@ class FamilySummary:
     ``means`` is a tuple of one or ``count`` entries, each standing for
     ``count // len(means)`` indicators: ``(p,)`` when all ``count``
     indicators share the mean p (a bare number p is stored as ``(p,)``),
-    one entry per indicator otherwise.  ``lambda_`` is serialized as
-    ``"lambda"``.
+    one entry per indicator otherwise.  ``lambda_`` (serialized as
+    ``"lambda"``), ``delta_bar`` and ``max_mean`` are derived, not given.
     """
 
     count: int
     means: tuple[float, ...]
-    lambda_: float
+    lambda_: float = field(init=False)
     delta: float
-    delta_bar: float
+    delta_bar: float = field(init=False)
     cov_sum: float
-    max_mean: float
+    max_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
         try:
@@ -48,42 +50,21 @@ class FamilySummary:
             raise ValueError("means must hold at least one entry")
         if len(means) not in (1, self.count):
             raise ValueError(f"means has {len(means)} entries but count is {self.count}")
+        try:
+            lam = (self.count // len(means)) * math.fsum(means)
+        except OverflowError:  # an int count beyond the double range
+            raise ValueError(
+                f"lambda at count about 10^{math.log10(abs(self.count)):.1f} exceeds "
+                f"the double range (about 1.8e308)"
+            ) from None
         object.__setattr__(self, "means", means)
+        object.__setattr__(self, "lambda_", lam)
+        object.__setattr__(self, "delta_bar", lam + 2.0 * self.delta)
+        object.__setattr__(self, "max_mean", max(means))
 
     @property
     def is_homogeneous(self) -> bool:
         return len(self.means) == 1
-
-    @classmethod
-    def homogeneous(
-        cls, count: int, p: float, delta: float, cov_sum: float
-    ) -> "FamilySummary":
-        lam = count * p
-        return cls(
-            count=count,
-            means=(p,),
-            lambda_=lam,
-            delta=delta,
-            delta_bar=lam + 2.0 * delta,
-            cov_sum=cov_sum,
-            max_mean=p,
-        )
-
-    @classmethod
-    def heterogeneous(
-        cls, means: Iterable[float], delta: float, cov_sum: float
-    ) -> "FamilySummary":
-        ms = tuple(map(float, means))
-        lam = math.fsum(ms)
-        return cls(
-            count=len(ms),
-            means=ms,
-            lambda_=lam,
-            delta=delta,
-            delta_bar=lam + 2.0 * delta,
-            cov_sum=cov_sum,
-            max_mean=max(ms, default=0.0),
-        )
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -98,11 +79,21 @@ class FamilySummary:
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "FamilySummary":
+        """The summary a JSON document gives, whose restated ``lambda``,
+        ``delta_bar`` and ``max_mean`` must agree with the derived ones."""
         required = {"count", "means", "lambda", "delta", "delta_bar", "cov_sum", "max_mean"}
         missing = required - set(d)
         if missing:
             raise ValueError(f"summary JSON missing fields: {sorted(missing)}")
-        count, means = int(d["count"]), d["means"]
+        raw, means = d["count"], d["means"]
+        try:
+            count = int(raw)
+        except OverflowError:  # JSON reads 1e400 as inf
+            raise ValueError(
+                f"count={raw} exceeds the double range (about 1.8e308)"
+            ) from None
+        if isinstance(raw, Real) and count != raw:  # the rule of Family.cast
+            raise ValueError(f"count must be an integer, got {raw}")
         try:
             means = tuple(map(float, means))
         except TypeError:  # a number: the mean of every indicator
@@ -110,15 +101,22 @@ class FamilySummary:
         else:  # a list holds one mean per indicator, even when it has one entry
             if len(means) != count:
                 raise ValueError(f"means has {len(means)} entries but count is {count}")
-        return cls(
-            count=count,
-            means=means,
-            lambda_=float(d["lambda"]),
-            delta=float(d["delta"]),
-            delta_bar=float(d["delta_bar"]),
-            cov_sum=float(d["cov_sum"]),
-            max_mean=float(d["max_mean"]),
-        )
+        s = cls(count=count, means=means, delta=float(d["delta"]),
+                cov_sum=float(d["cov_sum"]))
+        lam, delta_bar = float(d["lambda"]), float(d["delta_bar"])
+        if not _rel_close(lam, s.lambda_, _REL_TOL_LAMBDA):
+            raise ValueError(f"lambda={lam} does not match the sum of means {s.lambda_}")
+        if not _rel_close(delta_bar, lam + 2.0 * s.delta, _REL_TOL_DERIVED):
+            raise ValueError(
+                f"delta_bar={delta_bar} does not equal lambda + 2*delta "
+                f"= {lam + 2.0 * s.delta}"
+            )
+        max_mean = float(d["max_mean"])
+        if not _rel_close(max_mean, s.max_mean, _REL_TOL_LAMBDA):
+            raise ValueError(
+                f"max_mean={max_mean} does not match the largest mean {s.max_mean}"
+            )
+        return s
 
     @classmethod
     def from_json(cls, text: str) -> "FamilySummary":
@@ -145,20 +143,8 @@ def validate(summary: FamilySummary) -> list[str]:
     if bad:
         v.append(f"means must lie in [0, 1], offending values: {bad[:5]}")
 
-    lam_expected = (s.count // len(s.means)) * math.fsum(s.means)
-    if not _rel_close(s.lambda_, lam_expected, _REL_TOL_LAMBDA):
-        v.append(
-            f"lambda={s.lambda_} does not match the sum of means {lam_expected}"
-        )
-
     if s.delta < 0 or math.isnan(s.delta):
         v.append(f"delta must be nonnegative, got {s.delta}")
-
-    if not _rel_close(s.delta_bar, s.lambda_ + 2.0 * s.delta, _REL_TOL_DERIVED):
-        v.append(
-            f"delta_bar={s.delta_bar} does not equal lambda + 2*delta "
-            f"= {s.lambda_ + 2.0 * s.delta}"
-        )
 
     if s.cov_sum < 0 or math.isnan(s.cov_sum):
         v.append(
@@ -173,20 +159,7 @@ def validate(summary: FamilySummary) -> list[str]:
             f"exceed the joint expectations they come from"
         )
 
-    max_expected = max(s.means)
-    if not bad and not _rel_close(s.max_mean, max_expected, _REL_TOL_LAMBDA):
-        v.append(
-            f"max_mean={s.max_mean} does not match the largest mean {max_expected}"
-        )
-
     return v
-
-
-def ensure_valid(summary: FamilySummary) -> FamilySummary:
-    violations = validate(summary)
-    if violations:
-        raise ValueError("invalid family summary: " + "; ".join(violations))
-    return summary
 
 
 @dataclass(frozen=True)

@@ -116,53 +116,32 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 def runs_summary(
-    n: int,
-    k: int,
-    p: float,
-    variant: str = FIRST_PRINCIPLES,
-    circular: bool = True,
+    n: int, k: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
-    """Summary for the k-runs family.
+    """Summary for the k-runs family: n windows over a length-n string with
+    wraparound, requiring n >= 2k so that window pairs overlap in at most one
+    stretch.
 
-    Circular (default): n windows over a length-n string with wraparound,
-    requiring n >= 2k so that window pairs overlap in at most one stretch.
     Two windows at circular offset d correlate iff d < k, with joint
     expectation p^(k+d); there are n unordered pairs at each offset.
 
     The printed variant halves the pair count (one neighbor per offset) and
     reuses delta as the covariance sum.
-
-    Linear (circular=False): n windows over a string of length n+k-1, pairs
-    summed directly; first-principles only.
     """
     _check_variant(variant)
-    _check_prob(p)
-    if k < 1:
-        raise ValueError(f"runs requires k >= 1, got k={k}")
-    if circular and n < 2 * k:
+    _raise_first(_runs_violations(n, k, p))
+    if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
-    if not circular and n < 1:
-        raise ValueError(f"linear runs requires n >= 1, got n={n}")
-    if not circular and variant == PAPER_AS_PRINTED:
-        raise ValueError("paper-as-printed runs formulas are circular only")
 
     mean = p**k
-    offsets = range(1, k)
-    if circular:
-        pair_counts = {d: n for d in offsets}
-    else:
-        pair_counts = {d: max(n - d, 0) for d in offsets}
-
-    joint = math.fsum(c * p ** (k + d) for d, c in pair_counts.items())
+    joint = math.fsum(n * p ** (k + d) for d in range(1, k))
     if variant == PAPER_AS_PRINTED:
         delta = 0.5 * joint
         cov = delta
     else:
         delta = joint
-        cov = math.fsum(
-            c * (p ** (k + d) - p ** (2 * k)) for d, c in pair_counts.items()
-        )
-    return FamilySummary.homogeneous(count=n, p=mean, delta=delta, cov_sum=cov)
+        cov = math.fsum(n * (p ** (k + d) - p ** (2 * k)) for d in range(1, k))
+    return FamilySummary(count=n, means=(mean,), delta=delta, cov_sum=cov)
 
 
 def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
@@ -230,23 +209,17 @@ def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return power, power_e
 
 
-def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
-    """Exact P(no k consecutive ones in a Bernoulli(p) string of length n).
+def runs_zero_exact(n: int, k: int, p: float) -> LogProb:
+    """Exact P(no k consecutive ones in a circular Bernoulli(p) string of
+    length n).
 
     State s in {0..k-1} is the current trailing count of ones; a one moves
     s -> s+1 (reaching k is absorbing failure and is dropped), a zero resets
-    to 0.  Linear strings sum the first row of M^n; circular strings take
-    the trace, which sums over closed state walks and handles the seam.
-    M^n carries a binary scale, so values below the double range keep
-    their log.
+    to 0.  The trace of M^n sums over closed state walks and handles the
+    seam.  M^n carries a binary scale, so values below the double range
+    keep their log.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    _check_prob(p)
-    if circular and n < k:
-        raise ValueError(f"circular runs requires n >= k, got n={n}, k={k}")
-    if not circular and n < k:
-        return LogProb(0.0)
+    _raise_first(_runs_violations(n, k, p))
 
     m = np.zeros((k, k), dtype=np.float64)
     m[:, 0] = 1.0 - p
@@ -254,7 +227,7 @@ def runs_zero_exact(n: int, k: int, p: float, circular: bool = True) -> LogProb:
         m[s, s + 1] = p
 
     power, power_e = _scaled_power(m, n)
-    value = float(np.trace(power)) if circular else float(power[0, :].sum())
+    value = float(np.trace(power))
     if value <= 0.0:
         return LogProb(NEG_INF)
     return LogProb(min(math.log(value) + power_e * _LN2, 0.0))
@@ -293,7 +266,7 @@ def triangles_summary(
         partners = 3 * (n - 3)
         delta = 0.5 * count * partners * p**5
         cov = 0.5 * count * partners * (p**5 - p**6)
-    return FamilySummary.homogeneous(count=count, p=mean, delta=delta, cov_sum=cov)
+    return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
 
 
 @lru_cache(maxsize=None)
@@ -412,7 +385,7 @@ def ustat_summary(
             f"ustat summary: delta or cov_sum at n={n}, k={k}, p={p} exceeds "
             f"the double range (about 1.8e308)"
         )
-    return FamilySummary.homogeneous(count=count, p=mean, delta=delta, cov_sum=cov)
+    return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
 
 
 def _ustat_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
@@ -576,7 +549,7 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     cov = share_pairs * _pair_cov(b_s, a, n_draws) + disjoint_pairs * _pair_cov(
         b_d, a, n_draws
     )
-    return FamilySummary.homogeneous(count=count, p=p, delta=delta, cov_sum=cov)
+    return FamilySummary(count=count, means=(p,), delta=delta, cov_sum=cov)
 
 
 @lru_cache(maxsize=None)

@@ -51,15 +51,12 @@ def _family_stats(
     return lam, delta, cov_sum
 
 
-def enum_runs_family(
-    n: int, k: int, p: float, circular: bool = True
-) -> tuple[float, float, float]:
-    length = n if circular else n + k - 1
-    masks, w = _weights(length, p)
-    bits = ((masks[:, None] >> np.arange(length)) & 1).astype(np.float64)
+def enum_runs_family(n: int, k: int, p: float) -> tuple[float, float, float]:
+    masks, w = _weights(n, p)
+    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(np.float64)
     cols = []
     for i in range(n):
-        idx = [(i + j) % length if circular else i + j for j in range(k)]
+        idx = [(i + j) % n for j in range(k)]
         cols.append(bits[:, idx].prod(axis=1))
     return _family_stats(np.column_stack(cols), w)
 
@@ -130,21 +127,16 @@ def enum_hypergraph_cover_prob(N: int, k: int, n_draws: int) -> float:
     return hits / total
 
 
-def brute_runs_zero(n: int, k: int, p: float, circular: bool = True) -> float:
-    """P(no k consecutive ones) by enumerating all 2^n strings as bitmasks."""
+def brute_runs_zero(n: int, k: int, p: float) -> float:
+    """P(no k consecutive ones, circularly) by enumerating all 2^n strings as
+    bitmasks."""
     masks = np.arange(1 << n, dtype=np.int64)
     full = (1 << n) - 1
-    if circular:
-        acc = masks.copy()
-        for d in range(1, k):
-            rot = ((masks >> d) | (masks << (n - d))) & full
-            acc &= rot
-        has_run = acc != 0
-    else:
-        acc = masks.copy()
-        for d in range(1, k):
-            acc &= masks >> d
-        has_run = acc != 0
+    acc = masks.copy()
+    for d in range(1, k):
+        rot = ((masks >> d) | (masks << (n - d))) & full
+        acc &= rot
+    has_run = acc != 0
     pops = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
     counts = np.bincount(pops[~has_run], minlength=n + 1)
     return float(

@@ -326,7 +326,7 @@ class TestCriterion3TiltedBoundIdentity:
             cov = float(rng.uniform(0.0, 5.0))
             delta = cov * (1.0 + float(rng.uniform(0.0, 1.0))) + 1e-9
             t = math.exp(float(rng.uniform(math.log(1e-3), math.log(50.0))))
-            s = FamilySummary.homogeneous(count=count, p=p, delta=delta, cov_sum=cov)
+            s = FamilySummary(count=count, means=(p,), delta=delta, cov_sum=cov)
             a = lv_general(s, t).value.log_value
             b = lv_iid(s, t).value.log_value
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))

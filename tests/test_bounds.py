@@ -40,7 +40,11 @@ from assocbounds.oracles import runs_zero_exact
 
 
 def homog(count, p, delta, cov_sum):
-    return FamilySummary.homogeneous(count=count, p=p, delta=delta, cov_sum=cov_sum)
+    return FamilySummary(count=count, means=(p,), delta=delta, cov_sum=cov_sum)
+
+
+def hetero(means, delta, cov_sum):
+    return FamilySummary(count=len(means), means=means, delta=delta, cov_sum=cov_sum)
 
 
 # lv-optimal's former search grid: 200 points evenly spaced in ln t
@@ -67,7 +71,7 @@ def lv_summaries(draw):
     if draw(st.booleans()):
         return homog(draw(st.integers(1, 10**6)), draw(_means), cov, cov)
     means = draw(st.lists(_means, min_size=1, max_size=40))
-    return FamilySummary.heterogeneous(means, delta=cov, cov_sum=cov)
+    return hetero(means, delta=cov, cov_sum=cov)
 
 
 class TestJansonBasic:
@@ -176,7 +180,7 @@ class TestLvBounds:
         assert r.vacuous
 
     def test_heterogeneous_general_vs_manual(self):
-        s = FamilySummary.heterogeneous([0.1, 0.2, 0.4], delta=0.05, cov_sum=0.01)
+        s = hetero([0.1, 0.2, 0.4], delta=0.05, cov_sum=0.01)
         t = 1.7
         expected = math.fsum(
             math.log(1 - p + p * math.exp(-t)) for p in (0.1, 0.2, 0.4)
@@ -185,7 +189,7 @@ class TestLvBounds:
         assert lv_general(s, t).value.log_value == pytest.approx(expected, rel=1e-12)
 
     def test_iid_requires_homogeneous(self):
-        s = FamilySummary.heterogeneous([0.1, 0.2], delta=0.0, cov_sum=0.0)
+        s = hetero([0.1, 0.2], delta=0.0, cov_sum=0.0)
         with pytest.raises(ValueError, match="homogeneous"):
             lv_iid(s, 1.0)
 
@@ -277,9 +281,9 @@ class TestLvOptimal:
         "s,edge",
         [
             (homog(25, 0.2, 0.0, 0.0), T_GRID_MAX),
-            (FamilySummary.heterogeneous([0.1, 0.3, 0.6], delta=0.0, cov_sum=0.0), T_GRID_MAX),
+            (hetero([0.1, 0.3, 0.6], delta=0.0, cov_sum=0.0), T_GRID_MAX),
             (homog(25, 0.2, 1e40, 1e40), T_GRID_MIN),
-            (FamilySummary.heterogeneous([0.1, 0.3, 0.6], delta=1e40, cov_sum=1e40), T_GRID_MIN),
+            (hetero([0.1, 0.3, 0.6], delta=1e40, cov_sum=1e40), T_GRID_MIN),
         ],
     )
     def test_edge_minimum_reports_the_exact_end(self, s, edge):
@@ -318,7 +322,7 @@ class TestIndependentLower:
         assert independent_lower(homog(4, 0.0, 0.0, 0.0)).value.linear == 1.0
 
     def test_certain_indicator_gives_zero(self):
-        s = FamilySummary.heterogeneous([0.2, 1.0], delta=0.0, cov_sum=0.0)
+        s = hetero([0.2, 1.0], delta=0.0, cov_sum=0.0)
         assert independent_lower(s).value.is_zero
 
 
@@ -362,7 +366,7 @@ class TestEvaluateAll:
         )
 
     def test_heterogeneous_skips_lv_iid(self):
-        s = FamilySummary.heterogeneous([0.1, 0.3], delta=0.02, cov_sum=0.01)
+        s = hetero([0.1, 0.3], delta=0.02, cov_sum=0.01)
         by = {e.method: e for e in evaluate_all(s)}
         assert isinstance(by["lv-iid"], SkippedBound)
         assert isinstance(by["lv-optimal"], BoundResult)
@@ -373,7 +377,7 @@ class TestEvaluateAll:
     )
     def test_list_of_equal_means_matches_one_entry_summary(self, count, p, delta, cov_sum):
         one = homog(count, p, delta, cov_sum)
-        listed = FamilySummary.heterogeneous([p] * count, delta=delta, cov_sum=cov_sum)
+        listed = hetero([p] * count, delta=delta, cov_sum=cov_sum)
         for t in (None, 0.7):
             a = {e.method: e for e in evaluate_all(one, t=t)}
             b = {e.method: e for e in evaluate_all(listed, t=t)}

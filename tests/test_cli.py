@@ -69,6 +69,15 @@ class TestBoundCommand:
         assert code == 2
         assert "lambda" in err
 
+    # a lambda mismatch is test_inconsistent_summary_exits_two
+    @pytest.mark.parametrize("field,value", [("delta_bar", 1.5), ("max_mean", 0.2)])
+    def test_restated_value_mismatch_exits_two(self, capsys, field, value):
+        doc = {"count": 10, "means": 0.1, "lambda": 1.0, "delta": 0.2,
+               "delta_bar": 1.4, "cov_sum": 0.05, "max_mean": 0.1, field: value}
+        code, out, err = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert f"{field}={value} does" in err
+
     def test_consistent_summary_accepted(self, capsys):
         good = json.dumps(
             {
@@ -84,6 +93,24 @@ class TestBoundCommand:
         code, out, _ = run_main(capsys, "bound", "--summary", good)
         assert code == 0
         assert json.loads(out)["model"] is None
+
+    def test_fractional_count_exits_two(self, capsys):
+        doc = {"count": 10.9, "means": 0.1, "lambda": 1.0, "delta": 0.2,
+               "delta_bar": 1.4, "cov_sum": 0.05, "max_mean": 0.1}
+        code, out, err = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert "count must be an integer, got 10.9" in err
+        doc["count"] = 10.0
+        code, out, _ = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 0 and json.loads(out)["summary"]["count"] == 10
+
+    @pytest.mark.parametrize("count", ["1e400", "1" + "0" * 400], ids=["1e400", "10^400"])
+    def test_count_beyond_double_range_exits_two(self, capsys, count):
+        text = ('{"count": %s, "means": 0.1, "lambda": 1e300, "delta": 0.0, '
+                '"delta_bar": 1e300, "cov_sum": 0.0, "max_mean": 0.1}' % count)
+        code, out, err = run_main(capsys, "bound", "--summary", text)
+        assert code == 2 and out == ""
+        assert "double range" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("count,means", [(10, [0.1]), (4, [0.1, 0.2, 0.3])])
     def test_list_summary_length_must_match_count(self, capsys, count, means):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assocbounds.family import FamilySummary, ModelSpec, validate
 from assocbounds.models import (
@@ -18,26 +22,34 @@ from assocbounds.models import (
 
 
 def consistent_summary(**overrides):
-    base = dict(
-        count=10,
-        means=0.1,
-        lambda_=1.0,
-        delta=0.2,
-        delta_bar=1.4,
-        cov_sum=0.05,
-        max_mean=0.1,
-    )
+    base = dict(count=10, means=0.1, delta=0.2, cov_sum=0.05)
     base.update(overrides)
     return FamilySummary(**base)
 
 
+def consistent_doc(**overrides):
+    doc = {"count": 10, "means": 0.1, "lambda": 1.0, "delta": 0.2,
+           "delta_bar": 1.4, "cov_sum": 0.05, "max_mean": 0.1}
+    return {**doc, **overrides}
+
+
 class TestValidate:
+    """``validate``, and the checks of the values a JSON document restates."""
+
     def test_consistent_summary_passes(self):
-        assert validate(consistent_summary()) == []
+        s = consistent_summary()
+        assert validate(s) == []
+        assert (s.lambda_, s.delta_bar, s.max_mean) == (1.0, 1.4, 0.1)
 
     def test_lambda_mismatch_named(self):
-        out = validate(consistent_summary(lambda_=2.0, delta_bar=2.4))
-        assert len(out) == 1 and "lambda" in out[0]
+        with pytest.raises(ValueError, match="lambda=2.0 does not match"):
+            FamilySummary.from_json_dict(consistent_doc(delta_bar=2.4, **{"lambda": 2.0}))
+        # the tolerance is relative 1e-10
+        FamilySummary.from_json_dict(consistent_doc(delta_bar=1.4 + 9e-11,
+                                                    **{"lambda": 1.0 + 9e-11}))
+        with pytest.raises(ValueError, match="lambda"):
+            FamilySummary.from_json_dict(consistent_doc(delta_bar=1.4 + 2e-10,
+                                                        **{"lambda": 1.0 + 2e-10}))
 
     def test_negative_cov_sum_named(self):
         out = validate(consistent_summary(cov_sum=-0.1))
@@ -45,37 +57,37 @@ class TestValidate:
         assert "associated" in out[0]
 
     def test_delta_bar_inconsistency_named(self):
-        out = validate(consistent_summary(delta_bar=9.9))
-        assert len(out) == 1 and "delta_bar" in out[0]
+        with pytest.raises(ValueError, match="delta_bar"):
+            FamilySummary.from_json_dict(consistent_doc(delta_bar=9.9))
+        # checked against the document's own lambda + 2*delta
+        FamilySummary.from_json_dict(
+            consistent_doc(delta_bar=1.4 + 5e-11, **{"lambda": 1.0 + 5e-11})
+        )
 
     def test_cov_sum_above_delta_flagged(self):
         out = validate(consistent_summary(cov_sum=0.5))
         assert any("exceeds delta" in v for v in out)
         # every covariance is its joint expectation minus a nonnegative
         # product, whatever the means
-        s = FamilySummary.heterogeneous([0.1, 0.2, 0.3], delta=0.02, cov_sum=0.05)
+        s = FamilySummary(count=3, means=(0.1, 0.2, 0.3), delta=0.02, cov_sum=0.05)
         out = validate(s)
         assert len(out) == 1 and "exceeds delta" in out[0]
 
     def test_means_out_of_range_flagged(self):
-        out = validate(consistent_summary(means=1.5, lambda_=15.0, delta_bar=15.4,
-                                          max_mean=1.5))
+        out = validate(consistent_summary(means=1.5))
         assert any("[0, 1]" in v for v in out)
 
     def test_max_mean_mismatch_flagged(self):
-        out = validate(consistent_summary(max_mean=0.9))
-        assert len(out) == 1 and "max_mean" in out[0]
+        with pytest.raises(ValueError, match="max_mean"):
+            FamilySummary.from_json_dict(consistent_doc(max_mean=0.9))
 
     def test_heterogeneous_length_checked(self):
         # each entry stands for count // len(means) indicators, so no other
         # length can be built, validated or not
         with pytest.raises(ValueError, match="2 entries but count is 3"):
-            FamilySummary(
-                count=3, means=(0.1, 0.2), lambda_=0.3, delta=0.0,
-                delta_bar=0.3, cov_sum=0.0, max_mean=0.2,
-            )
+            FamilySummary(count=3, means=(0.1, 0.2), delta=0.0, cov_sum=0.0)
         with pytest.raises(ValueError, match="at least one"):
-            FamilySummary.heterogeneous([], delta=0.0, cov_sum=0.0)
+            FamilySummary(count=0, means=(), delta=0.0, cov_sum=0.0)
 
 
 class TestJsonInterchange:
@@ -92,7 +104,7 @@ class TestJsonInterchange:
         assert FamilySummary.from_json(json.dumps(d)).means == (0.1,)
 
     def test_heterogeneous_roundtrip(self):
-        s = FamilySummary.heterogeneous([0.1, 0.25, 0.4], delta=0.1, cov_sum=0.02)
+        s = FamilySummary(count=3, means=[0.1, 0.25, 0.4], delta=0.1, cov_sum=0.02)
         back = FamilySummary.from_json(json.dumps(s.to_json_dict()))
         assert back == s
         assert isinstance(back.means, tuple)
@@ -100,6 +112,74 @@ class TestJsonInterchange:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             FamilySummary.from_json('{"count": 3}')
+
+    def test_fractional_count_rejected(self):
+        # int() would truncate 10.9 to 10; an integral float still reads
+        with pytest.raises(ValueError, match="count must be an integer, got 10.9"):
+            FamilySummary.from_json_dict(consistent_doc(count=10.9))
+        assert FamilySummary.from_json_dict(consistent_doc(count=10.0)).count == 10
+
+    @pytest.mark.parametrize("count", ["1e400", "1" + "0" * 400], ids=["1e400", "10^400"])
+    def test_count_beyond_double_range_rejected(self, count):
+        text = json.dumps(consistent_doc(count=0)).replace('"count": 0', f'"count": {count}')
+        with pytest.raises(ValueError, match="double range"):
+            FamilySummary.from_json(text)
+
+
+_shared = st.builds(
+    lambda count, p: (count, (p,)),
+    st.integers(1, 10**6),
+    st.floats(0.0, 1.0),
+)
+_listed = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).map(
+    lambda ms: (len(ms), tuple(ms))
+)
+_nonneg = st.floats(0.0, 1e12)
+
+
+@st.composite
+def summaries(draw):
+    count, means = draw(st.one_of(_shared, _listed))
+    return FamilySummary(count=count, means=means, delta=draw(_nonneg),
+                         cov_sum=draw(_nonneg))
+
+
+class TestDerivedFields:
+    """lambda, delta_bar and max_mean are functions of the given fields."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(summaries())
+    def test_json_roundtrip(self, s):
+        assert FamilySummary.from_json(json.dumps(s.to_json_dict())) == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(summaries())
+    def test_bit_equal_to_the_direct_formulas(self, s):
+        if len(s.means) == 1:  # count indicators of mean p
+            (p,) = s.means
+            lam, top = s.count * p, p
+        else:
+            lam, top = math.fsum(s.means), max(s.means)
+        assert s.lambda_ == lam
+        assert s.delta_bar == lam + 2.0 * s.delta
+        assert s.max_mean == top
+
+    @settings(max_examples=200, deadline=None)
+    @given(summaries(), _nonneg)
+    def test_replace_rederives(self, s, x):
+        r = dataclasses.replace(s, delta=x)
+        assert r.delta_bar == s.lambda_ + 2.0 * x
+        assert r.lambda_ == s.lambda_ and r.max_mean == s.max_mean
+
+    def test_replace_keeps_no_stale_delta_bar(self):
+        s = dataclasses.replace(runs_summary(10, 2, 0.5), delta=5.0)
+        assert s.delta_bar == 12.5
+        # four given fields; the three derived ones cannot be passed
+        assert [f.name for f in dataclasses.fields(s) if f.init] == [
+            "count", "means", "delta", "cov_sum"
+        ]
+        with pytest.raises(TypeError):
+            FamilySummary(count=10, means=0.1, delta=0.2, cov_sum=0.05, lambda_=1.0)
 
 
 class TestModelSpec:

