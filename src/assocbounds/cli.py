@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -29,10 +28,12 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
-_VARIANT_ALIASES = {
-    "first-principles": models.FIRST_PRINCIPLES,
-    "paper": models.PAPER_AS_PRINTED,
-    "paper-as-printed": models.PAPER_AS_PRINTED,
+# --variant choices and the formula variants each names; "both" is compare's.
+_VARIANTS = {
+    "first-principles": (models.FIRST_PRINCIPLES,),
+    "paper": (models.PAPER_AS_PRINTED,),
+    "paper-as-printed": (models.PAPER_AS_PRINTED,),
+    "both": models.VARIANTS,
 }
 
 _MODEL_NAMES = {
@@ -49,45 +50,39 @@ _PARAMS = {
     for name, cast in family.params.items()
 }
 
-CSV_METHODS = bounds_mod.METHOD_ORDER
-
 CSV_COLUMNS = (
     ["model", "variant", "eq2_form", *_PARAMS]
     + ["count", "lambda", "delta", "delta_bar", "cov_sum", "max_mean"]
-    + [f"{m}_{suffix}" for m in CSV_METHODS for suffix in ("log", "linear", "vacuous")]
+    + [f"{m}_{suffix}" for m in bounds_mod.METHOD_ORDER
+       for suffix in ("log", "linear", "vacuous")]
     + ["lv-optimal_t", "tightest_method"]
     + ["oracle_log", "oracle_linear"]
     + ["mc_estimate", "mc_ci_lower", "mc_ci_upper", "mc_trials", "mc_seed"]
 )
 
 
-class UsageError(Exception):
-    pass
-
-
-def _parse_t(text: str) -> tuple[float | None, float | None]:
+def _parse_t(text: str | None) -> tuple[float | None, float | None]:
     """--t accepts a positive real or 'log:<real>' for exponents that
-    underflow in linear form."""
-    if text.startswith("log:"):
-        try:
-            log_t = float(text[4:])
-        except ValueError as exc:
-            raise UsageError(f"bad log-form t {text!r}: {exc}") from exc
-        if not math.isfinite(log_t):
-            raise UsageError(f"log-form t must be finite, got {text!r}")
-        return None, log_t
+    underflow in linear form; (None, None) when it is not given."""
+    if text is None:
+        return None, None
+    log_form = text.startswith("log:")
     try:
-        value = float(text)
+        value = float(text.removeprefix("log:"))
     except ValueError as exc:
-        raise UsageError(f"bad t {text!r}: {exc}") from exc
+        raise ValueError(f"bad {'log-form t' if log_form else 't'} {text!r}: {exc}") from exc
+    if log_form:
+        if not math.isfinite(value):
+            raise ValueError(f"log-form t must be finite, got {text!r}")
+        return None, value
     if not value > 0 or math.isinf(value):
-        raise UsageError(f"t must be a positive finite real, got {text!r}")
+        raise ValueError(f"t must be a positive finite real, got {text!r}")
     return value, None
 
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
     if args.model is None:
-        raise UsageError("--model is required")
+        raise ValueError("--model is required")
     params = {
         name: getattr(args, name)
         for name in _PARAMS
@@ -96,19 +91,14 @@ def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
     spec = ModelSpec(model=_MODEL_NAMES[args.model], params=params)
     violations = spec.validate()
     if violations:
-        raise UsageError("; ".join(violations))
+        raise ValueError("; ".join(violations))
     return spec
 
 
-def _resolve_variants(name: str, allow_both: bool = False) -> list[str]:
-    if name == "both":
-        if not allow_both:
-            raise UsageError("variant 'both' is only valid for compare")
-        return [models.FIRST_PRINCIPLES, models.PAPER_AS_PRINTED]
-    resolved = _VARIANT_ALIASES.get(name)
-    if resolved is None:
-        raise UsageError(f"unknown variant {name!r}")
-    return [resolved]
+def _variants(args: argparse.Namespace, allow_both: bool = False) -> tuple[str, ...]:
+    if args.variant == "both" and not allow_both:
+        raise ValueError("variant 'both' is only valid for compare")
+    return _VARIANTS[args.variant]
 
 
 def _emit(obj: Any) -> None:
@@ -120,16 +110,16 @@ def _emit(obj: Any) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    t, log_t = (None, None) if args.t is None else _parse_t(args.t)
-    variant = _resolve_variants(args.variant)[0]
+    t, log_t = _parse_t(args.t)
+    (variant,) = _variants(args)
     if args.summary is not None:
         try:
             summary = FamilySummary.from_json(args.summary)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad summary JSON: {exc}") from exc
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise ValueError(f"bad summary JSON: {exc}") from exc
         violations = validate(summary)
         if violations:
-            raise UsageError("inconsistent summary: " + "; ".join(violations))
+            raise ValueError("inconsistent summary: " + "; ".join(violations))
         header: dict[str, Any] = {"model": None, "params": None}
     else:
         spec = _spec_from_args(args)
@@ -157,95 +147,67 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ComparisonRow:
-    """One sweep point: model parameters, summary statistics, every bound,
-    the tightest non-vacuous upper method, and optional oracle/MC columns."""
-
-    spec: ModelSpec
-    variant: str
-    eq2_form: str
-    summary: FamilySummary
-    entries: list[bounds_mod.BoundEntry]
-    oracle: LogProb | None = None
-    mc: oracles.EstimateWithCI | None = None
-
-    def tightest(self) -> str | None:
-        best = bounds_mod.tightest_upper(self.entries)
-        return None if best is None else best.method
-
-    def to_flat_dict(self) -> dict[str, Any]:
-        q = self.spec.params
-        row: dict[str, Any] = {
-            "model": self.spec.model,
-            "variant": self.variant,
-            "eq2_form": self.eq2_form,
-            **{name: q.get(name) for name in _PARAMS},
-            **{k: v for k, v in self.summary.to_json_dict().items() if k != "means"},
-        }
-        by_method = {e.method: e for e in self.entries}
-        lv_t = None
-        for m in CSV_METHODS:
-            e = by_method.get(m)
-            if isinstance(e, bounds_mod.BoundResult):
-                log_out, linear = json_log_linear(e.value)
-                row[f"{m}_log"] = log_out
-                row[f"{m}_linear"] = linear
-                row[f"{m}_vacuous"] = e.vacuous
-                if m == "lv-optimal":
-                    lv_t = e.t
-            else:
-                row[f"{m}_log"] = None
-                row[f"{m}_linear"] = None
-                row[f"{m}_vacuous"] = None
-        row["lv-optimal_t"] = lv_t
-        row["tightest_method"] = self.tightest()
-        ol, olin = json_log_linear(self.oracle)
-        row["oracle_log"] = ol
-        row["oracle_linear"] = olin
-        if self.mc is None:
-            row.update(
-                mc_estimate=None,
-                mc_ci_lower=None,
-                mc_ci_upper=None,
-                mc_trials=None,
-                mc_seed=None,
-            )
-        else:
-            row.update(
-                mc_estimate=self.mc.estimate,
-                mc_ci_lower=self.mc.ci.lower,
-                mc_ci_upper=self.mc.ci.upper,
-                mc_trials=self.mc.trials,
-                mc_seed=self.mc.seed,
-            )
-        return row
+def _row(
+    spec: ModelSpec,
+    variant: str,
+    eq2_form: str,
+    summary: FamilySummary,
+    entries: list[bounds_mod.BoundEntry],
+    oracle: LogProb | None,
+    mc: oracles.EstimateWithCI | None,
+) -> dict[str, Any]:
+    """One sweep point and variant, keyed by CSV_COLUMNS in their order:
+    parameters, summary statistics, every bound, the tightest non-vacuous
+    upper method, and the oracle and Monte Carlo columns (null if absent)."""
+    row: dict[str, Any] = {
+        "model": spec.model,
+        "variant": variant,
+        "eq2_form": eq2_form,
+        **{name: spec.params.get(name) for name in _PARAMS},
+        **{k: v for k, v in summary.to_json_dict().items() if k != "means"},
+    }
+    by_method = {e.method: e.to_json_dict() for e in entries}
+    for m in bounds_mod.METHOD_ORDER:
+        d = by_method.get(m, {})
+        row[f"{m}_log"] = d.get("log_value")
+        row[f"{m}_linear"] = d.get("value")
+        row[f"{m}_vacuous"] = d.get("vacuous")
+    row["lv-optimal_t"] = by_method.get("lv-optimal", {}).get("t")
+    tight = bounds_mod.tightest_upper(entries)
+    row["tightest_method"] = None if tight is None else tight.method
+    row["oracle_log"], row["oracle_linear"] = json_log_linear(oracle)
+    est = {} if mc is None else mc.to_json_dict()
+    ci = est.get("ci", {})
+    row["mc_estimate"] = est.get("estimate")
+    row["mc_ci_lower"] = ci.get("lower")
+    row["mc_ci_upper"] = ci.get("upper")
+    row["mc_trials"] = est.get("trials")
+    row["mc_seed"] = est.get("seed")
+    return row
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
     """Grammar: param=start:stop:count[:geom|:linear]."""
     if "=" not in text:
-        raise UsageError(f"bad sweep {text!r}; expected param=start:stop:count[:geom]")
+        raise ValueError(f"bad sweep {text!r}; expected param=start:stop:count[:geom]")
     name, _, grid_text = text.partition("=")
     parts = grid_text.split(":")
     if len(parts) not in (3, 4):
-        raise UsageError(f"bad sweep grid {grid_text!r}; expected start:stop:count[:geom]")
-    mode = "linear"
-    if len(parts) == 4:
-        mode = parts[3]
-        if mode not in ("geom", "linear"):
-            raise UsageError(f"sweep mode must be 'geom' or 'linear', got {mode!r}")
+        raise ValueError(f"bad sweep grid {grid_text!r}; expected start:stop:count[:geom]")
+    mode = parts[3] if len(parts) == 4 else "linear"
+    if mode not in ("geom", "linear"):
+        raise ValueError(f"sweep mode must be 'geom' or 'linear', got {mode!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad sweep grid {grid_text!r}: {exc}") from exc
+        raise ValueError(f"bad sweep grid {grid_text!r}: {exc}") from exc
     if count < 1:
-        raise UsageError(f"sweep needs at least one grid point, got count={count}")
+        raise ValueError(f"sweep needs at least one grid point, got count={count}")
     if count == 1:
         values = [start]
     elif mode == "geom":
         if start <= 0 or stop <= 0:
-            raise UsageError("geometric sweeps require positive endpoints")
+            raise ValueError("geometric sweeps require positive endpoints")
         values = list(np.geomspace(start, stop, count))
     else:
         values = list(np.linspace(start, stop, count))
@@ -254,57 +216,47 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     if args.sweep is None:
-        raise UsageError("--sweep param=start:stop:count[:geom] is required")
+        raise ValueError("--sweep param=start:stop:count[:geom] is required")
     param, grid = _parse_sweep(args.sweep)
     if param not in _PARAMS:
-        raise UsageError(f"cannot sweep unknown parameter {param!r}")
+        raise ValueError(f"cannot sweep unknown parameter {param!r}")
 
-    variants = _resolve_variants(args.variant, allow_both=True)
-    t, log_t = (None, None) if args.t is None else _parse_t(args.t)
+    variants = _variants(args, allow_both=True)
+    t, log_t = _parse_t(args.t)
 
-    rows: list[ComparisonRow] = []
+    rows: list[dict[str, Any]] = []
     for value in grid:
         cast = round(value) if _PARAMS[param] is int else value
         # each point is validated on its own; violations name the bad values
         spec = _spec_from_args(argparse.Namespace(**{**vars(args), param: cast}))
-        for variant in variants:
-            summary = models.summary_for(spec, variant=variant)
+        summaries = [models.summary_for(spec, variant=v) for v in variants]
+        # the truth depends on the spec alone, not on the formula variant
+        oracle = oracles.oracle_for(spec) if args.oracle else None
+        mc = (
+            oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
+            if args.mc
+            else None
+        )
+        for variant, summary in zip(variants, summaries):
             entries = bounds_mod.evaluate_all(
                 summary, t=t, log_t=log_t, eq2_form=args.eq2_form
             )
-            oracle = oracles.oracle_for(spec) if args.oracle else None
-            mc = (
-                oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
-                if args.mc
-                else None
-            )
-            rows.append(
-                ComparisonRow(
-                    spec=spec,
-                    variant=variant,
-                    eq2_form=args.eq2_form,
-                    summary=summary,
-                    entries=entries,
-                    oracle=oracle,
-                    mc=mc,
-                )
-            )
+            rows.append(_row(spec, variant, args.eq2_form, summary, entries, oracle, mc))
 
-    flat = [r.to_flat_dict() for r in rows]
     if args.format == "csv":
-        sys.stdout.write(render_csv(flat))
+        sys.stdout.write(render_csv(rows))
     else:
-        _emit({"sweep": {"param": param, "grid": grid}, "rows": flat})
+        _emit({"sweep": {"param": param, "grid": grid}, "rows": rows})
     return EXIT_OK
 
 
-def render_csv(flat_rows: list[dict[str, Any]]) -> str:
+def render_csv(rows: list[dict[str, Any]]) -> str:
     """CSV with the fixed documented header; floats use repr so every value
     round-trips to the exact double."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in flat_rows:
+    for row in rows:
         out = []
         for col in CSV_COLUMNS:
             v = row.get(col)
@@ -326,19 +278,11 @@ def render_csv(flat_rows: list[dict[str, Any]]) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    variant = _resolve_variants(args.variant)[0]
+    (variant,) = _variants(args)
     summary = models.summary_for(spec, variant=variant)
     entries = bounds_mod.evaluate_all(summary, eq2_form=args.eq2_form)
 
     oracle = oracles.oracle_for(spec)
-    mc = None
-    if oracle is None:
-        if not args.mc:
-            raise UsageError(
-                "exact oracle unavailable at this size; rerun with --mc and --trials"
-            )
-        mc = oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
-
     if oracle is not None:
         # log domain, so the check still separates values below 1e-9 or near 1
         def above(b: LogProb) -> bool:
@@ -348,7 +292,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return log_exceeds(oracle.log_value, b.log_value)
 
         reference = {"kind": "oracle", "value": oracle.linear}
-    else:
+    elif args.mc:
+        mc = oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
+
         def above(b: LogProb) -> bool:
             return b.linear > mc.ci.upper
 
@@ -357,9 +303,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         reference = {"kind": "monte-carlo", "value": mc.estimate,
                      "ci_lower": mc.ci.lower, "ci_upper": mc.ci.upper}
+    else:
+        raise ValueError(
+            "exact oracle unavailable at this size; rerun with --mc and --trials"
+        )
 
     checks = []
-    passed = True
     for e in entries:
         if isinstance(e, bounds_mod.SkippedBound):
             checks.append(
@@ -377,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not lower:
             check["vacuous"] = e.vacuous
         checks.append(check)
-        passed = passed and ok
+    passed = all(c["status"] != "fail" for c in checks)
 
     _emit(
         {
@@ -416,11 +365,11 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 def cmd_lemma_check(args: argparse.Namespace) -> int:
     if not 1 <= args.m <= 10:
-        raise UsageError(f"m must be in [1, 10] (2^m enumeration), got {args.m}")
+        raise ValueError(f"m must be in [1, 10] (2^m enumeration), got {args.m}")
     if args.count < 1:
-        raise UsageError(f"count must be >= 1, got {args.count}")
+        raise ValueError(f"count must be >= 1, got {args.count}")
     if not args.t > 0:
-        raise UsageError(f"t must be positive, got {args.t}")
+        raise ValueError(f"t must be positive, got {args.t}")
 
     rng = np.random.default_rng(args.seed)
     n_bits = min(10, max(args.m, 6))
@@ -433,8 +382,7 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
             violations += 1
         if bound > 0:
             worst_ratio = max(worst_ratio, gap / bound)
-        elif gap > 1e-12:
-            violations += 1
+        elif gap > 1e-12:  # not holds, counted above
             worst_ratio = float("inf")
     _emit(
         {
@@ -454,30 +402,6 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=sorted(_MODEL_NAMES), help="built-in family")
-    for name, cast in _PARAMS.items():
-        users = [m for m, family in models.FAMILIES.items() if name in family.params]
-        p.add_argument(
-            "--" + name.replace("_", "-"),
-            dest=name,
-            type=cast,
-            help=f"{name} for {'/'.join(users)}",
-        )
-    p.add_argument(
-        "--variant",
-        choices=["first-principles", "paper", "paper-as-printed", "both"],
-        default="first-principles",
-        help="formula variant for model summaries",
-    )
-    p.add_argument(
-        "--eq2-form",
-        choices=["printed", "standard"],
-        default="printed",
-        help="ratio-form bound: as printed in its source, or the literature form",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="assocbounds",
@@ -488,48 +412,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_bound = sub.add_parser("bound", help="evaluate every bound on one instance")
-    _add_model_flags(p_bound)
+    # Flags shared by several commands, each declared once.  A shared action
+    # is one object in every command that has it, so set_defaults on one
+    # command would change its default in all of them.
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", choices=sorted(_MODEL_NAMES), help="built-in family")
+    for name, cast in _PARAMS.items():
+        users = [m for m, family in models.FAMILIES.items() if name in family.params]
+        model.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=cast,
+            help=f"{name} for {'/'.join(users)}",
+        )
+    model.add_argument(
+        "--variant",
+        choices=list(_VARIANTS),
+        default="first-principles",
+        help="formula variant for model summaries",
+    )
+    model.add_argument(
+        "--eq2-form",
+        choices=["printed", "standard"],
+        default="printed",
+        help="ratio-form bound: as printed in its source, or the literature form",
+    )
+    t_override = argparse.ArgumentParser(add_help=False)
+    t_override.add_argument("--t", help="t override: positive real or log:<real>")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=100_000)
+
+    p_bound = sub.add_parser(
+        "bound", parents=[model, t_override], help="evaluate every bound on one instance"
+    )
     p_bound.add_argument("--summary", help="raw FamilySummary JSON instead of --model")
-    p_bound.add_argument("--t", help="t override: positive real or log:<real>")
     p_bound.set_defaults(func=cmd_bound)
 
-    p_cmp = sub.add_parser("compare", help="sweep one parameter, emit a table")
-    _add_model_flags(p_cmp)
+    p_cmp = sub.add_parser(
+        "compare", parents=[model, t_override, trials, seed],
+        help="sweep one parameter, emit a table",
+    )
     p_cmp.add_argument("--sweep", help="param=start:stop:count[:geom]")
-    p_cmp.add_argument("--t", help="t override: positive real or log:<real>")
     p_cmp.add_argument("--oracle", action="store_true", help="attach exact values")
     p_cmp.add_argument("--mc", action="store_true", help="attach Monte Carlo estimates")
-    p_cmp.add_argument("--trials", type=int, default=100_000)
-    p_cmp.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
     p_cmp.add_argument("--level", type=float, default=0.95)
     p_cmp.add_argument("--format", choices=["json", "csv"], default="json")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_ver = sub.add_parser("verify", help="check bounds against exact truth or MC")
-    _add_model_flags(p_ver)
+    p_ver = sub.add_parser(
+        "verify", parents=[model, trials, seed],
+        help="check bounds against exact truth or MC",
+    )
     p_ver.add_argument("--mc", action="store_true", help="fall back to Monte Carlo")
-    p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
     p_ver.add_argument("--level", type=float, default=0.99)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo estimate of P(Z=0)")
-    _add_model_flags(p_mc)
-    p_mc.add_argument("--trials", type=int, default=100_000)
-    p_mc.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
+    p_mc = sub.add_parser(
+        "mc", parents=[model, trials, seed], help="Monte Carlo estimate of P(Z=0)"
+    )
     p_mc.add_argument("--level", type=float, default=0.95)
     p_mc.add_argument("--workers", type=int, default=1)
     p_mc.set_defaults(func=cmd_mc)
 
     p_lem = sub.add_parser(
-        "lemma-check",
+        "lemma-check", parents=[seed],
         help="verify the MGF gap bound on random monotone joint laws",
     )
     p_lem.add_argument("--m", type=int, default=4, help="number of variables (<= 10)")
     p_lem.add_argument("--t", type=float, default=0.5)
     p_lem.add_argument("--count", type=int, default=100)
-    p_lem.add_argument("--seed", type=int, default=oracles.DEFAULT_SEED)
     p_lem.set_defaults(func=cmd_lemma_check)
 
     return parser
@@ -544,9 +497,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -59,6 +59,19 @@ def _raise_first(violations: list[str]) -> None:
         raise ValueError(violations[0])
 
 
+def _check_double_range(family: str, count: int, pairs: int) -> None:
+    """Refuse a family whose number of indicators or of correlated pairs
+    exceeds the double range (about 1.8e308).  lambda is at most the first
+    and delta and cov_sum at most the second, so within it no summary sum
+    overflows (or turns 0 * inf into NaN)."""
+    for what, size in (("indicators", count), ("correlated pairs", pairs)):
+        if size > sys.float_info.max:
+            raise ValueError(
+                f"{family} summary: the number of {what} is about "
+                f"10^{math.log10(size):.1f}, beyond the double range (about 1.8e308)"
+            )
+
+
 def _log_sum_exp(terms: list[float]) -> float:
     hi = max(terms)
     return hi + math.log(math.fsum(math.exp(t - hi) for t in terms))
@@ -90,8 +103,12 @@ class Family:
     def cast(self, params: dict[str, Any]) -> dict[str, Any]:
         """The parameters, cast; an ``int`` cast would truncate a fractional
         number, which is refused rather than evaluated elsewhere.  A string
-        is left to the cast: ``int("10")`` is 10, ``int("10.7")`` raises."""
-        q = {name: to(params[name]) for name, to in self.params.items()}
+        is left to the cast: ``int("10")`` is 10, ``int("10.7")`` raises.
+        Every refusal is a ValueError, an infinite ``int`` parameter too."""
+        try:
+            q = {name: to(params[name]) for name, to in self.params.items()}
+        except OverflowError as exc:  # int(inf); int(nan) raises ValueError
+            raise ValueError(str(exc)) from None
         fractional = [
             f"{x}={params[x]}" for x in q
             if self.params[x] is int and isinstance(params[x], Real) and q[x] != params[x]
@@ -132,6 +149,7 @@ def runs_summary(
     _raise_first(_runs_violations(n, k, p))
     if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
+    _check_double_range("runs", n, n * (k - 1))
 
     mean = p**k
     joint = math.fsum(n * p ** (k + d) for d in range(1, k))
@@ -213,21 +231,35 @@ def runs_zero_exact(n: int, k: int, p: float) -> LogProb:
     """Exact P(no k consecutive ones in a circular Bernoulli(p) string of
     length n).
 
-    State s in {0..k-1} is the current trailing count of ones; a one moves
-    s -> s+1 (reaching k is absorbing failure and is dropped), a zero resets
-    to 0.  The trace of M^n sums over closed state walks and handles the
-    seam.  M^n carries a binary scale, so values below the double range
-    keep their log.
+    State s in {0..k} is the current trailing count of ones, capped at k;
+    a one moves s -> min(s+1, k), a zero resets to 0.  Call T this chain and
+    M its run-free part, T without state k.  The trace of M^n sums over
+    closed state walks and handles the seam.  M^n carries a binary scale, so
+    values below the double range keep their log.
+
+    Where M^n gives more than 1/2, 1 - P(some run) would keep only absolute
+    accuracy, so there the run probability is summed instead: trace(T^n) = 1
+    (each circular string has exactly one closed walk), and P(some run) =
+    trace(T^n - M^n) is the trace of the upper-right block of
+    [[T, T - M], [0, M]]^n, a sum of nonnegative terms.
     """
     _raise_first(_runs_violations(n, k, p))
 
-    m = np.zeros((k, k), dtype=np.float64)
-    m[:, 0] = 1.0 - p
-    for s in range(k - 1):
-        m[s, s + 1] = p
+    t = np.zeros((k + 1, k + 1), dtype=np.float64)
+    t[:, 0] = 1.0 - p
+    for s in range(k):
+        t[s, s + 1] = p
+    t[k, k] = p
+    m = t[:k, :k]
 
     power, power_e = _scaled_power(m, n)
     value = float(np.trace(power))
+    if power_e == 0 and value > 0.5:
+        padded = np.zeros_like(t)
+        padded[:k, :k] = m
+        block = np.block([[t, t - padded], [np.zeros_like(t), padded]])
+        run = float(np.trace(np.linalg.matrix_power(block, n)[: k + 1, k + 1 :]))
+        return LogProb(math.log1p(-run))
     if value <= 0.0:
         return LogProb(NEG_INF)
     return LogProb(min(math.log(value) + power_e * _LN2, 0.0))
@@ -258,27 +290,33 @@ def triangles_summary(
     _check_variant(variant)
     _raise_first(_triangles_violations(n, p))
     count = comb(n, 3)
+    partners = 3 * n if variant == PAPER_AS_PRINTED else 3 * (n - 3)
+    _check_double_range("triangles", count, count * partners // 2)
     mean = p**3
+    delta = 0.5 * count * partners * p**5
     if variant == PAPER_AS_PRINTED:
-        delta = 0.5 * count * (3 * n) * p**5
         cov = delta
     else:
-        partners = 3 * (n - 3)
-        delta = 0.5 * count * partners * p**5
         cov = 0.5 * count * partners * (p**5 - p**6)
     return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
 
 
 @lru_cache(maxsize=None)
+def _edge_table(N: int) -> np.ndarray:
+    """table[a, b] = table[b, a] = the index of edge {a, b} of K_N in
+    ``combinations(range(N), 2)`` order, which every edge bit and column uses."""
+    table = np.zeros((N, N), dtype=np.int64)
+    for i, (a, b) in enumerate(combinations(range(N), 2)):
+        table[a, b] = i
+        table[b, a] = i
+    return table
+
+
+@lru_cache(maxsize=None)
 def _triangle_edge_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    edges = list(combinations(range(n), 2))
-    eidx = {e: i for i, e in enumerate(edges)}
-    t0, t1, t2 = [], [], []
-    for a, b, c in combinations(range(n), 3):
-        t0.append(eidx[(a, b)])
-        t1.append(eidx[(a, c)])
-        t2.append(eidx[(b, c)])
-    return np.array(t0), np.array(t1), np.array(t2)
+    table = _edge_table(n)
+    a, b, c = np.array(list(combinations(range(n), 3))).T
+    return table[a, b], table[a, c], table[b, c]
 
 
 def _triangles_sample(uniforms: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -292,12 +330,11 @@ def _triangles_sample(uniforms: np.ndarray, n: int, p: float) -> np.ndarray:
 def _triangle_free_counts(n: int) -> tuple[int, ...]:
     """counts[m] = number of triangle-free graphs on n labeled vertices with m edges."""
     n_edges = comb(n, 2)
-    edges = list(combinations(range(n), 2))
-    eidx = {e: i for i, e in enumerate(edges)}
+    idx = _edge_table(n).tolist()
     masks = np.arange(1 << n_edges, dtype=np.int64)
     bad = np.zeros(masks.shape, dtype=bool)
     for a, b, c in combinations(range(n), 3):
-        t = (1 << eidx[(a, b)]) | (1 << eidx[(a, c)]) | (1 << eidx[(b, c)])
+        t = (1 << idx[a][b]) | (1 << idx[a][c]) | (1 << idx[b][c])
         bad |= (masks & t) == t
     popcounts = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
     counts = np.bincount(popcounts[~bad], minlength=n_edges + 1)
@@ -354,17 +391,15 @@ def ustat_summary(
     printed variant drops the overlap-choice factor, using C(n-k,j) p^(k+j),
     and reuses delta as the covariance sum.
 
-    Raises ValueError where C(n,k) or the pair sums exceed the double range
-    (about 1.8e308); ``ustat_zero_exact`` still covers such specs.
+    Raises ValueError where C(n,k) or the number of overlapping pairs
+    exceeds the double range (about 1.8e308); ``ustat_zero_exact`` still
+    covers such specs.
     """
     _check_variant(variant)
     _raise_first(_ustat_violations(n, k, p))
     count = comb(n, k)
-    if count > sys.float_info.max:
-        raise ValueError(
-            f"ustat summary: C({n}, {k}) is about 10^{math.log10(count):.1f}, "
-            f"beyond the double range (about 1.8e308)"
-        )
+    # Vandermonde: C(n,k) = sum over overlaps m of C(k,m) C(n-k,k-m); drop m=0, m=k
+    _check_double_range("ustat", count, count * (count - comb(n - k, k) - 1) // 2)
     mean = p**k
     if variant == PAPER_AS_PRINTED:
         delta = 0.5 * count * math.fsum(
@@ -379,11 +414,6 @@ def ustat_summary(
         cov = 0.5 * count * math.fsum(
             comb(k, m) * comb(n - k, k - m) * (p ** (2 * k - m) - p ** (2 * k))
             for m in range(1, k)
-        )
-    if math.isinf(delta) or math.isinf(cov):
-        raise ValueError(
-            f"ustat summary: delta or cov_sum at n={n}, k={k}, p={p} exceeds "
-            f"the double range (about 1.8e308)"
         )
     return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
 
@@ -535,6 +565,7 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     if N < 4:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
+    _check_double_range("hypergraph-cover", count, comb(count, 2))  # every pair
     a = _per_draw_avoid_single(N, k)
     b_s = _per_draw_avoid_share(N, k)
     b_d = _per_draw_avoid_disjoint(N, k)
@@ -550,15 +581,6 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
         b_d, a, n_draws
     )
     return FamilySummary(count=count, means=(p,), delta=delta, cov_sum=cov)
-
-
-@lru_cache(maxsize=None)
-def _edge_table(N: int) -> np.ndarray:
-    table = np.zeros((N, N), dtype=np.int64)
-    for i, (a, b) in enumerate(combinations(range(N), 2)):
-        table[a, b] = i
-        table[b, a] = i
-    return table
 
 
 def _draw_vertices(u: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -677,16 +699,15 @@ def _cover_terms(N: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
     There are at most C(N, k) + 1 values, against 2^C(N,2) subsets.
     """
     n_edges = comb(N, 2)
-    edges = list(combinations(range(N), 2))
-    eidx = {e: i for i, e in enumerate(edges)}
+    idx = _edge_table(N).tolist()
     total = comb(N, k)
     # N <= 7: masks fit in 21 bits and counts in C(7,3) = 35
     masks = np.arange(1 << n_edges, dtype=np.uint32)
     avoid = np.zeros(masks.shape, dtype=np.uint8)
     for w in combinations(range(N), k):
         wmask = 0
-        for e in combinations(w, 2):
-            wmask |= 1 << eidx[e]
+        for a, b in combinations(w, 2):
+            wmask |= 1 << idx[a][b]
         avoid += (masks & wmask) == 0
     odd = (np.bitwise_count(masks) & 1).astype(bool)
     signed = np.bincount(avoid[~odd], minlength=total + 1) - np.bincount(

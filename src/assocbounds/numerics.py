@@ -145,78 +145,53 @@ def log_binom(n: int, k: int) -> LogProb:
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_REFINE_STEPS = 400
+
+# minimize_scalar stops when its bracket is this wide in ln t.
+_LOG_T_TOLERANCE = 1e-9
 
 
 def minimize_scalar(
-    f: Callable[[float], LogProb],
-    t_min: float,
-    t_max: float,
-    grid_points: int = 200,
-    refine_tolerance: float = 1e-9,
+    f: Callable[[float], LogProb], t_min: float, t_max: float
 ) -> tuple[float, LogProb]:
-    """Grid-then-golden-section minimization of a log-domain objective in ln t.
+    """Golden-section minimization in ln t of an objective unimodal in ln t.
 
-    A grid evenly spaced in ln t, whose ends are exactly ``t_min`` and
-    ``t_max``, localizes the minimum (the objective is not assumed
-    unimodal).  Golden-section search in ln t then refines inside the
-    bracketing triple until the bracket is ``refine_tolerance`` wide in ln t,
-    that is, that wide relative to t.  With ``grid_points=2`` the grid is
-    the two ends and the search spans the whole range, which suffices for an
-    objective unimodal in ln t, such as lv-general (see ``bounds``).  The
+    Both ends, exactly ``t_min`` and ``t_max``, are evaluated first; the
+    search then spans the whole range in ln t until the bracket is
+    ``_LOG_T_TOLERANCE`` wide, that is, that wide relative to t.  There is
+    no grid: a multimodal objective may be left in a local minimum.  The
     returned t is a point the objective was evaluated at, so it lies in
-    ``[t_min, t_max]`` and is exactly an end when the minimum is there; the
-    returned value never exceeds the minimum over the grid.
+    ``[t_min, t_max]`` and is exactly an end when the minimum is there.  A
+    point where ``f`` raises ValueError or ArithmeticError counts as +inf.
 
-    Raises ValueError if the objective fails to evaluate at more than half
-    of the grid points.
+    Raises ValueError if the objective fails at both ends.
     """
-    if not (0 < t_min < t_max):
-        raise ValueError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if not (0 < t_min < t_max < math.inf):
+        raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
 
-    log_lo, log_hi = math.log(t_min), math.log(t_max)
-    step = (log_hi - log_lo) / (grid_points - 1)
-    logs = [log_lo + i * step for i in range(grid_points - 1)] + [log_hi]
-    grid = [t_min] + [math.exp(u) for u in logs[1:-1]] + [t_max]
-
-    def probe(t: float) -> LogProb | None:
+    def probe(t: float) -> float:
         try:
-            return f(t)
+            return f(t).log_value
         except (ValueError, ArithmeticError):
-            return None
+            return math.inf
 
-    values = [probe(t) for t in grid]
-    failures = sum(v is None for v in values)
-    if failures > grid_points // 2:
+    best_f, best_t = min((probe(t), t) for t in (t_min, t_max))
+    if best_f == math.inf:
         raise ValueError(
-            f"objective failed at {failures}/{grid_points} grid points; "
-            f"ill-posed objective"
+            f"objective failed at both ends t={t_min} and t={t_max}; ill-posed objective"
         )
 
-    best_i = min(
-        (i for i, v in enumerate(values) if v is not None),
-        key=lambda i: values[i].log_value,
-    )
-    best_t, best_f = grid[best_i], values[best_i]
-
-    a = logs[max(best_i - 1, 0)]
-    b = logs[min(best_i + 1, grid_points - 1)]
-
+    a, b = math.log(t_min), math.log(t_max)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     tc, td = math.exp(c), math.exp(d)
     fc, fd = probe(tc), probe(td)
-    for _ in range(_MAX_REFINE_STEPS):
-        if b - a <= refine_tolerance:
-            break
+    while True:
         for t, v in ((tc, fc), (td, fd)):
-            if v is not None and v.log_value < best_f.log_value:
+            if v < best_f:
                 best_t, best_f = t, v
-        fc_key = math.inf if fc is None else fc.log_value
-        fd_key = math.inf if fd is None else fd.log_value
-        if fc_key <= fd_key:
+        if b - a <= _LOG_T_TOLERANCE:
+            return best_t, LogProb(best_f)
+        if fc <= fd:
             b, d, td, fd = d, c, tc, fc
             c = b - _INV_PHI * (b - a)
             tc = math.exp(c)
@@ -226,11 +201,6 @@ def minimize_scalar(
             d = a + _INV_PHI * (b - a)
             td = math.exp(d)
             fd = probe(td)
-    for t, v in ((tc, fc), (td, fd)):
-        if v is not None and v.log_value < best_f.log_value:
-            best_t, best_f = t, v
-
-    return best_t, best_f
 
 
 def clopper_pearson(successes: int, trials: int, level: float) -> ConfidenceInterval:

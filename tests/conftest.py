@@ -127,17 +127,22 @@ def enum_hypergraph_cover_prob(N: int, k: int, n_draws: int) -> float:
     return hits / total
 
 
-def brute_runs_zero(n: int, k: int, p: float) -> float:
-    """P(no k consecutive ones, circularly) by enumerating all 2^n strings as
-    bitmasks."""
+def circular_runs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Over all 2^n strings as bitmasks: whether each holds k consecutive
+    ones circularly, and its number of ones."""
     masks = np.arange(1 << n, dtype=np.int64)
     full = (1 << n) - 1
     acc = masks.copy()
     for d in range(1, k):
         rot = ((masks >> d) | (masks << (n - d))) & full
         acc &= rot
-    has_run = acc != 0
     pops = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+    return acc != 0, pops
+
+
+def brute_runs_zero(n: int, k: int, p: float) -> float:
+    """P(no k consecutive ones, circularly) by enumerating all 2^n strings."""
+    has_run, pops = circular_runs(n, k)
     counts = np.bincount(pops[~has_run], minlength=n + 1)
     return float(
         sum(c * p**m * (1.0 - p) ** (n - m) for m, c in enumerate(counts) if c)

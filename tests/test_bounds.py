@@ -51,7 +51,8 @@ def hetero(means, delta, cov_sum):
 FORMER_GRID = [
     float(t) for t in np.exp(np.linspace(math.log(T_GRID_MIN), math.log(T_GRID_MAX), 200))
 ]
-MAX_LV_OPTIMAL_EVALS = 60
+# both ends, then golden-section steps until the bracket is 1e-9 wide in ln t
+LV_OPTIMAL_EVALS = 55
 
 # cov_sum = 0 and tiny cov_sum put t* on the right edge (or, with a product
 # term far below the covariance term, on the left), huge cov_sum on the left
@@ -306,7 +307,7 @@ class TestLvOptimal:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "minimize_scalar", counting)
             r = lv_optimal(s)
-        assert 0 < len(calls) <= MAX_LV_OPTIMAL_EVALS
+        assert len(calls) == LV_OPTIMAL_EVALS
         assert T_GRID_MIN <= r.t <= T_GRID_MAX
         for t in FORMER_GRID:
             general = lv_general(s, t).value.log_value

@@ -13,7 +13,7 @@ import pytest
 
 from assocbounds import bounds
 from assocbounds.bounds import BoundResult
-from assocbounds.cli import CSV_COLUMNS, main
+from assocbounds.cli import CSV_COLUMNS, build_parser, main
 from assocbounds.models import FAMILIES
 from assocbounds.numerics import LogProb
 from assocbounds.oracles import runs_zero_exact
@@ -52,6 +52,21 @@ class TestBoundCommand:
         code, out, err = run_main(capsys, *argv)
         assert code == 2 and out == ""
         assert "double range" in err
+
+    @pytest.mark.parametrize(
+        "model,flags",
+        [
+            ("runs", ["--n", "1" + "0" * 400, "--k", "2", "--p", "0.5"]),
+            ("triangles", ["--n", "1" + "0" * 120, "--p", "0.5"]),
+            ("ustat", ["--n", "3000", "--k", "1500", "--p", "0.5"]),
+            ("hypergraph-cover", ["--N", "1" + "0" * 200, "--k", "3", "--n-draws", "5"]),
+        ],
+        ids=["runs", "triangles", "ustat", "hypergraph-cover"],
+    )
+    def test_model_summary_beyond_double_range_exits_two(self, capsys, model, flags):
+        code, out, err = run_main(capsys, "bound", "--model", model, *flags)
+        assert code == 2 and out == ""
+        assert "double range" in err and "Traceback" not in err
 
     def test_inconsistent_summary_exits_two(self, capsys):
         bad = json.dumps(
@@ -484,6 +499,12 @@ class TestParsing:
         code = main(["bound", "--model", "nonsense"])
         capsys.readouterr()
         assert code == 2
+
+    def test_level_default_is_per_command(self):
+        # not a shared flag: verify's 0.99 must not reach compare or mc
+        parser = build_parser()
+        levels = {c: parser.parse_args([c]).level for c in ("compare", "verify", "mc")}
+        assert levels == {"compare": 0.95, "verify": 0.99, "mc": 0.95}
 
     def test_missing_subcommand_exits_two(self, capsys):
         code = main([])

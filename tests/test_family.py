@@ -199,6 +199,10 @@ class TestModelSpec:
         assert ModelSpec("runs", {"n": "10", "k": "2", "p": 0.5}).validate() == []
         out = ModelSpec("runs", {"n": "10.7", "k": 2, "p": 0.5}).validate()
         assert len(out) == 1 and "fractional" not in out[0]
+        # a spec read from JSON can carry these; int() raises OverflowError at inf
+        for bad in (math.nan, math.inf, -math.inf):
+            out = ModelSpec("runs", {"n": bad, "k": 2, "p": 0.5}).validate()
+            assert len(out) == 1 and "cannot convert float" in out[0]
 
     def test_remaining_models(self):
         assert ModelSpec("triangles", {"n": 3, "p": 0.0}).validate() == []

@@ -153,6 +153,22 @@ class TestUstatSummary:
             ustat_summary(1020, 510, 0.9, variant)
 
 
+# the indicators fit in a double but their correlated pairs do not: the pair
+# sums overflow, or read 0 * inf = NaN for triangles at p = 0
+@pytest.mark.parametrize(
+    "summary,args",
+    [
+        (runs_summary, (10**308, 3, 1.0)),
+        (triangles_summary, (10**102, 0.0)),
+        (hypergraph_summary, (10**100, 3, 5)),
+    ],
+    ids=["runs", "triangles", "hypergraph-cover"],
+)
+def test_pair_count_beyond_double_range_refused(summary, args):
+    with pytest.raises(ValueError, match="correlated pairs .* double range"):
+        summary(*args)
+
+
 class TestHypergraphProbabilities:
     def test_full_clique_covers_everything(self):
         assert hypergraph_edge_prob(5, 5, 3).linear == 0.0

@@ -126,30 +126,18 @@ class TestLogBinom:
 
 class TestMinimizeScalar:
     def test_monotone_objective_returns_left_endpoint(self):
-        t, f = minimize_scalar(lambda t: LogProb(t), 1.0, 2.0, grid_points=16)
+        t, f = minimize_scalar(lambda t: LogProb(t), 1.0, 2.0)
         assert t == pytest.approx(1.0, rel=1e-6)
         assert f.log_value == pytest.approx(1.0, rel=1e-6)
 
     def test_quadratic_minimum_located(self):
         t, f = minimize_scalar(
-            lambda t: LogProb(math.log((t - 3.0) ** 2 + 1.0)), 0.1, 10.0,
-            grid_points=64, refine_tolerance=1e-10,
+            lambda t: LogProb(math.log((t - 3.0) ** 2 + 1.0)), 0.1, 10.0
         )
         assert abs(t - 3.0) < 1e-6
         assert f.log_value == pytest.approx(0.0, abs=1e-10)
 
-    def test_never_exceeds_grid_minimum(self):
-        # wiggly multimodal objective; result must beat every grid point
-        def f(t):
-            return LogProb(math.sin(5.0 * t) + 0.1 * t)
-
-        t_star, f_star = minimize_scalar(f, 0.01, 20.0, grid_points=100)
-        grid = np.exp(np.linspace(math.log(0.01), math.log(20.0), 100))
-        grid_min = min(f(t).log_value for t in grid)
-        assert f_star.log_value <= grid_min + 1e-15
-        assert f(t_star).log_value == pytest.approx(f_star.log_value, rel=1e-12)
-
-    def test_two_point_grid_searches_the_whole_range(self):
+    def test_searches_the_whole_range_in_55_evaluations(self):
         # unimodal in ln t, minimum at t = 1e-3; the bracket starts as the
         # whole range and shrinks to 1e-9 in ln t
         evals = []
@@ -158,35 +146,42 @@ class TestMinimizeScalar:
             evals.append(t)
             return LogProb((math.log(t) - math.log(1e-3)) ** 2)
 
-        t, v = minimize_scalar(f, 1e-12, 50.0, grid_points=2, refine_tolerance=1e-9)
+        t, v = minimize_scalar(f, 1e-12, 50.0)
+        assert evals[:2] == [1e-12, 50.0]
         assert abs(math.log(t) - math.log(1e-3)) < 1e-9
         assert v.log_value < 1e-18
         assert len(evals) == 55
 
-    @pytest.mark.parametrize("tolerance", [1e-9, 0.0])
-    @pytest.mark.parametrize("grid_points", [2, 16, 200])
     @pytest.mark.parametrize("lo,hi", [(1e-12, 50.0), (0.1, 0.3), (1e-300, 1e300)])
-    def test_minimum_at_an_end_is_that_end_exactly(self, lo, hi, grid_points, tolerance):
+    def test_minimum_at_an_end_is_that_end_exactly(self, lo, hi):
         # exp(ln 50) and exp(ln 1e-12) round off 50 and 1e-12: the ends must
         # not come from exp
-        kw = {"grid_points": grid_points, "refine_tolerance": tolerance}
-        assert minimize_scalar(lambda t: LogProb(t), lo, hi, **kw)[0] == lo
-        assert minimize_scalar(lambda t: LogProb(-t), lo, hi, **kw)[0] == hi
+        assert minimize_scalar(lambda t: LogProb(t), lo, hi)[0] == lo
+        assert minimize_scalar(lambda t: LogProb(-t), lo, hi)[0] == hi
 
-    def test_ill_posed_objective_rejected(self):
-        def mostly_broken(t):
+    def test_failing_probes_count_as_infinite(self):
+        # every interior probe fails and counts as +inf; the right end stands
+        def broken_below_five(t):
             if t < 5.0:
                 raise ValueError("no value here")
             return LogProb(t)
 
+        t, f = minimize_scalar(broken_below_five, 0.001, 10.0)
+        assert t == 10.0 and f.log_value == 10.0
+
+    def test_ill_posed_objective_rejected(self):
+        def broken_at_both_ends(t):
+            if not 1.0 < t < 5.0:
+                raise ArithmeticError("no value here")
+            return LogProb(t)
+
         with pytest.raises(ValueError, match="ill-posed"):
-            minimize_scalar(mostly_broken, 0.001, 10.0, grid_points=50)
+            minimize_scalar(broken_at_both_ends, 0.001, 10.0)
 
     def test_bad_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_scalar(lambda t: LogProb(t), 2.0, 1.0)
-        with pytest.raises(ValueError):
-            minimize_scalar(lambda t: LogProb(t), 1.0, 2.0, grid_points=1)
+        for lo, hi in [(2.0, 1.0), (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="t_min"):
+                minimize_scalar(lambda t: LogProb(t), lo, hi)
 
 
 class TestClopperPearson:

@@ -24,7 +24,12 @@ from assocbounds.oracles import (
     ustat_zero_exact,
 )
 
-from conftest import brute_runs_zero, brute_ustat_zero, enum_hypergraph_cover_prob
+from conftest import (
+    brute_runs_zero,
+    brute_ustat_zero,
+    circular_runs,
+    enum_hypergraph_cover_prob,
+)
 
 
 class TestRunsZeroExact:
@@ -57,6 +62,17 @@ class TestRunsZeroExact:
 
     def test_k_one_counts_all_zero_strings(self):
         assert runs_zero_exact(7, 1, 0.3).linear == pytest.approx(0.7**7, rel=1e-12)
+
+    @pytest.mark.parametrize("n,k,p", [(10, 5, 0.01), (14, 2, 1e-5), (12, 3, 1e-3)])
+    def test_log_accurate_near_one(self, n, k, p):
+        # 1 - P(some run) by an exhaustive count of the strings holding a run
+        has_run, ones = circular_runs(n, k)
+        counts = np.bincount(ones[has_run], minlength=n + 1)
+        with mpmath.workdps(60):
+            q = mpmath.mpf(p)
+            run = mpmath.fsum(int(c) * q**m * (1 - q) ** (n - m) for m, c in enumerate(counts))
+            truth = float(mpmath.log1p(-run))
+        assert runs_zero_exact(n, k, p).log_value == pytest.approx(truth, rel=1e-14, abs=0.0)
 
     def test_log_below_the_double_range(self):
         # 0.1^400: the linear value underflows, its log must not
