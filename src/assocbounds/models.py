@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import comb
 from numbers import Real
@@ -59,17 +59,44 @@ def _raise_first(violations: list[str]) -> None:
         raise ValueError(violations[0])
 
 
-def _check_double_range(family: str, count: int, pairs: int) -> None:
-    """Refuse a family whose number of indicators or of correlated pairs
-    exceeds the double range (about 1.8e308).  lambda is at most the first
-    and delta and cov_sum at most the second, so within it no summary sum
-    overflows (or turns 0 * inf into NaN)."""
-    for what, size in (("indicators", count), ("correlated pairs", pairs)):
-        if size > sys.float_info.max:
-            raise ValueError(
-                f"{family} summary: the number of {what} is about "
-                f"10^{math.log10(size):.1f}, beyond the double range (about 1.8e308)"
-            )
+def _check_double_range(family: str, count: int) -> None:
+    """Refuse a family whose number of indicators exceeds the double range
+    (about 1.8e308): lambda and every pair sum read it as a float."""
+    if count > sys.float_info.max:
+        raise ValueError(
+            f"{family} summary: the number of indicators is about "
+            f"10^{math.log10(count):.1f}, beyond the double range (about 1.8e308)"
+        )
+
+
+def _finite_sums(
+    family: str,
+) -> Callable[[Callable[..., FamilySummary]], Callable[..., FamilySummary]]:
+    """Decorate a summary builder to refuse, with a ValueError naming the
+    double range, a summary whose delta or cov_sum leaves it: an inf, a NaN
+    from 0 * inf, or an OverflowError from fsum or from an int pair count
+    too large for a float.  delta_bar = lambda + 2*delta is not checked; it
+    may round to inf where delta does not, and the ratio bound is then
+    vacuous."""
+
+    def decorate(build: Callable[..., FamilySummary]) -> Callable[..., FamilySummary]:
+        @wraps(build)
+        def checked(*args: Any, **kwargs: Any) -> FamilySummary:
+            try:
+                s = build(*args, **kwargs)
+                finite = math.isfinite(s.delta) and math.isfinite(s.cov_sum)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(
+                    f"{family} summary: delta or cov_sum exceeds the double range "
+                    f"(about 1.8e308)"
+                )
+            return s
+
+        return checked
+
+    return decorate
 
 
 def _log_sum_exp(terms: list[float]) -> float:
@@ -132,6 +159,7 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 # k-runs: windows of k consecutive successes in a Bernoulli string.
 # ---------------------------------------------------------------------------
 
+@_finite_sums("runs")
 def runs_summary(
     n: int, k: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
@@ -149,7 +177,7 @@ def runs_summary(
     _raise_first(_runs_violations(n, k, p))
     if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
-    _check_double_range("runs", n, n * (k - 1))
+    _check_double_range("runs", n)
 
     mean = p**k
     joint = math.fsum(n * p ** (k + d) for d in range(1, k))
@@ -200,15 +228,18 @@ def _runs_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
 def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """(a, e) with m^n = a * 2^e, for n >= 1, by repeated squaring.
 
-    A product whose largest entry falls below 2^-256 is divided by the power
-    of two that brings that entry into [0.5, 1).  The division is exact, so
-    the entries stay in the double range however far m^n falls below it;
-    above 2^-256 the products are those of ``np.linalg.matrix_power``.
+    A product whose largest entry falls below 2^-256 or rises above 2^256
+    is divided by the power of two that brings that entry into [0.5, 1).
+    The division is exact, so the entries stay in the double range however
+    far m^n falls below it.  Rescaled, a product's largest entry need not
+    bound its spectral radius, so later squares can grow; the upper limit
+    keeps them finite.  Where no product leaves [2^-256, 2^256] the products
+    are those of ``np.linalg.matrix_power``.
     """
     def times(a: np.ndarray, b: np.ndarray, e: int) -> tuple[np.ndarray, int]:
         c = a @ b
         top = c.max()
-        if 0.0 < top < 2.0**-256:
+        if top > 0.0 and not 2.0**-256 <= top <= 2.0**256:
             shift = math.frexp(top)[1]
             return np.ldexp(c, -shift), e + shift
         return c, e
@@ -278,6 +309,7 @@ def _triangles_violations(n: int, p: float) -> list[str]:
     return v
 
 
+@_finite_sums("triangles")
 def triangles_summary(
     n: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
@@ -290,8 +322,8 @@ def triangles_summary(
     _check_variant(variant)
     _raise_first(_triangles_violations(n, p))
     count = comb(n, 3)
+    _check_double_range("triangles", count)
     partners = 3 * n if variant == PAPER_AS_PRINTED else 3 * (n - 3)
-    _check_double_range("triangles", count, count * partners // 2)
     mean = p**3
     delta = 0.5 * count * partners * p**5
     if variant == PAPER_AS_PRINTED:
@@ -381,6 +413,7 @@ def _ustat_violations(n: int, k: int, p: float) -> list[str]:
     return v
 
 
+@_finite_sums("ustat")
 def ustat_summary(
     n: int, k: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
@@ -391,15 +424,13 @@ def ustat_summary(
     printed variant drops the overlap-choice factor, using C(n-k,j) p^(k+j),
     and reuses delta as the covariance sum.
 
-    Raises ValueError where C(n,k) or the number of overlapping pairs
-    exceeds the double range (about 1.8e308); ``ustat_zero_exact`` still
-    covers such specs.
+    Raises ValueError where C(n,k), delta or cov_sum exceeds the double
+    range (about 1.8e308); ``ustat_zero_exact`` still covers such specs.
     """
     _check_variant(variant)
     _raise_first(_ustat_violations(n, k, p))
     count = comb(n, k)
-    # Vandermonde: C(n,k) = sum over overlaps m of C(k,m) C(n-k,k-m); drop m=0, m=k
-    _check_double_range("ustat", count, count * (count - comb(n - k, k) - 1) // 2)
+    _check_double_range("ustat", count)
     mean = p**k
     if variant == PAPER_AS_PRINTED:
         delta = 0.5 * count * math.fsum(
@@ -550,6 +581,7 @@ def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     return p2 * math.expm1(n_draws * _log_rational(b_joint / (a_single * a_single)))
 
 
+@_finite_sums("hypergraph-cover")
 def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     """Summary for the coverage family over the C(N,2) edges of K_N.
 
@@ -565,7 +597,7 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     if N < 4:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
-    _check_double_range("hypergraph-cover", count, comb(count, 2))  # every pair
+    _check_double_range("hypergraph-cover", count)
     a = _per_draw_avoid_single(N, k)
     b_s = _per_draw_avoid_share(N, k)
     b_d = _per_draw_avoid_disjoint(N, k)

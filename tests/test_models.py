@@ -153,8 +153,9 @@ class TestUstatSummary:
             ustat_summary(1020, 510, 0.9, variant)
 
 
-# the indicators fit in a double but their correlated pairs do not: the pair
-# sums overflow, or read 0 * inf = NaN for triangles at p = 0
+# the indicators fit in a double but delta or cov_sum, as computed, do not:
+# fsum overflows (runs), 0 * inf reads NaN (triangles at p = 0), or a pair
+# count is too large for a float (hypergraph-cover)
 @pytest.mark.parametrize(
     "summary,args",
     [
@@ -164,9 +165,27 @@ class TestUstatSummary:
     ],
     ids=["runs", "triangles", "hypergraph-cover"],
 )
-def test_pair_count_beyond_double_range_refused(summary, args):
-    with pytest.raises(ValueError, match="correlated pairs .* double range"):
+def test_overflowing_pair_sums_refused(summary, args):
+    with pytest.raises(ValueError, match="delta or cov_sum exceeds the double range"):
         summary(*args)
+
+
+# more correlated pairs than a double holds, but finite sums: still built
+@pytest.mark.parametrize(
+    "summary,args",
+    [(ustat_summary, (600, 300, 0.5)), (runs_summary, (10**308, 3, 0.5))],
+    ids=["ustat", "runs"],
+)
+def test_pair_count_beyond_double_range_with_finite_sums_builds(summary, args):
+    s = summary(*args)
+    assert math.isfinite(s.delta) and math.isfinite(s.cov_sum)
+    assert s.delta > 1e222
+
+
+def test_delta_bar_may_round_to_inf():
+    # delta = 1e308 fits; lambda + 2*delta does not, and is left unchecked
+    s = runs_summary(10**308, 2, 1.0)
+    assert s.delta == 1e308 and math.isinf(s.delta_bar)
 
 
 class TestHypergraphProbabilities:

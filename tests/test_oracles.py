@@ -86,6 +86,15 @@ class TestRunsZeroExact:
             10 * at_1e6, rel=1e-9
         )
 
+    @pytest.mark.parametrize("n", [10**12, 10**100, 10**308], ids=["1e12", "1e100", "1e308"])
+    def test_log_at_astronomical_n(self, n):
+        # trace(M^n) is rho^n to double precision, rho the largest root of
+        # x^3 = x^2/2 + x/4 + 1/8; the rescaled squares must not overflow
+        with mpmath.workdps(40):
+            rho = max(mpmath.polyroots([1, -0.5, -0.25, -0.125]), key=mpmath.re)
+            truth = float(n * mpmath.log(mpmath.re(rho)))
+        assert runs_zero_exact(n, 3, 0.5).log_value == pytest.approx(truth, rel=1e-12)
+
 
 class TestUstatZeroExact:
     def test_k_one_is_no_successes(self):
