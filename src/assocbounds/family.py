@@ -101,8 +101,13 @@ class FamilySummary:
         else:  # a list holds one mean per indicator, even when it has one entry
             if len(means) != count:
                 raise ValueError(f"means has {len(means)} entries but count is {count}")
-        s = cls(count=count, means=means, delta=float(d["delta"]),
-                cov_sum=float(d["cov_sum"]))
+        delta, cov_sum = float(d["delta"]), float(d["cov_sum"])
+        for name, x in (("delta", delta), ("cov_sum", cov_sum)):
+            if not math.isfinite(x):  # JSON reads 1e400 as inf; NaN reads too
+                raise ValueError(
+                    f"{name}={x} is not a number inside the double range (about 1.8e308)"
+                )
+        s = cls(count=count, means=means, delta=delta, cov_sum=cov_sum)
         lam, delta_bar = float(d["lambda"]), float(d["delta_bar"])
         if not _rel_close(lam, s.lambda_, _REL_TOL_LAMBDA):
             raise ValueError(f"lambda={lam} does not match the sum of means {s.lambda_}")

@@ -49,11 +49,6 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def _check_prob(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-
-
 def _raise_first(violations: list[str]) -> None:
     if violations:
         raise ValueError(violations[0])
@@ -195,7 +190,7 @@ def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
 
     Returns (center, radius): |P(Z=0) - exp(-n (1-p) p^k)| <= (2k(1-p)+1) p^k.
     """
-    _check_prob(p)
+    _raise_first(_runs_violations(n, k, p))
     center = math.exp(-n * (1.0 - p) * p**k)
     radius = (2.0 * k * (1.0 - p) + 1.0) * p**k
     return center, radius
@@ -344,6 +339,36 @@ def _edge_table(N: int) -> np.ndarray:
     return table
 
 
+# Largest K_N whose 2^C(N,2) edge subsets the exact oracles enumerate
+# (2^21 subsets at N = 7).
+_ENUM_VERTICES = 7
+
+
+@lru_cache(maxsize=None)
+def _avoid_histogram(N: int, k: int) -> np.ndarray:
+    """hist[m, a] = the number of m-edge subsets S of K_N that exactly a of
+    the C(N, k) k-cliques avoid (share no edge with S), by enumeration of
+    every edge subset.  The table is shared between callers and read-only.
+    """
+    if N > _ENUM_VERTICES:
+        raise ValueError(f"exhaustive oracle supports N <= {_ENUM_VERTICES}, got N={N}")
+    n_edges, cliques = comb(N, 2), comb(N, k)
+    idx = _edge_table(N).tolist()
+    # masks fit in 21 bits and avoid counts in C(7,3) = 35
+    masks = np.arange(1 << n_edges, dtype=np.uint32)
+    avoid = np.zeros(masks.shape, dtype=np.uint8)
+    for w in combinations(range(N), k):
+        wmask = 0
+        for a, b in combinations(w, 2):
+            wmask |= 1 << idx[a][b]
+        avoid += (masks & wmask) == 0
+    cell = np.bitwise_count(masks).astype(np.int64) * (cliques + 1) + avoid
+    hist = np.bincount(cell, minlength=(n_edges + 1) * (cliques + 1))
+    hist = hist.reshape(n_edges + 1, cliques + 1)
+    hist.flags.writeable = False
+    return hist
+
+
 @lru_cache(maxsize=None)
 def _triangle_edge_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = _edge_table(n)
@@ -358,46 +383,24 @@ def _triangles_sample(uniforms: np.ndarray, n: int, p: float) -> np.ndarray:
     return ~has_triangle
 
 
-@lru_cache(maxsize=None)
-def _triangle_free_counts(n: int) -> tuple[int, ...]:
-    """counts[m] = number of triangle-free graphs on n labeled vertices with m edges."""
-    n_edges = comb(n, 2)
-    idx = _edge_table(n).tolist()
-    masks = np.arange(1 << n_edges, dtype=np.int64)
-    bad = np.zeros(masks.shape, dtype=bool)
-    for a, b, c in combinations(range(n), 3):
-        t = (1 << idx[a][b]) | (1 << idx[a][c]) | (1 << idx[b][c])
-        bad |= (masks & t) == t
-    popcounts = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-    counts = np.bincount(popcounts[~bad], minlength=n_edges + 1)
-    return tuple(int(c) for c in counts)
-
-
 def triangle_free_exact(n: int, p: float) -> LogProb:
     """Exact P(G(n,p) contains no triangle), for 3 <= n <= 7.
 
-    Counts triangle-free graphs per edge count by bitmask enumeration, then
-    evaluates sum_m counts[m] p^m (1-p)^(M-m) in log-safe form.
+    S is triangle-free iff no triangle avoids its complement, so
+    counts[m] = ``_avoid_histogram(n, 3)[M - m, 0]`` graphs with m edges are
+    triangle-free, M = C(n, 2).  With p = a/b exactly, the sum of
+    counts[m] a^m (b-a)^(M-m) over b^M is taken in Python integers: the
+    exact rational, correctly rounded.
     """
-    if not 3 <= n <= 7:
-        raise ValueError(f"exhaustive oracle supports 3 <= n <= 7, got n={n}")
-    _check_prob(p)
-    counts = _triangle_free_counts(n)
+    _raise_first(_triangles_violations(n, p))
     n_edges = comb(n, 2)
-    terms = []
-    for m, c in enumerate(counts):
-        if c == 0:
-            continue
-        if p == 0.0 and m > 0:
-            continue
-        if p == 1.0 and m < n_edges:
-            continue
-        lp = m * math.log(p) if m else 0.0
-        lq = (n_edges - m) * math.log1p(-p) if n_edges - m else 0.0
-        terms.append(math.log(c) + lp + lq)
-    if not terms:
-        return LogProb(float("-inf"))
-    return LogProb(_log_sum_exp(terms))
+    counts = _avoid_histogram(n, 3)[::-1, 0].tolist()  # counts[m], m edges
+    a, b = p.as_integer_ratio()
+    free, power = 0, 1  # Horner in b - a, carrying a^m
+    for c in counts:
+        free = free * (b - a) + c * power
+        power *= a
+    return LogProb(_log_ratio(free, b**n_edges))
 
 
 # ---------------------------------------------------------------------------
@@ -510,33 +513,24 @@ def _hyper_violations(N: int, k: int, n_draws: int) -> list[str]:
     return v
 
 
-def _per_draw_avoid_single(N: int, k: int) -> Fraction:
-    # P(one uniform k-subset does not contain a fixed edge)
-    return 1 - Fraction(comb(N - 2, k - 2), comb(N, k))
+# (span, counts) for _per_draw_avoid: one edge, two edges sharing a vertex,
+# two disjoint edges
+_EDGE, _SHARING, _DISJOINT = (2, (1, 2)), (3, (1, 3, 1)), (4, (1, 4, 4))
 
 
-def _per_draw_avoid_share(N: int, k: int) -> Fraction:
-    # P(one draw contains neither of two edges sharing a vertex); the three
-    # binomial terms split by how many of the three involved vertices the
-    # draw picks up without completing an edge.
-    c = comb(N, k)
-    return Fraction(
-        comb(N - 3, k) + 3 * comb(N - 3, k - 1) + comb(N - 3, k - 2), c
-    )
+def _per_draw_avoid(N: int, k: int, span: int, counts: tuple[int, ...]) -> Fraction:
+    """P(one uniform k-subset of the N vertices contains no edge of a pattern
+    whose edges span ``span`` vertices), where counts[j] is the number of
+    independent j-subsets of the span: those containing no pattern edge."""
+    free = sum(c * comb(N - span, k - j) for j, c in enumerate(counts))
+    return Fraction(free, comb(N, k))
 
 
-def _per_draw_avoid_disjoint(N: int, k: int) -> Fraction:
-    c = comb(N, k)
-    return Fraction(
-        comb(N - 4, k) + 4 * comb(N - 4, k - 1) + 4 * comb(N - 4, k - 2), c
-    )
-
-
-def _log_rational(x: Fraction) -> float:
-    """ln x for an exact rational x >= 0.  Above 1/2 it is log1p of the
-    exact x - 1, so the log keeps its relative accuracy near one, where
-    log(float(x)) would keep only its absolute accuracy."""
-    num, den = x.numerator, x.denominator  # int / int rounds correctly
+def _log_ratio(num: int, den: int) -> float:
+    """ln(num/den) for integers 0 <= num, 0 < den.  Above 1/2 it is log1p of
+    the exact (num - den)/den, so the log keeps its relative accuracy near
+    one, where log(num/den) would keep only its absolute accuracy; int / int
+    rounds correctly."""
     if num == 0:
         return NEG_INF
     return math.log1p((num - den) / den) if 2 * num > den else math.log(num / den)
@@ -545,7 +539,8 @@ def _log_rational(x: Fraction) -> float:
 def hypergraph_edge_prob(N: int, k: int, n_draws: int) -> LogProb:
     """P(a fixed edge of K_N is uncovered after n_draws uniform k-cliques)."""
     _raise_first(_hyper_violations(N, k, n_draws))
-    return LogProb(n_draws * _log_rational(_per_draw_avoid_single(N, k)))
+    a = _per_draw_avoid(N, k, *_EDGE)
+    return LogProb(n_draws * _log_ratio(*a.as_integer_ratio()))
 
 
 def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogProb]:
@@ -557,19 +552,19 @@ def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogPr
     _raise_first(_hyper_violations(N, k, n_draws))
     if N < 3:
         raise ValueError(f"joint probabilities require N >= 3, got N={N}")
-    q_share = LogProb(n_draws * _log_rational(_per_draw_avoid_share(N, k)))
+    share = _per_draw_avoid(N, k, *_SHARING)
+    q_share = LogProb(n_draws * _log_ratio(*share.as_integer_ratio()))
     if N < 4:
-        q_disjoint = LogProb(NEG_INF)
-    else:
-        q_disjoint = LogProb(n_draws * _log_rational(_per_draw_avoid_disjoint(N, k)))
-    return q_share, q_disjoint
+        return q_share, LogProb(NEG_INF)
+    disjoint = _per_draw_avoid(N, k, *_DISJOINT)
+    return q_share, LogProb(n_draws * _log_ratio(*disjoint.as_integer_ratio()))
 
 
 def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     """b^n - a^(2n) without catastrophic cancellation.
 
     Written as a^(2n) * expm1(n * ln(b / a^2)), with both logs taken from
-    exact rationals by :func:`_log_rational`, so the difference keeps its
+    exact rationals by :func:`_log_ratio`, so the difference keeps its
     relative accuracy when the two powers agree to many digits.  It is not
     exact: the error is a few ulps plus exp's rounding at its argument
     2n ln a, about |2n ln a| ulps.  May be negative: disjoint edge pairs are
@@ -577,8 +572,9 @@ def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     """
     if a_single == 0:
         return 0.0
-    p2 = math.exp(2 * n_draws * _log_rational(a_single))
-    return p2 * math.expm1(n_draws * _log_rational(b_joint / (a_single * a_single)))
+    p2 = math.exp(2 * n_draws * _log_ratio(*a_single.as_integer_ratio()))
+    ratio = b_joint / (a_single * a_single)
+    return p2 * math.expm1(n_draws * _log_ratio(*ratio.as_integer_ratio()))
 
 
 @_finite_sums("hypergraph-cover")
@@ -598,17 +594,16 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
     _check_double_range("hypergraph-cover", count)
-    a = _per_draw_avoid_single(N, k)
-    b_s = _per_draw_avoid_share(N, k)
-    b_d = _per_draw_avoid_disjoint(N, k)
-
-    p = hypergraph_edge_prob(N, k, n_draws).linear
-    q_s, q_d = hypergraph_joint_probs(N, k, n_draws)
+    a, b_s, b_d = (_per_draw_avoid(N, k, *x) for x in (_EDGE, _SHARING, _DISJOINT))
+    # hypergraph_edge_prob and hypergraph_joint_probs, from the same rationals
+    p, q_s, q_d = (
+        LogProb(n_draws * _log_ratio(*x.as_integer_ratio())).linear for x in (a, b_s, b_d)
+    )
 
     share_pairs = count * (N - 2)
     disjoint_pairs = count * comb(N - 2, 2) // 2
 
-    delta = share_pairs * q_s.linear + disjoint_pairs * q_d.linear
+    delta = share_pairs * q_s + disjoint_pairs * q_d
     cov = share_pairs * _pair_cov(b_s, a, n_draws) + disjoint_pairs * _pair_cov(
         b_d, a, n_draws
     )
@@ -721,60 +716,27 @@ def _hyper_sample_by_draw(
     return covered.all(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _cover_terms(N: int, k: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Inclusion-exclusion grouped by avoid count, and C(N, k).
-
-    a(S) counts the k-subsets whose clique avoids the edge subset S; the
-    result pairs each value a that occurs with c_a = sum of (-1)^|S| over
-    the S with a(S) = a, dropping a = 0 and every a whose c_a cancels to 0.
-    There are at most C(N, k) + 1 values, against 2^C(N,2) subsets.
-    """
-    n_edges = comb(N, 2)
-    idx = _edge_table(N).tolist()
-    total = comb(N, k)
-    # N <= 7: masks fit in 21 bits and counts in C(7,3) = 35
-    masks = np.arange(1 << n_edges, dtype=np.uint32)
-    avoid = np.zeros(masks.shape, dtype=np.uint8)
-    for w in combinations(range(N), k):
-        wmask = 0
-        for a, b in combinations(w, 2):
-            wmask |= 1 << idx[a][b]
-        avoid += (masks & wmask) == 0
-    odd = (np.bitwise_count(masks) & 1).astype(bool)
-    signed = np.bincount(avoid[~odd], minlength=total + 1) - np.bincount(
-        avoid[odd], minlength=total + 1
-    )
-    terms = tuple((a, int(c)) for a, c in enumerate(signed) if a and c)
-    return terms, total
-
-
 def cover_all_exact(N: int, k: int, n_draws: int) -> LogProb:
     """Exact P(n_draws uniform k-cliques cover every edge of K_N), N <= 7.
 
     Inclusion-exclusion over edge subsets S: sum over S of
     (-1)^|S| (a(S)/C(N,k))^n_draws, where a(S) counts the k-subsets whose
-    clique avoids S.  The subsets are grouped by a(S) once per (N, k), and
-    the alternating sum is taken in Python integers over C(N,k)^n_draws.
+    clique avoids S.  Grouped by a(S), the signs sum to
+    c_a = sum_m (-1)^m hist[m, a] of :func:`_avoid_histogram`, and the
+    alternating sum is taken in Python integers over C(N,k)^n_draws.
     The result is the exact rational correctly rounded, through log1p of
     the exact deficit when it is near one, and exactly zero (log -inf)
     wherever coverage is impossible.  The integers grow with n_draws, to
     about n_draws * log2(C(N,k)) bits.
     """
     _raise_first(_hyper_violations(N, k, n_draws))
-    if N > 7:
-        raise ValueError(f"exhaustive oracle supports N <= 7, got N={N}")
-    terms, total = _cover_terms(N, k)
-    # the number of covering draw sequences out of total**n_draws
-    covering = sum(c * a**n_draws for a, c in terms)
+    hist = _avoid_histogram(N, k)
+    signed = ((-1) ** np.arange(len(hist)) @ hist).tolist()  # c_a
+    # the number of covering draw sequences out of C(N, k)**n_draws
+    covering = sum(c * a**n_draws for a, c in enumerate(signed) if a and c)
     if covering < 0:
         raise ArithmeticError(f"inclusion-exclusion produced {covering} < 0")
-    outcomes = total**n_draws
-    missing = outcomes - covering
-    if 2 * missing > outcomes:
-        return LogProb.from_linear(covering / outcomes)
-    # near one, log1p of the exact deficit keeps the log's relative accuracy
-    return LogProb(math.log1p(-missing / outcomes))
+    return LogProb(_log_ratio(covering, comb(N, k) ** n_draws))
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +758,7 @@ FAMILIES: dict[str, Family] = {
         summary=triangles_summary,
         budget=lambda n, p: comb(n, 2),
         sample=_triangles_sample,
-        exact=lambda n, p: triangle_free_exact(n, p) if n <= 7 else None,
+        exact=lambda n, p: triangle_free_exact(n, p) if n <= _ENUM_VERTICES else None,
     ),
     "ustat": Family(
         params={"n": int, "k": int, "p": float},
@@ -814,7 +776,9 @@ FAMILIES: dict[str, Family] = {
         summary=lambda N, k, n_draws, variant: hypergraph_summary(N, k, n_draws),
         budget=lambda N, k, n_draws: n_draws * k,
         sample=_hyper_sample,
-        exact=lambda N, k, n_draws: cover_all_exact(N, k, n_draws) if N <= 7 else None,
+        exact=lambda N, k, n_draws: (
+            cover_all_exact(N, k, n_draws) if N <= _ENUM_VERTICES else None
+        ),
         aliases=("hypergraph",),
     ),
 }

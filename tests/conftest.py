@@ -7,6 +7,7 @@ without sharing any code path with the implementations under test.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -125,6 +126,29 @@ def enum_hypergraph_cover_prob(N: int, k: int, n_draws: int) -> float:
         hits += covered == full
         total += 1
     return hits / total
+
+
+@lru_cache(maxsize=None)
+def triangle_free_counts(n: int) -> tuple[int, ...]:
+    """counts[m] = the number of triangle-free graphs on n labeled vertices
+    with m edges, grown one vertex at a time: a triangle-free graph gains a
+    vertex without a triangle iff the new vertex's neighbours are pairwise
+    non-adjacent, so only triangle-free graphs are ever built."""
+    counts = [0] * (comb(n, 2) + 1)
+    graphs = [((), 0)]  # (neighbour bitmask of each vertex, edge count)
+    for v in range(n):
+        grown = []
+        for adj, edges in graphs:
+            for nbrs in range(1 << v):
+                if any(nbrs >> u & 1 and adj[u] & nbrs for u in range(v)):
+                    continue
+                if v == n - 1:
+                    counts[edges + bin(nbrs).count("1")] += 1
+                    continue
+                new = tuple(a | (nbrs >> u & 1) << v for u, a in enumerate(adj))
+                grown.append((new + (nbrs,), edges + bin(nbrs).count("1")))
+        graphs = grown
+    return tuple(counts)
 
 
 def circular_runs(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:

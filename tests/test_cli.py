@@ -127,6 +127,17 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert "double range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [("delta", "1e400"), ("delta", "NaN"),
+                                             ("cov_sum", "Infinity")])
+    def test_non_finite_sum_exits_two_naming_the_field(self, capsys, field, value):
+        values = {"delta": "0.2", "delta_bar": "1.4", "cov_sum": "0.05", field: value}
+        text = ('{"count": 10, "means": 0.1, "lambda": 1.0, "delta": %(delta)s, '
+                '"delta_bar": %(delta_bar)s, "cov_sum": %(cov_sum)s, "max_mean": 0.1}'
+                % values)
+        code, out, err = run_main(capsys, "bound", "--summary", text)
+        assert code == 2 and out == ""
+        assert f"bad summary JSON: {field}=" in err and "double range" in err
+
     @pytest.mark.parametrize("count,means", [(10, [0.1]), (4, [0.1, 0.2, 0.3])])
     def test_list_summary_length_must_match_count(self, capsys, count, means):
         # a one-entry list is still one indicator's mean, not a shared one
@@ -330,6 +341,17 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["reference"]["kind"] == "oracle"
         assert doc["passed"] is True
+
+    @pytest.mark.parametrize("n,p", [(5, 1e-12), (3, 0.01)])
+    def test_triangles_near_one_passes(self, capsys, n, p):
+        # the oracle is the exact rational, so near one it does not read
+        # above bounds that hold
+        code, out, _ = run_main(
+            capsys, "verify", "--model", "triangles", "--n", str(n), "--p", str(p),
+            "--eq2-form", "standard",
+        )
+        assert code == 0
+        assert json.loads(out)["passed"] is True
 
     def test_runs_with_monte_carlo_reference(self, capsys):
         code, out, _ = run_main(

@@ -80,6 +80,11 @@ COMMANDS: list[list[str]] = [
     ["lemma-check", "--m", "11"],
     ["bound", "--model", "nonsense"],
     [],
+    # the triangle oracle's printed values, near one included
+    ["compare", "--model", "triangles", "--n", "6", "--sweep", "p=1e-4:0.5:4:geom",
+     "--oracle", "--variant", "both"],
+    ["verify", "--model", "triangles", "--n", "5", "--p", "1e-12", "--eq2-form", "standard"],
+    ["verify", "--model", "triangles", "--n", "7", "--p", "1e-4"],
 ]
 
 

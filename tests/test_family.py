@@ -125,6 +125,16 @@ class TestJsonInterchange:
         with pytest.raises(ValueError, match="double range"):
             FamilySummary.from_json(text)
 
+    @pytest.mark.parametrize("field,text", [("delta", "1e400"), ("delta", "NaN"),
+                                            ("cov_sum", "Infinity"), ("cov_sum", "NaN")])
+    def test_non_finite_sum_named(self, field, text):
+        # refused for what it is, before any restated value is compared with it
+        doc = json.dumps(consistent_doc(**{field: 0.0})).replace(
+            f'"{field}": 0.0', f'"{field}": {text}'
+        )
+        with pytest.raises(ValueError, match=rf"^{field}=(inf|nan) .*double range"):
+            FamilySummary.from_json(doc)
+
 
 _shared = st.builds(
     lambda count, p: (count, (p,)),

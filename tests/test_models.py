@@ -15,9 +15,7 @@ from assocbounds.models import (
     FIRST_PRINCIPLES,
     PAPER_AS_PRINTED,
     _pair_cov,
-    _per_draw_avoid_disjoint,
-    _per_draw_avoid_share,
-    _per_draw_avoid_single,
+    _per_draw_avoid,
     hypergraph_edge_prob,
     hypergraph_joint_probs,
     hypergraph_summary,
@@ -98,6 +96,13 @@ class TestRunsSummary:
         center, radius = runs_poisson_band(10, 2, 0.5)
         assert center == pytest.approx(math.exp(-10 * 0.5 * 0.25), rel=1e-15)
         assert radius == pytest.approx((2 * 2 * 0.5 + 1) * 0.25, rel=1e-15)
+
+    @pytest.mark.parametrize("n,k,p", [(-5, 2, 0.5), (10, 0, 0.5), (1, 2, 0.5)])
+    def test_poisson_band_refuses_the_spec_violations(self, n, k, p):
+        expected = ModelSpec("runs", {"n": n, "k": k, "p": p}).validate()[0]
+        with pytest.raises(ValueError) as exc:
+            runs_poisson_band(n, k, p)
+        assert str(exc.value) == expected
 
 
 class TestTrianglesSummary:
@@ -248,9 +253,9 @@ class TestHypergraphProbabilities:
         b_share = 1 - 2 * contains[2] + contains[3]
         b_disjoint = 1 - 2 * contains[2] + contains[4]
         assert (a, b_share, b_disjoint) == (
-            _per_draw_avoid_single(N, k),
-            _per_draw_avoid_share(N, k),
-            _per_draw_avoid_disjoint(N, k),
+            _per_draw_avoid(N, k, 2, (1, 2)),
+            _per_draw_avoid(N, k, 3, (1, 3, 1)),
+            _per_draw_avoid(N, k, 4, (1, 4, 4)),
         )
 
         def mp(x: Fraction) -> mpmath.mpf:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from assocbounds.family import ModelSpec
+from assocbounds.models import _avoid_histogram
 from assocbounds.numerics import clopper_pearson
 from assocbounds.oracles import (
     MAX_WORKERS,
@@ -29,6 +30,7 @@ from conftest import (
     brute_ustat_zero,
     circular_runs,
     enum_hypergraph_cover_prob,
+    triangle_free_counts,
 )
 
 
@@ -156,11 +158,51 @@ class TestTriangleFreeExact:
     def test_p_zero(self):
         assert triangle_free_exact(6, 0.0).linear == 1.0
 
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 1e-4, 0.01, 0.5, 0.9, 1 - 1e-9, 1.0])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_log_of_the_exact_rational(self, n, p):
+        # the double p is a rational, so P is the rational sum over counts
+        # from an independent enumeration; near one its log is log1p of the
+        # exact deficit, which a float sum would keep only absolutely.  The
+        # ends are exact: log 0 at p = 0, -inf at p = 1
+        q = Fraction(p)
+        n_edges = math.comb(n, 2)
+        truth = sum(c * q**m * (1 - q) ** (n_edges - m)
+                    for m, c in enumerate(triangle_free_counts(n)))
+        with mpmath.workdps(60):
+            if truth > Fraction(1, 2):
+                deficit = truth - 1
+                ref = mpmath.log1p(mpmath.mpf(deficit.numerator) / deficit.denominator)
+            else:
+                ref = mpmath.log(mpmath.mpf(truth.numerator) / truth.denominator)
+        got = triangle_free_exact(n, p).log_value
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             triangle_free_exact(8, 0.5)
         with pytest.raises(ValueError):
             triangle_free_exact(2, 0.5)
+
+
+class TestAvoidHistogram:
+    @pytest.mark.parametrize("n,free", [(3, 7), (4, 41), (5, 388), (6, 5789),
+                                        (7, 133501)])
+    def test_triangle_free_graph_counts(self, n, free):
+        # OEIS A006785: no triangle avoids the complement of a triangle-free
+        # edge set, and column 0 counts those complements
+        hist = _avoid_histogram(n, 3)
+        assert int(hist[:, 0].sum()) == free
+        assert hist[::-1, 0].tolist() == list(triangle_free_counts(n))
+
+    @pytest.mark.parametrize("N,k", [(N, k) for N in range(2, 8) for k in range(2, N + 1)])
+    def test_rows_count_the_edge_subsets(self, N, k):
+        hist = _avoid_histogram(N, k)
+        n_edges = math.comb(N, 2)
+        assert hist.shape == (n_edges + 1, math.comb(N, k) + 1)
+        assert hist.sum(axis=1).tolist() == [math.comb(n_edges, m) for m in range(n_edges + 1)]
+        assert int(hist.sum()) == 2**n_edges
+        assert hist[0, -1] == 1  # every clique avoids the empty set
 
 
 class TestCoverAllExact:
