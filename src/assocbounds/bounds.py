@@ -17,6 +17,12 @@ Upper bounds implemented, all evaluated in log domain on a
 plus the reference floor ``independent-lower`` = prod(1 - p_i), a *lower*
 bound on P(X=0) under positive association.
 
+The five that read the means are points (t, log_w) of one function,
+ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum): independent-lower is
+(inf, -inf), boppona-spencer adds delta / (1 - max_mean) to it,
+boutsikas-koutras is (inf, 0), lv-general is (t, 2 ln t), and lv-optimal
+minimizes that over t.  lv-iid forms its product apart (see lv_iid).
+
 The additive bounds (boutsikas-koutras, lv-*) are only valid for positively
 associated families; they refuse to evaluate when cov_sum < 0, which is the
 summary-level signal that positive association fails.
@@ -36,7 +42,7 @@ from decimal import Decimal, localcontext
 from typing import Any, Callable
 
 from .family import FamilySummary
-from .numerics import NEG_INF, LogProb, json_log_linear, log_add, log_add_floats, minimize_scalar
+from .numerics import NEG_INF, LogProb, json_log_linear, log_add_floats, minimize_scalar
 
 # Canonical emission order for evaluate_all.
 METHOD_ORDER = (
@@ -117,10 +123,31 @@ class SkippedBound:
 BoundEntry = BoundResult | SkippedBound
 
 
-def _sum_log1m_means(s: FamilySummary) -> float:
-    return (s.count // len(s.means)) * math.fsum(
-        [NEG_INF if p >= 1.0 else math.log1p(-p) for p in s.means]
-    )
+def _log_cov(s: FamilySummary) -> float:
+    """ln cov_sum, and -inf for cov_sum <= 0: the additive bounds refuse a
+    negative sum before they read it, and the others drop the term."""
+    return math.log(s.cov_sum) if s.cov_sum > 0 else NEG_INF
+
+
+def _tilted_product(s: FamilySummary) -> Callable[[float, float], LogProb]:
+    """(t, log_w) -> ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum).
+
+    The bounds that read the means, lv-iid aside, are points of it (see the
+    module docstring).  The summary's weight, means and ln cov_sum are bound once:
+    lv-optimal evaluates the function about 55 times per summary.
+    """
+    weight, means, log_cov = s.count // len(s.means), s.means, _log_cov(s)
+
+    def value(t: float, log_w: float) -> LogProb:
+        # ln(1 - p + p e^{-t}) per indicator, stable for all t > 0, exactly
+        # -t at p = 1 and log1p(-p) at t = inf
+        e = math.expm1(-t)
+        product_term = weight * math.fsum(
+            [-t if p >= 1.0 else math.log1p(p * e) for p in means]
+        )
+        return LogProb(log_add_floats(product_term, log_w + log_cov))
+
+    return value
 
 
 def _require_nonneg_cov(s: FamilySummary, method: str) -> None:
@@ -163,16 +190,14 @@ def boppona_spencer(s: FamilySummary) -> BoundResult:
         raise ValueError(
             f"boppona-spencer requires max mean < 1, got {s.max_mean}"
         )
-    log_value = s.delta / (1.0 - s.max_mean) + _sum_log1m_means(s)
-    return BoundResult("boppona-spencer", LogProb(log_value))
+    product = _tilted_product(s)(math.inf, NEG_INF).log_value
+    return BoundResult("boppona-spencer", LogProb(s.delta / (1.0 - s.max_mean) + product))
 
 
 def boutsikas_koutras(s: FamilySummary) -> BoundResult:
     """prod(1 - p_i) + cov_sum."""
     _require_nonneg_cov(s, "boutsikas-koutras")
-    product = LogProb(_sum_log1m_means(s))
-    cov = LogProb(NEG_INF if s.cov_sum == 0 else math.log(s.cov_sum))
-    return BoundResult("boutsikas-koutras", log_add(product, cov))
+    return BoundResult("boutsikas-koutras", _tilted_product(s)(math.inf, 0.0))
 
 
 def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
@@ -196,24 +221,6 @@ def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
     return math.exp(log_t), log_t
 
 
-def _lv_objective(s: FamilySummary) -> Callable[[float, float], LogProb]:
-    """lv-general as a function of (t, ln t), with the summary's terms bound
-    once: the optimizer evaluates it about 55 times per summary."""
-    weight, means = s.count // len(s.means), s.means
-    log_cov = NEG_INF if s.cov_sum == 0 else math.log(s.cov_sum)
-
-    def value(t: float, log_t: float) -> LogProb:
-        # ln(1 - p + p e^{-t}) per indicator, stable for all t > 0 and
-        # exactly -t at p = 1
-        e = math.expm1(-t)
-        product_term = weight * math.fsum(
-            [-t if p >= 1.0 else math.log1p(p * e) for p in means]
-        )
-        return LogProb(log_add_floats(product_term, 2.0 * log_t + log_cov))
-
-    return value
-
-
 def lv_general(
     s: FamilySummary, t: float | None = None, *, log_t: float | None = None
 ) -> BoundResult:
@@ -224,7 +231,7 @@ def lv_general(
     """
     _require_nonneg_cov(s, "lv-general")
     t_lin, lt = _resolve_t(t, log_t)
-    return BoundResult("lv-general", _lv_objective(s)(t_lin, lt), t=t_lin, log_t=lt)
+    return BoundResult("lv-general", _tilted_product(s)(t_lin, 2.0 * lt), t=t_lin, log_t=lt)
 
 
 def lv_iid(
@@ -253,8 +260,7 @@ def lv_iid(
         q = Decimal(p)
         factor = (1 - q) * (1 + (-Decimal(t_lin)).exp() * q / (1 - q))
         product_term = s.count * math.log1p(float(factor - 1))
-    log_cov = NEG_INF if s.cov_sum == 0 else math.log(s.cov_sum)
-    value = LogProb(log_add_floats(product_term, 2.0 * lt + log_cov))
+    value = LogProb(log_add_floats(product_term, 2.0 * lt + _log_cov(s)))
     return BoundResult("lv-iid", value, t=t_lin, log_t=lt)
 
 
@@ -267,16 +273,16 @@ def lv_optimal(s: FamilySummary) -> BoundResult:
     exactly T_GRID_MIN or T_GRID_MAX when the minimum sits at that end.
     """
     _require_nonneg_cov(s, "lv-optimal")
-    value = _lv_objective(s)
+    value = _tilted_product(s)
     t_star, f_star = minimize_scalar(
-        lambda t: value(t, math.log(t)), T_GRID_MIN, T_GRID_MAX
+        lambda t: value(t, 2.0 * math.log(t)), T_GRID_MIN, T_GRID_MAX
     )
     return BoundResult("lv-optimal", f_star, t=t_star, log_t=math.log(t_star))
 
 
 def independent_lower(s: FamilySummary) -> BoundResult:
     """prod(1 - p_i): a lower bound on P(X=0) under positive association."""
-    return BoundResult("independent-lower", LogProb(_sum_log1m_means(s)))
+    return BoundResult("independent-lower", _tilted_product(s)(math.inf, NEG_INF))
 
 
 def evaluate_all(

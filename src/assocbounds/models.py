@@ -568,13 +568,18 @@ def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     relative accuracy when the two powers agree to many digits.  It is not
     exact: the error is a few ulps plus exp's rounding at its argument
     2n ln a, about |2n ln a| ulps.  May be negative: disjoint edge pairs are
-    negatively correlated in this family.
+    negatively correlated in this family.  Where expm1 would overflow, a^(2n)
+    is below b^n by more than the double range, and it is b^n (-expm1(-x)).
     """
     if a_single == 0:
         return 0.0
     p2 = math.exp(2 * n_draws * _log_ratio(*a_single.as_integer_ratio()))
     ratio = b_joint / (a_single * a_single)
-    return p2 * math.expm1(n_draws * _log_ratio(*ratio.as_integer_ratio()))
+    x = n_draws * _log_ratio(*ratio.as_integer_ratio())
+    try:
+        return p2 * math.expm1(x)
+    except OverflowError:
+        return math.exp(n_draws * _log_ratio(*b_joint.as_integer_ratio())) * -math.expm1(-x)
 
 
 @_finite_sums("hypergraph-cover")
@@ -716,6 +721,10 @@ def _hyper_sample_by_draw(
     return covered.all(axis=1)
 
 
+# e^-746 < 2^-1075: a deficit below it leaves log1p(-deficit) at -0.0.
+_LOG_BELOW_ROUNDING = -746.0
+
+
 def cover_all_exact(N: int, k: int, n_draws: int) -> LogProb:
     """Exact P(n_draws uniform k-cliques cover every edge of K_N), N <= 7.
 
@@ -727,11 +736,18 @@ def cover_all_exact(N: int, k: int, n_draws: int) -> LogProb:
     The result is the exact rational correctly rounded, through log1p of
     the exact deficit when it is near one, and exactly zero (log -inf)
     wherever coverage is impossible.  The integers grow with n_draws, to
-    about n_draws * log2(C(N,k)) bits.
+    about n_draws * log2(C(N,k)) bits, so where the deficit is bounded
+    below 2^-1075 by sum_{0<a<C} |c_a| (a*/C)^n_draws, a* the largest such a
+    with c_a != 0, the log is returned as -0.0, which it rounds to.
     """
     _raise_first(_hyper_violations(N, k, n_draws))
     hist = _avoid_histogram(N, k)
     signed = ((-1) ** np.arange(len(hist)) @ hist).tolist()  # c_a
+    inner = [(a, abs(c)) for a, c in enumerate(signed[:-1]) if a and c]  # 0 < a < C
+    if inner:
+        a_star, total = inner[-1][0], sum(c for _, c in inner)
+        if math.log(total) + n_draws * math.log(a_star / comb(N, k)) < _LOG_BELOW_ROUNDING:
+            return LogProb(-0.0)
     # the number of covering draw sequences out of C(N, k)**n_draws
     covering = sum(c * a**n_draws for a, c in enumerate(signed) if a and c)
     if covering < 0:

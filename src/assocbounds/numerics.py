@@ -1,4 +1,4 @@
-"""Log-domain arithmetic, binomial coefficients, 1-D minimization, exact binomial CIs.
+"""Log-domain arithmetic, 1-D minimization, exact binomial CIs.
 
 Every probability-like quantity in this package is carried as a natural log
 (:class:`LogProb`) so that products such as (1-p)^m survive exponents in the
@@ -15,10 +15,6 @@ from typing import Callable
 from scipy.stats import beta as _beta_dist
 
 NEG_INF = float("-inf")
-
-# Below this n we use exact integer binomials; above, log-gamma.
-_EXACT_BINOM_LIMIT = 60
-
 
 @dataclass(frozen=True, order=True)
 class LogProb:
@@ -56,9 +52,6 @@ class LogProb:
     @property
     def is_zero(self) -> bool:
         return self.log_value == NEG_INF
-
-
-ZERO = LogProb(NEG_INF)
 
 # Relative tolerance of log_exceeds, about 4500 ulps of a double.
 LOG_RTOL = 1e-12
@@ -125,23 +118,6 @@ def log_add_floats(la: float, lb: float) -> float:
 def log_add(a: LogProb, b: LogProb) -> LogProb:
     """ln(e^a + e^b) without overflow; -inf acts as the additive identity."""
     return LogProb(log_add_floats(a.log_value, b.log_value))
-
-
-def log_binom(n: int, k: int) -> LogProb:
-    """ln C(n, k); -inf when k < 0 or k > n.
-
-    Exact integer arithmetic below n=60, log-gamma above; the two paths are
-    cross-checked in the tests.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return ZERO
-    if n < _EXACT_BINOM_LIMIT:
-        return LogProb(math.log(math.comb(n, k)))
-    return LogProb(
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -4,7 +4,9 @@ identity, optimizer guarantees, and the evaluate_all surface."""
 from __future__ import annotations
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -325,6 +327,79 @@ class TestIndependentLower:
     def test_certain_indicator_gives_zero(self):
         s = hetero([0.2, 1.0], delta=0.0, cov_sum=0.0)
         assert independent_lower(s).value.is_zero
+
+
+def mp_tilted(s, t, log_w):
+    """ln of the tilted product and ln(product + e^log_w max(cov_sum, 0)),
+    both at 60 digits from the exact doubles."""
+    with mpmath.workdps(60):
+        shift = -1 if t == math.inf else mpmath.expm1(-mpmath.mpf(t))
+        weight = s.count // len(s.means)
+        log_product = weight * mpmath.fsum(mpmath.log1p(mpmath.mpf(p) * shift) for p in s.means)
+        cov = 0 if log_w == -math.inf else mpmath.exp(log_w) * max(s.cov_sum, 0.0)
+        return float(log_product), float(mpmath.log(mpmath.exp(log_product) + cov))
+
+
+_SPECIAL_MEANS = (0.0, 1e-300, 1e-12, 0.25, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0)
+
+
+@st.composite
+def tilted_points(draw):
+    """(summary, t, log_w) where t = inf or p (1 - e^{-t}) <= 1/2 for every
+    mean: the region where ln(1 + p expm1(-t)) keeps its relative accuracy.
+    Terms p (1 - e^{-t}) below the normal range are left out: they round to
+    subnormals (see test_subnormal_terms)."""
+    t = draw(st.one_of(st.just(math.inf), st.floats(1e-12, 60.0)))
+    cap = 1.0 if t == math.inf else min(1.0, 0.5 / -math.expm1(-t))
+    mean = st.one_of(st.floats(0.0, cap), st.sampled_from([p for p in _SPECIAL_MEANS if p <= cap]))
+    cov = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0), st.floats(1e-300, 1e60)))
+    mean = mean.filter(lambda p: p == 0.0 or p * -math.expm1(-t) >= sys.float_info.min)
+    if draw(st.booleans()):
+        s = homog(draw(st.integers(1, 10**9)), draw(mean), 0.0, cov)
+    else:
+        s = hetero(draw(st.lists(mean, min_size=1, max_size=30)), 0.0, cov)
+    return s, t, draw(st.one_of(st.just(-math.inf), st.floats(-800.0, 50.0)))
+
+
+class TestTiltedProductPrecision:
+    """The one function behind independent-lower, boppona-spencer,
+    boutsikas-koutras and lv-general/-optimal, against 60-digit references."""
+
+    @given(tilted_points())
+    def test_within_a_few_ulps_of_the_reference(self, point):
+        s, t, log_w = point
+        log_product, value = mp_tilted(s, t, log_w)
+        f = bounds._tilted_product(s)
+        assert f(t, -math.inf).log_value == pytest.approx(log_product, rel=1e-14, abs=0.0)
+        # ln cov_sum and log_w add before the log-sum, so the value keeps the
+        # absolute accuracy of the larger of them, which may cancel
+        scale = max(1.0, abs(value), abs(log_w) if log_w > -math.inf else 0.0)
+        assert f(t, log_w).log_value == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="where p (1 - e^{-t}) > 1/2, log1p(p expm1(-t)) keeps only the absolute "
+        "accuracy of 1 + p expm1(-t); ln((1 - p) + p e^{-t}) would keep the relative one",
+    )
+    @pytest.mark.parametrize("p", [1 - 1e-12, 1 - 1e-9])
+    def test_near_one_means_at_large_t(self, p):
+        s = homog(1, p, 0.0, 0.0)
+        log_product, _ = mp_tilted(s, 31.6, -math.inf)
+        assert bounds._tilted_product(s)(31.6, -math.inf).log_value == pytest.approx(
+            log_product, rel=1e-14, abs=0.0
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="p expm1(-t) = -1e-312 rounds to a subnormal with 12 digits, and the "
+        "weight of 1e9 brings the log back into the normal range",
+    )
+    def test_subnormal_terms(self):
+        s = homog(10**9, 1e-300, 0.0, 0.0)
+        log_product, _ = mp_tilted(s, 1e-12, -math.inf)
+        assert bounds._tilted_product(s)(1e-12, -math.inf).log_value == pytest.approx(
+            log_product, rel=1e-14, abs=0.0
+        )
 
 
 class TestEvaluateAll:

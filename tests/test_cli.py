@@ -68,6 +68,15 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert "double range" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--N", "1000", "--k", "999", "--n-draws", "200"],
+                  ["--N", "10", "--k", "9", "--n-draws", "10000"]],
+    )
+    def test_hypergraph_covariances_that_underflow_print_bounds(self, capsys, flags):
+        code, out, _ = run_main(capsys, "bound", "--model", "hypergraph", *flags)
+        assert code == 0
+        assert json.loads(out)["summary"]["cov_sum"] == 0.0
+
     def test_inconsistent_summary_exits_two(self, capsys):
         bad = json.dumps(
             {

@@ -33,6 +33,15 @@ _SUMMARY_LIST = json.dumps(
      "delta_bar": 0.73, "cov_sum": 0.01, "max_mean": 0.3}
 )
 
+_SUMMARY_UNIT_MEAN = json.dumps(
+    {"count": 3, "means": [0.2, 1.0, 0.4], "lambda": 1.6, "delta": 0.5,
+     "delta_bar": 2.6, "cov_sum": 0.0, "max_mean": 1.0}
+)
+_SUMMARY_NO_COV = json.dumps(
+    {"count": 50, "means": 0.3, "lambda": 15.0, "delta": 0.0,
+     "delta_bar": 15.0, "cov_sum": 0.0, "max_mean": 0.3}
+)
+
 COMMANDS: list[list[str]] = [
     # bound: every family, both variants, both eq2 forms, t overrides
     ["bound", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1"],
@@ -85,6 +94,10 @@ COMMANDS: list[list[str]] = [
      "--oracle", "--variant", "both"],
     ["verify", "--model", "triangles", "--n", "5", "--p", "1e-12", "--eq2-form", "standard"],
     ["verify", "--model", "triangles", "--n", "7", "--p", "1e-4"],
+    # prod(1 - p_i) where cov_sum is 0 or a mean is 1
+    ["bound", "--summary", _SUMMARY_UNIT_MEAN],
+    ["bound", "--model", "runs", "--n", "10", "--k", "2", "--p", "1.0"],
+    ["bound", "--summary", _SUMMARY_NO_COV, "--t", "log:-700"],
 ]
 
 

@@ -281,6 +281,20 @@ class TestHypergraphProbabilities:
                 cov_disjoint, rel=1e-12, abs=0.0
             )
 
+    def test_pair_cov_where_expm1_would_overflow(self):
+        # n ln(b/a^2) = 400 ln 8 > 709: a^(2n) = 2^-1600 underflows while
+        # b^n = 2^-400 does not, and the covariance is b^n to 1 - 2^-1200
+        assert _pair_cov(Fraction(1, 2), Fraction(1, 4), 400) == pytest.approx(
+            2.0**-400, rel=1e-13, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "N,k,n_draws", [(1000, 999, 200), (10, 9, 10**4), (7, 3, 7 * 10**4), (5, 3, 10**6)]
+    )
+    def test_summary_where_the_covariances_underflow(self, N, k, n_draws):
+        s = hypergraph_summary(N, k, n_draws)
+        assert (s.means, s.delta, s.cov_sum) == ((0.0,), 0.0, 0.0)
+
     def test_degenerate_k_equals_n(self):
         s = hypergraph_summary(4, 4, 5)
         assert s.lambda_ == 0.0 and s.delta == 0.0 and s.cov_sum == 0.0

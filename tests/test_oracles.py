@@ -249,6 +249,37 @@ class TestCoverAllExact:
             got = cover_all_exact(4, 3, n).log_value
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0), n
 
+    @staticmethod
+    def integer_sum(N, k, n_draws):
+        """ln P near one as the full alternating sum in integers, correctly rounded."""
+        hist = _avoid_histogram(N, k)
+        signed = ((-1) ** np.arange(len(hist)) @ hist).tolist()
+        covering = sum(c * a**n_draws for a, c in enumerate(signed) if a and c)
+        return math.log1p(float(Fraction(covering - math.comb(N, k) ** n_draws,
+                                         math.comb(N, k) ** n_draws)))
+
+    @pytest.mark.parametrize("N,k", [(N, k) for N in range(2, 8) for k in range(2, N + 1)])
+    def test_large_draws_match_the_integer_sum(self, N, k):
+        # on both sides of the first n_draws at which sum_{0<a<C} |c_a|
+        # (a*/C)^n_draws < e^-746 lets the sum be skipped, and where the
+        # answer is -0.0; at k = N every draw covers, and it stays +0.0
+        hist = _avoid_histogram(N, k)
+        signed = ((-1) ** np.arange(len(hist)) @ hist).tolist()
+        inner = [(a, abs(c)) for a, c in enumerate(signed[:-1]) if a and c]
+        draws = {1, 10, 1000}  # k = N
+        if inner:
+            first = (746 + math.log(sum(c for _, c in inner))) / -math.log(
+                inner[-1][0] / math.comb(N, k)
+            )
+            draws = {int(first) + d for d in range(-3, 4)} | {int(1.5 * first)}
+        for n in sorted(draws):
+            assert repr(cover_all_exact(N, k, n).log_value) == repr(self.integer_sum(N, k, n)), n
+
+    def test_deficit_below_rounding_is_minus_zero(self):
+        # the integer sum would take about 10 s here, on 2.3e7-bit integers
+        assert repr(cover_all_exact(7, 3, 10**6).log_value) == "-0.0"
+        assert repr(cover_all_exact(5, 5, 10**6).log_value) == "0.0"
+
     def test_size_limit(self):
         with pytest.raises(ValueError):
             cover_all_exact(8, 3, 10)
