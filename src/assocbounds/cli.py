@@ -81,6 +81,7 @@ def _parse_t(text: str | None) -> tuple[float | None, float | None]:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
+    # not validated here: the first library call that reads the spec refuses it
     if args.model is None:
         raise ValueError("--model is required")
     params = {
@@ -88,11 +89,7 @@ def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
         for name in _PARAMS
         if getattr(args, name) is not None
     }
-    spec = ModelSpec(model=_MODEL_NAMES[args.model], params=params)
-    violations = spec.validate()
-    if violations:
-        raise ValueError("; ".join(violations))
-    return spec
+    return ModelSpec(model=_MODEL_NAMES[args.model], params=params)
 
 
 def _variants(args: argparse.Namespace, allow_both: bool = False) -> tuple[str, ...]:
@@ -201,6 +198,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValueError(f"bad sweep grid {grid_text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"bad sweep grid {grid_text!r}: endpoints must be finite")
     if count < 1:
         raise ValueError(f"sweep needs at least one grid point, got count={count}")
     if count == 1:
@@ -368,8 +367,6 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
         raise ValueError(f"m must be in [1, 10] (2^m enumeration), got {args.m}")
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
-    if not args.t > 0:
-        raise ValueError(f"t must be positive, got {args.t}")
 
     rng = np.random.default_rng(args.seed)
     n_bits = min(10, max(args.m, 6))
@@ -425,13 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
             type=cast,
             help=f"{name} for {'/'.join(users)}",
         )
-    model.add_argument(
+    formulas = argparse.ArgumentParser(add_help=False)
+    formulas.add_argument(
         "--variant",
         choices=list(_VARIANTS),
         default="first-principles",
         help="formula variant for model summaries",
     )
-    model.add_argument(
+    formulas.add_argument(
         "--eq2-form",
         choices=["printed", "standard"],
         default="printed",
@@ -445,13 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     trials.add_argument("--trials", type=int, default=100_000)
 
     p_bound = sub.add_parser(
-        "bound", parents=[model, t_override], help="evaluate every bound on one instance"
+        "bound", parents=[model, formulas, t_override],
+        help="evaluate every bound on one instance",
     )
     p_bound.add_argument("--summary", help="raw FamilySummary JSON instead of --model")
     p_bound.set_defaults(func=cmd_bound)
 
     p_cmp = sub.add_parser(
-        "compare", parents=[model, t_override, trials, seed],
+        "compare", parents=[model, formulas, t_override, trials, seed],
         help="sweep one parameter, emit a table",
     )
     p_cmp.add_argument("--sweep", help="param=start:stop:count[:geom]")
@@ -462,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser(
-        "verify", parents=[model, trials, seed],
+        "verify", parents=[model, formulas, trials, seed],
         help="check bounds against exact truth or MC",
     )
     p_ver.add_argument("--mc", action="store_true", help="fall back to Monte Carlo")

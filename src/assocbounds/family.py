@@ -194,9 +194,10 @@ class ModelSpec:
         return family.check(**q)
 
     def ensure_valid(self) -> "ModelSpec":
+        """The spec; a ValueError with its violations joined by "; " if any."""
         violations = self.validate()
         if violations:
-            raise ValueError("invalid model spec: " + "; ".join(violations))
+            raise ValueError("; ".join(violations))
         return self
 
     def to_json_dict(self) -> dict[str, Any]:

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from numbers import Real
@@ -54,44 +54,30 @@ def _raise_first(violations: list[str]) -> None:
         raise ValueError(violations[0])
 
 
-def _check_double_range(family: str, count: int) -> None:
-    """Refuse a family whose number of indicators exceeds the double range
-    (about 1.8e308): lambda and every pair sum read it as a float."""
+def _summary(
+    family: str, count: int, mean: float, sums: Callable[[], tuple[float, float]]
+) -> FamilySummary:
+    """The summary of ``count`` indicators of one mean; ``sums()`` gives
+    (delta, cov_sum).  A ValueError naming the double range (about 1.8e308)
+    refuses a count beyond it, before ``sums`` runs, and a delta or cov_sum
+    outside it (an inf, a NaN from 0 * inf, an OverflowError).  delta_bar =
+    lambda + 2*delta may round to inf where delta does not: the ratio bound
+    is then vacuous."""
     if count > sys.float_info.max:
         raise ValueError(
             f"{family} summary: the number of indicators is about "
             f"10^{math.log10(count):.1f}, beyond the double range (about 1.8e308)"
         )
-
-
-def _finite_sums(
-    family: str,
-) -> Callable[[Callable[..., FamilySummary]], Callable[..., FamilySummary]]:
-    """Decorate a summary builder to refuse, with a ValueError naming the
-    double range, a summary whose delta or cov_sum leaves it: an inf, a NaN
-    from 0 * inf, or an OverflowError from fsum or from an int pair count
-    too large for a float.  delta_bar = lambda + 2*delta is not checked; it
-    may round to inf where delta does not, and the ratio bound is then
-    vacuous."""
-
-    def decorate(build: Callable[..., FamilySummary]) -> Callable[..., FamilySummary]:
-        @wraps(build)
-        def checked(*args: Any, **kwargs: Any) -> FamilySummary:
-            try:
-                s = build(*args, **kwargs)
-                finite = math.isfinite(s.delta) and math.isfinite(s.cov_sum)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(
-                    f"{family} summary: delta or cov_sum exceeds the double range "
-                    f"(about 1.8e308)"
-                )
-            return s
-
-        return checked
-
-    return decorate
+    try:
+        delta, cov = sums()
+        finite = math.isfinite(delta) and math.isfinite(cov)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"{family} summary: delta or cov_sum exceeds the double range (about 1.8e308)"
+        )
+    return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
 
 
 def _log_sum_exp(terms: list[float]) -> float:
@@ -143,10 +129,10 @@ class Family:
 
 
 def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
-    """The spec's family record and its parameters, cast by the record."""
-    family = FAMILIES.get(spec.model)
-    if family is None:
-        raise ValueError(f"unknown model {spec.model!r}")
+    """The spec's family record and its parameters, cast by the record; the
+    one gate that refuses an invalid spec (:meth:`ModelSpec.ensure_valid`)."""
+    spec.ensure_valid()
+    family = FAMILIES[spec.model]
     return family, family.cast(spec.params)
 
 
@@ -154,7 +140,6 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 # k-runs: windows of k consecutive successes in a Bernoulli string.
 # ---------------------------------------------------------------------------
 
-@_finite_sums("runs")
 def runs_summary(
     n: int, k: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
@@ -172,17 +157,14 @@ def runs_summary(
     _raise_first(_runs_violations(n, k, p))
     if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
-    _check_double_range("runs", n)
 
-    mean = p**k
-    joint = math.fsum(n * p ** (k + d) for d in range(1, k))
-    if variant == PAPER_AS_PRINTED:
-        delta = 0.5 * joint
-        cov = delta
-    else:
-        delta = joint
-        cov = math.fsum(n * (p ** (k + d) - p ** (2 * k)) for d in range(1, k))
-    return FamilySummary(count=n, means=(mean,), delta=delta, cov_sum=cov)
+    def sums() -> tuple[float, float]:
+        joint = math.fsum(n * p ** (k + d) for d in range(1, k))
+        if variant == PAPER_AS_PRINTED:
+            return 0.5 * joint, 0.5 * joint
+        return joint, math.fsum(n * (p ** (k + d) - p ** (2 * k)) for d in range(1, k))
+
+    return _summary("runs", n, p**k, sums)
 
 
 def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
@@ -229,7 +211,8 @@ def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     far m^n falls below it.  Rescaled, a product's largest entry need not
     bound its spectral radius, so later squares can grow; the upper limit
     keeps them finite.  Where no product leaves [2^-256, 2^256] the products
-    are those of ``np.linalg.matrix_power``.
+    are those of ``np.linalg.matrix_power`` for n != 3; at n = 3 numpy forms
+    (m m) m and this forms m (m m), which can differ in the last bits.
     """
     def times(a: np.ndarray, b: np.ndarray, e: int) -> tuple[np.ndarray, int]:
         c = a @ b
@@ -304,7 +287,6 @@ def _triangles_violations(n: int, p: float) -> list[str]:
     return v
 
 
-@_finite_sums("triangles")
 def triangles_summary(
     n: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
@@ -317,15 +299,15 @@ def triangles_summary(
     _check_variant(variant)
     _raise_first(_triangles_violations(n, p))
     count = comb(n, 3)
-    _check_double_range("triangles", count)
     partners = 3 * n if variant == PAPER_AS_PRINTED else 3 * (n - 3)
-    mean = p**3
-    delta = 0.5 * count * partners * p**5
-    if variant == PAPER_AS_PRINTED:
-        cov = delta
-    else:
-        cov = 0.5 * count * partners * (p**5 - p**6)
-    return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
+
+    def sums() -> tuple[float, float]:
+        delta = 0.5 * count * partners * p**5
+        if variant == PAPER_AS_PRINTED:
+            return delta, delta
+        return delta, 0.5 * count * partners * (p**5 - p**6)
+
+    return _summary("triangles", count, p**3, sums)
 
 
 @lru_cache(maxsize=None)
@@ -416,7 +398,6 @@ def _ustat_violations(n: int, k: int, p: float) -> list[str]:
     return v
 
 
-@_finite_sums("ustat")
 def ustat_summary(
     n: int, k: int, p: float, variant: str = FIRST_PRINCIPLES
 ) -> FamilySummary:
@@ -433,14 +414,13 @@ def ustat_summary(
     _check_variant(variant)
     _raise_first(_ustat_violations(n, k, p))
     count = comb(n, k)
-    _check_double_range("ustat", count)
-    mean = p**k
-    if variant == PAPER_AS_PRINTED:
-        delta = 0.5 * count * math.fsum(
-            comb(n - k, j) * p ** (k + j) for j in range(1, k)
-        )
-        cov = delta
-    else:
+
+    def sums() -> tuple[float, float]:
+        if variant == PAPER_AS_PRINTED:
+            delta = 0.5 * count * math.fsum(
+                comb(n - k, j) * p ** (k + j) for j in range(1, k)
+            )
+            return delta, delta
         delta = 0.5 * count * math.fsum(
             comb(k, m) * comb(n - k, k - m) * p ** (2 * k - m)
             for m in range(1, k)
@@ -449,7 +429,9 @@ def ustat_summary(
             comb(k, m) * comb(n - k, k - m) * (p ** (2 * k - m) - p ** (2 * k))
             for m in range(1, k)
         )
-    return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
+        return delta, cov
+
+    return _summary("ustat", count, p**k, sums)
 
 
 def _ustat_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
@@ -521,9 +503,11 @@ _EDGE, _SHARING, _DISJOINT = (2, (1, 2)), (3, (1, 3, 1)), (4, (1, 4, 4))
 def _per_draw_avoid(N: int, k: int, span: int, counts: tuple[int, ...]) -> Fraction:
     """P(one uniform k-subset of the N vertices contains no edge of a pattern
     whose edges span ``span`` vertices), where counts[j] is the number of
-    independent j-subsets of the span: those containing no pattern edge."""
-    free = sum(c * comb(N - span, k - j) for j, c in enumerate(counts))
-    return Fraction(free, comb(N, k))
+    independent j-subsets of the span: those containing no pattern edge.
+    It is sum_j counts[j] C(N - span, k - j) / C(N, k), each ratio taken as
+    (k)_j (N - k)_(span - j) / (N)_span: at most ``span`` factors at any k."""
+    free = sum(c * math.perm(k, j) * math.perm(N - k, span - j) for j, c in enumerate(counts))
+    return Fraction(free, math.perm(N, span))
 
 
 def _log_ratio(num: int, den: int) -> float:
@@ -566,23 +550,22 @@ def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     Written as a^(2n) * expm1(n * ln(b / a^2)), with both logs taken from
     exact rationals by :func:`_log_ratio`, so the difference keeps its
     relative accuracy when the two powers agree to many digits.  It is not
-    exact: the error is a few ulps plus exp's rounding at its argument
-    2n ln a, about |2n ln a| ulps.  May be negative: disjoint edge pairs are
-    negatively correlated in this family.  Where expm1 would overflow, a^(2n)
-    is below b^n by more than the double range, and it is b^n (-expm1(-x)).
+    exact: the error is a few ulps plus the rounding of exp's argument
+    2n ln a, up to about 2|2n ln a| ulps.  May be negative: disjoint edge
+    pairs are negatively correlated in this family.  Where x = n ln(b / a^2)
+    > 0 and a^(2n) is below the normal range, it is b^n (-expm1(-x)), since
+    a^(2n) has lost its digits there and expm1(x) may overflow.
     """
     if a_single == 0:
         return 0.0
     p2 = math.exp(2 * n_draws * _log_ratio(*a_single.as_integer_ratio()))
     ratio = b_joint / (a_single * a_single)
     x = n_draws * _log_ratio(*ratio.as_integer_ratio())
-    try:
-        return p2 * math.expm1(x)
-    except OverflowError:
+    if x > 0 and p2 < sys.float_info.min:
         return math.exp(n_draws * _log_ratio(*b_joint.as_integer_ratio())) * -math.expm1(-x)
+    return p2 * math.expm1(x)
 
 
-@_finite_sums("hypergraph-cover")
 def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     """Summary for the coverage family over the C(N,2) edges of K_N.
 
@@ -598,21 +581,22 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     if N < 4:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
-    _check_double_range("hypergraph-cover", count)
     a, b_s, b_d = (_per_draw_avoid(N, k, *x) for x in (_EDGE, _SHARING, _DISJOINT))
     # hypergraph_edge_prob and hypergraph_joint_probs, from the same rationals
     p, q_s, q_d = (
         LogProb(n_draws * _log_ratio(*x.as_integer_ratio())).linear for x in (a, b_s, b_d)
     )
 
-    share_pairs = count * (N - 2)
-    disjoint_pairs = count * comb(N - 2, 2) // 2
+    def sums() -> tuple[float, float]:
+        share_pairs = count * (N - 2)
+        disjoint_pairs = count * comb(N - 2, 2) // 2
+        delta = share_pairs * q_s + disjoint_pairs * q_d
+        cov = share_pairs * _pair_cov(b_s, a, n_draws) + disjoint_pairs * _pair_cov(
+            b_d, a, n_draws
+        )
+        return delta, cov
 
-    delta = share_pairs * q_s + disjoint_pairs * q_d
-    cov = share_pairs * _pair_cov(b_s, a, n_draws) + disjoint_pairs * _pair_cov(
-        b_d, a, n_draws
-    )
-    return FamilySummary(count=count, means=(p,), delta=delta, cov_sum=cov)
+    return _summary("hypergraph-cover", count, p, sums)
 
 
 def _draw_vertices(u: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -801,8 +785,7 @@ FAMILIES: dict[str, Family] = {
 
 
 def summary_for(spec: ModelSpec, variant: str = FIRST_PRINCIPLES) -> FamilySummary:
-    """Build the FamilySummary for a validated ModelSpec."""
-    spec.ensure_valid()
+    """Build the FamilySummary for a ModelSpec."""
     family, q = bind(spec)
     return family.summary(**q, variant=variant)
 
@@ -851,6 +834,5 @@ def sample_is_zero(spec: ModelSpec, rng_seed: int, trial_index: int) -> bool:
     positioned in a counter-based stream, so any parallel schedule yields
     identical results.
     """
-    spec.ensure_valid()
     u = trial_uniforms(spec, rng_seed, trial_index, 1)
     return bool(simulate_batch(spec, u)[0])

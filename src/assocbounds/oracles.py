@@ -6,6 +6,7 @@ the moment-generating-function gap verifier.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -112,7 +113,6 @@ def monte_carlo(
 
 def oracle_for(spec: ModelSpec) -> LogProb | None:
     """Exact P(Z=0) for the given model spec, or None outside the exact range."""
-    spec.ensure_valid()
     family, q = bind(spec)
     return family.exact(**q)
 
@@ -129,7 +129,8 @@ def mgf_gap_check(
     ``joint`` is an explicit law over m binary variables given as 2^m atom
     probabilities (atom index = bitmask, bit i = value of variable i).
     Both sides are computed by exhaustive expectation; returns
-    (gap, bound, holds) with holds allowing 1e-12 slack.
+    (gap, bound, holds) with holds allowing 1e-12 slack.  t must be positive
+    with m t <= ln(DBL_MAX), about 709.78, where e^{m t} stays finite.
     """
     probs = np.asarray(joint, dtype=np.float64)
     size = probs.shape[0]
@@ -142,6 +143,8 @@ def mgf_gap_check(
         raise ValueError("joint law must be a probability vector summing to 1")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    if not m * t <= math.log(sys.float_info.max):  # an infinite t too
+        raise ValueError(f"m*t must be at most ln(DBL_MAX), about 709.78: got m={m}, t={t}")
 
     atoms = np.arange(size, dtype=np.uint64)
     bits = ((atoms[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(

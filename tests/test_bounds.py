@@ -208,6 +208,13 @@ class TestLvBounds:
         with pytest.raises(ValueError):
             lv_general(s)  # neither t nor log_t
 
+    @pytest.mark.parametrize(
+        "log_t,reason", [(math.nan, "must be finite"), (800.0, "t would overflow")]
+    )
+    def test_log_form_t_refused(self, log_t, reason):
+        with pytest.raises(ValueError, match=reason):
+            lv_general(homog(3, 0.1, 0.0, 0.0), log_t=log_t)
+
     def test_log_form_override_matches_linear_t(self):
         s = homog(10, 0.25, 1.25, 0.625)
         via_t = lv_general(s, 1e-4)

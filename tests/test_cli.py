@@ -93,6 +93,15 @@ class TestBoundCommand:
         assert code == 2
         assert "lambda" in err
 
+    def test_summary_failing_validation_exits_two(self, capsys):
+        # read cleanly, but its covariance sum exceeds delta
+        doc = {"count": 10, "means": 0.1, "lambda": 1.0, "delta": 0.1,
+               "delta_bar": 1.2, "cov_sum": 0.5, "max_mean": 0.1}
+        code, out, err = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err == "error: inconsistent summary: cov_sum=0.5 exceeds delta=0.1; " \
+            "covariances cannot exceed the joint expectations they come from\n"
+
     # a lambda mismatch is test_inconsistent_summary_exits_two
     @pytest.mark.parametrize("field,value", [("delta_bar", 1.5), ("max_mean", 0.2)])
     def test_restated_value_mismatch_exits_two(self, capsys, field, value):
@@ -327,6 +336,36 @@ class TestCompareCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            ("p0.1:0.5:3", "bad sweep 'p0.1:0.5:3'; expected param=start:stop:count[:geom]"),
+            ("p=0.1:0.5", "bad sweep grid '0.1:0.5'; expected start:stop:count[:geom]"),
+            ("p=0.1:0.5:3:log", "sweep mode must be 'geom' or 'linear', got 'log'"),
+            ("p=0.1:half:3", "bad sweep grid '0.1:half:3': could not convert"),
+            ("p=0:0.5:3:geom", "geometric sweeps require positive endpoints"),
+            ("n=10:1e400:2", "bad sweep grid '10:1e400:2': endpoints must be finite"),
+            ("p=nan:0.5:2", "bad sweep grid 'nan:0.5:2': endpoints must be finite"),
+        ],
+    )
+    def test_sweep_grammar_errors_exit_two(self, capsys, sweep, message):
+        code, out, err = run_main(
+            capsys, "compare", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.5",
+            "--sweep", sweep,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: " + message) and "Warning" not in err
+
+    def test_one_point_sweep_uses_the_start(self, capsys):
+        code, out, _ = run_main(
+            capsys, "compare", "--model", "runs", "--n", "10", "--k", "2",
+            "--sweep", "p=0.2:0.9:1",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sweep"]["grid"] == [0.2]
+        assert [row["p"] for row in doc["rows"]] == [0.2]
+
     def test_missing_sweep_exits_two(self, capsys):
         code, _, _ = run_main(
             capsys, "compare", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.5"
@@ -463,6 +502,18 @@ class TestMcCommand:
         doc = json.loads(out)
         assert doc["estimate"] == 1.0 and doc["successes"] == 200
 
+    @pytest.mark.parametrize(
+        "flag", [["--variant", "paper"], ["--eq2-form", "standard"]], ids=lambda f: f[0]
+    )
+    def test_formula_flags_rejected(self, capsys, flag):
+        # mc reads no summary, so the formula flags have no meaning here
+        code, out, err = run_main(
+            capsys, "mc", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.5",
+            "--trials", "100", *flag,
+        )
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: " + " ".join(flag) in err
+
     def test_estimate_tracks_exact_value(self, capsys):
         code, out, _ = run_main(
             capsys, "mc", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.5",
@@ -497,6 +548,27 @@ class TestLemmaCheckCommand:
     def test_too_many_variables_exits_two(self, capsys):
         code, _, err = run_main(capsys, "lemma-check", "--m", "12")
         assert code == 2 and "m" in err
+
+    def test_no_laws_exits_two(self, capsys):
+        code, out, err = run_main(capsys, "lemma-check", "--count", "0")
+        assert code == 2 and out == ""
+        assert err == "error: count must be >= 1, got 0\n"
+
+    # e^{m t} overflows past m t = ln(DBL_MAX), about 709.78: a usage error,
+    # not a verification failure (exit 1) or 100 reported violations
+    @pytest.mark.parametrize(
+        "flags", [["--t", "178"], ["--m", "10", "--t", "71"], ["--t", "inf"]]
+    )
+    def test_t_beyond_the_double_range_exits_two(self, capsys, flags):
+        code, out, err = run_main(capsys, "lemma-check", *flags, "--count", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: m*t must be at most ln(DBL_MAX)")
+
+    @pytest.mark.parametrize("t", ["0", "-1", "nan"])
+    def test_nonpositive_t_exits_two(self, capsys, t):
+        code, out, err = run_main(capsys, "lemma-check", "--t", t)
+        assert code == 2 and out == ""
+        assert err == f"error: t must be positive, got {float(t)}\n"
 
 
 # Flags given out of order; printed params follow the flag order n, k, p, N,

@@ -8,10 +8,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from assocbounds import models, oracles
 from assocbounds.family import ModelSpec
 from assocbounds.models import (
+    _DISJOINT,
+    _EDGE,
+    _SHARING,
     FIRST_PRINCIPLES,
     PAPER_AS_PRINTED,
     _pair_cov,
@@ -199,6 +204,14 @@ class TestHypergraphProbabilities:
         q_s, q_d = hypergraph_joint_probs(5, 5, 3)
         assert q_s.linear == 0.0 and q_d.linear == 0.0
 
+    def test_joint_probs_on_three_and_two_vertices(self):
+        # K_3 has no disjoint pair of edges, reported as probability zero
+        q_s, q_d = hypergraph_joint_probs(3, 2, 2)
+        assert q_s.linear == pytest.approx(1 / 9, rel=1e-15)
+        assert q_d.log_value == -math.inf
+        with pytest.raises(ValueError, match="require N >= 3, got N=2"):
+            hypergraph_joint_probs(2, 2, 1)
+
     def test_edge_prob_single_draw(self):
         assert hypergraph_edge_prob(3, 2, 1).linear == pytest.approx(2 / 3, rel=1e-15)
 
@@ -242,6 +255,24 @@ class TestHypergraphProbabilities:
         s = hypergraph_summary(N, k, n_draws)
         assert_matches_enumeration(s, enum_hypergraph_family(N, k, n_draws))
 
+    @pytest.mark.parametrize("pattern", [_EDGE, _SHARING, _DISJOINT])
+    def test_per_draw_avoid_counts_the_free_draws(self, pattern):
+        # the free k-subsets: counts[j] ways to take j independent vertices
+        # of the span, times C(N - span, k - j) for the rest
+        span, counts = pattern
+        for N in range(span, 13):
+            for k in range(2, N + 1):
+                free = sum(c * math.comb(N - span, k - j) for j, c in enumerate(counts))
+                assert _per_draw_avoid(N, k, *pattern) == Fraction(free, math.comb(N, k))
+
+    def test_huge_draws_are_cheap(self):
+        # each per-draw rational is a ratio of falling factorials with at
+        # most 4 factors, so a 10^4-vertex draw costs what a 3-vertex one does
+        with pytest.raises(ValueError, match=r"indicators is about 10\^319\.7"):
+            hypergraph_summary(10**160, 10**4, 1)
+        s = hypergraph_summary(10**50, 10**4, 5)
+        assert s.count == math.comb(10**50, 2) and s.means == (1.0,)
+
     @pytest.mark.parametrize("N", [10**4, 10**6])
     @pytest.mark.parametrize("k", [3, 5])
     def test_large_N_against_exact_rationals(self, N, k):
@@ -281,6 +312,29 @@ class TestHypergraphProbabilities:
                 cov_disjoint, rel=1e-12, abs=0.0
             )
 
+    @given(
+        st.integers(4, 2000).flatmap(
+            lambda N: st.tuples(st.just(N), st.integers(2, N - 1))
+        ),
+        st.integers(1, 10**6),
+        st.sampled_from([_SHARING, _DISJOINT]),
+    )
+    @example((7, 3), 20, _DISJOINT)  # a negative covariance
+    @example((1000, 999), 60, _SHARING)  # a^(2n) rounds to 0, b^n = 1e-180 does not
+    @example((1000, 999), 200, _SHARING)  # expm1(n ln(b/a^2)) would overflow
+    def test_pair_cov_against_60_digits(self, shape, n_draws, pattern):
+        N, k = shape
+        a, b = _per_draw_avoid(N, k, *_EDGE), _per_draw_avoid(N, k, *pattern)
+        with mpmath.workdps(60):
+            exact = (mpmath.mpf(b.numerator) / b.denominator) ** n_draws - (
+                mpmath.mpf(a.numerator) / a.denominator
+            ) ** (2 * n_draws)
+            err = abs(_pair_cov(b, a, n_draws) - exact)
+            # the docstring's bound, and two subnormal ulps where the
+            # covariance falls below the normal range
+            ulps = 4 + 2 * abs(2 * n_draws * math.log(a))
+            assert err <= ulps * 2.0**-52 * abs(exact) + 2.0**-1073, (err, exact)
+
     def test_pair_cov_where_expm1_would_overflow(self):
         # n ln(b/a^2) = 400 ln 8 > 709: a^(2n) = 2^-1600 underflows while
         # b^n = 2^-400 does not, and the covariance is b^n to 1 - 2^-1200
@@ -306,6 +360,41 @@ class TestHypergraphProbabilities:
             hypergraph_edge_prob(5, 1, 4)
         with pytest.raises(ValueError):
             hypergraph_edge_prob(5, 3, 0)
+
+
+def test_unknown_variant_refused():
+    with pytest.raises(ValueError, match="variant must be one of"):
+        runs_summary(10, 2, 0.5, "printed")
+
+
+INVALID_SPECS = [
+    ModelSpec("runs", {"n": 3, "k": 5, "p": 0.5}),
+    ModelSpec("runs", {"n": 10}),
+    ModelSpec("runs", {"n": 10.5, "k": 2, "p": 1.5}),
+    ModelSpec("lattice", {"n": 10}),
+]
+
+
+# every public function that reads a spec refuses an invalid one, with the
+# spec's own violations
+@pytest.mark.parametrize(
+    "call",
+    [
+        models.summary_for,
+        oracles.oracle_for,
+        models.trial_budget,
+        lambda spec: simulate_batch(spec, np.zeros((1, 3))),
+        lambda spec: monte_carlo(spec, 10),
+        lambda spec: sample_is_zero(spec, 7, 0),
+    ],
+    ids=["summary_for", "oracle_for", "trial_budget", "simulate_batch",
+         "monte_carlo", "sample_is_zero"],
+)
+@pytest.mark.parametrize("spec", INVALID_SPECS, ids=["n<k", "missing", "fractional", "unknown"])
+def test_invalid_spec_refused_with_its_violations(call, spec):
+    with pytest.raises(ValueError) as refused:
+        call(spec)
+    assert str(refused.value) == "; ".join(spec.validate())
 
 
 class TestCovBoundedByDelta:

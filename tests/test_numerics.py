@@ -31,6 +31,9 @@ class TestLogProb:
         with pytest.raises(ValueError):
             LogProb(float("inf"))
 
+    def test_linear_overflow_saturates(self):
+        assert LogProb(800.0).linear == math.inf
+
     def test_negative_infinity_encodes_zero(self):
         z = LogProb(NEG_INF)
         assert z.linear == 0.0

@@ -350,6 +350,17 @@ class TestMgfGapCheck:
         with pytest.raises(ValueError):
             mgf_gap_check(np.array([0.5, 0.25, 0.25]), 1.0)
 
+    # e^{m t} overflows past m t = ln(DBL_MAX), about 709.78
+    @pytest.mark.parametrize("m,t", [(4, 178.0), (10, 71.0), (1, 709.8), (2, math.inf)])
+    def test_t_beyond_the_double_range_rejected(self, m, t):
+        joint = np.full(1 << m, 1.0 / (1 << m))
+        with pytest.raises(ValueError, match=r"m\*t must be at most ln\(DBL_MAX\)"):
+            mgf_gap_check(joint, t)
+
+    def test_t_just_inside_the_double_range_computes(self):
+        gap, bound, holds = mgf_gap_check(np.array([0.7, 0.0, 0.0, 0.3]), 354.0)
+        assert math.isfinite(gap) and holds and bound == math.inf
+
     def test_random_monotone_laws_satisfy_bound(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
@@ -383,6 +394,11 @@ class TestMonteCarlo:
         est = monte_carlo(spec, 5000, seed=8)
         assert est.ci.lower <= est.estimate <= est.ci.upper
         assert est.successes == round(est.estimate * est.trials)
+
+    def test_trial_count_must_be_positive(self):
+        spec = ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5})
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            monte_carlo(spec, 0)
 
     def test_worker_count_capped(self):
         # rejected before the pool exists, so no thread starts
