@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Any, Callable
 
+import numpy as np
+
 from .family import FamilySummary
 from .numerics import NEG_INF, LogProb, json_log_linear, log_add_floats, minimize_scalar
 
@@ -133,19 +135,36 @@ def _tilted_product(s: FamilySummary) -> Callable[[float, float], LogProb]:
     """(t, log_w) -> ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum).
 
     The bounds that read the means, lv-iid aside, are points of it (see the
-    module docstring).  The summary's weight, means and ln cov_sum are bound once:
-    lv-optimal evaluates the function about 55 times per summary.
+    module docstring).  The summary's means and ln cov_sum are bound once:
+    lv-optimal evaluates the function about 55 times per summary.  A shared
+    mean is evaluated in scalar ``math`` (numpy's cost per call would exceed
+    that of the one term), several means in one numpy pass.  On either path
+    each term ln(1 - p + p e^{-t}) is log1p(p expm1(-t)), exactly -t at p = 1
+    and log1p(-p) at t = inf, and the log product keeps a relative accuracy
+    of 1e-14 wherever every p (1 - e^{-t}) <= 1/2.
     """
-    weight, means, log_cov = s.count // len(s.means), s.means, _log_cov(s)
+    log_cov = _log_cov(s)
+    if len(s.means) == 1:
+        weight, (p,) = s.count, s.means
+
+        def log_product(t: float) -> float:
+            term = -t if p >= 1.0 else math.log1p(p * math.expm1(-t))
+            # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
+            # to 0) read ln 1 = +0.0, as a sum over several means does
+            return weight * (term + 0.0)
+    else:
+        # one indicator per mean; certain ones (p = 1) contribute -t each and
+        # stay out of log1p, which would warn on log1p(-1) at t = inf
+        means = np.asarray(s.means, dtype=np.float64)
+        uncertain = means[means < 1.0]
+        n_certain = len(means) - len(uncertain)
+
+        def log_product(t: float) -> float:
+            total = float(np.sum(np.log1p(uncertain * math.expm1(-t))))
+            return total - n_certain * t if n_certain else total  # 0 * inf is NaN
 
     def value(t: float, log_w: float) -> LogProb:
-        # ln(1 - p + p e^{-t}) per indicator, stable for all t > 0, exactly
-        # -t at p = 1 and log1p(-p) at t = inf
-        e = math.expm1(-t)
-        product_term = weight * math.fsum(
-            [-t if p >= 1.0 else math.log1p(p * e) for p in means]
-        )
-        return LogProb(log_add_floats(product_term, log_w + log_cov))
+        return LogProb(log_add_floats(log_product(t), log_w + log_cov))
 
     return value
 

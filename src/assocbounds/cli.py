@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -379,7 +380,7 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
             violations += 1
         if bound > 0:
             worst_ratio = max(worst_ratio, gap / bound)
-        elif gap > 1e-12:  # not holds, counted above
+        elif not holds:  # a gap beyond the slack over a zero or negative bound
             worst_ratio = float("inf")
     _emit(
         {
@@ -487,10 +488,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than most commands; parse_args keeps no
+# state in it, so one parser serves every main call in a process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else EXIT_OK

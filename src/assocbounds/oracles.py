@@ -129,8 +129,10 @@ def mgf_gap_check(
     ``joint`` is an explicit law over m binary variables given as 2^m atom
     probabilities (atom index = bitmask, bit i = value of variable i).
     Both sides are computed by exhaustive expectation; returns
-    (gap, bound, holds) with holds allowing 1e-12 slack.  t must be positive
-    with m t <= ln(DBL_MAX), about 709.78, where e^{m t} stays finite.
+    (gap, bound, holds).  A zero covariance sum gives a zero bound, and holds
+    allows a slack of 1e-12 times the larger of 1 and the two expectations,
+    which round relative to their size.  t must be positive with
+    m t <= ln(DBL_MAX), about 709.78, where e^{m t} stays finite.
     """
     probs = np.asarray(joint, dtype=np.float64)
     size = probs.shape[0]
@@ -161,8 +163,10 @@ def mgf_gap_check(
     second = bits.T @ (probs[:, None] * bits)
     cov = second - np.outer(marginals, marginals)
     cov_sum = float(np.triu(cov, k=1).sum())
-    bound = t * t * math.exp(m * t) * cov_sum
-    return gap, bound, gap <= bound + 1e-12
+    # where t^2 e^{m t} overflows, a zero sum would read inf * 0 = NaN
+    bound = t * t * math.exp(m * t) * cov_sum if cov_sum != 0.0 else 0.0
+    slack = 1e-12 * max(1.0, e_joint, e_product)
+    return gap, bound, gap <= bound + slack
 
 
 def random_monotone_joint(

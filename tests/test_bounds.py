@@ -364,7 +364,10 @@ def tilted_points(draw):
     if draw(st.booleans()):
         s = homog(draw(st.integers(1, 10**9)), draw(mean), 0.0, cov)
     else:
-        s = hetero(draw(st.lists(mean, min_size=1, max_size=30)), 0.0, cov)
+        # a size drawn evenly, so that most lists pass the 128 terms past
+        # which numpy's pairwise summation splits the sum into blocks
+        size = draw(st.integers(1, 300))
+        s = hetero(draw(st.lists(mean, min_size=size, max_size=size)), 0.0, cov)
     return s, t, draw(st.one_of(st.just(-math.inf), st.floats(-800.0, 50.0)))
 
 
@@ -382,6 +385,27 @@ class TestTiltedProductPrecision:
         # absolute accuracy of the larger of them, which may cancel
         scale = max(1.0, abs(value), abs(log_w) if log_w > -math.inf else 0.0)
         assert f(t, log_w).log_value == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e-12, 1e-3, 0.5, math.inf])
+    def test_thousands_of_means_with_zero_and_one(self, t):
+        means = np.random.default_rng(13).uniform(1e-4, 0.05, 5000).tolist()
+        means[::1000] = [0.0] * 5
+        means[500::1000] = [1.0] * 5
+        s = hetero(means, 0.0, 1.0)
+        log_product, value = mp_tilted(s, t, 0.0)
+        f = bounds._tilted_product(s)
+        assert f(t, -math.inf).log_value == pytest.approx(log_product, rel=1e-14, abs=0.0)
+        # the log-sum with ln cov_sum = 0 keeps absolute accuracy, as above
+        scale = max(1.0, abs(value))
+        assert f(t, 0.0).log_value == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
+
+    # ln 1 prints as 0.0, not -0.0: p = 0, or p = 1 at a log-form t that
+    # underflows to 0
+    @pytest.mark.parametrize("means,t", [([0.0], 0.5), ([0.0, 0.0], 0.5), ([1.0], 0.0)])
+    def test_a_product_of_ones_reads_plus_zero(self, means, t):
+        log_product = bounds._tilted_product(hetero(means, 0.0, 0.0))(t, -math.inf).log_value
+        assert math.copysign(1.0, log_product) == 1.0
 
     @pytest.mark.xfail(
         strict=True,

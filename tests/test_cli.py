@@ -545,6 +545,14 @@ class TestLemmaCheckCommand:
         assert doc["violations"] == 0
         assert 0.0 <= doc["max_gap_over_bound"] <= 1.0
 
+    # e^{m t} large: the rounding of the expectations is not a violation
+    @pytest.mark.parametrize("t", ["40", "700"])
+    def test_single_variable_passes_at_large_t(self, capsys, t):
+        code, out, _ = run_main(capsys, "lemma-check", "--m", "1", "--t", t, "--count", "20")
+        doc = json.loads(out)
+        assert code == 0 and doc["violations"] == 0
+        assert doc["max_gap_over_bound"] == 0.0
+
     def test_too_many_variables_exits_two(self, capsys):
         code, _, err = run_main(capsys, "lemma-check", "--m", "12")
         assert code == 2 and "m" in err

@@ -127,6 +127,13 @@ def test_output_matches_the_recorded_one(golden, i):
     assert run(COMMANDS[i]) == golden[i]
 
 
+def test_one_parser_serves_the_corpus_in_any_order(golden):
+    # main parses with one parser per process; backwards, the usage errors
+    # run before the valid commands, and no call may see an earlier one's state
+    for i in reversed(range(len(COMMANDS))):
+        assert run(COMMANDS[i]) == golden[i], COMMANDS[i]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run(a) for a in COMMANDS], indent=1) + "\n")

@@ -361,6 +361,19 @@ class TestMgfGapCheck:
         gap, bound, holds = mgf_gap_check(np.array([0.7, 0.0, 0.0, 0.3]), 354.0)
         assert math.isfinite(gap) and holds and bound == math.inf
 
+    # one variable: gap 0 up to rounding relative to E e^{tX}, covariance 0;
+    # at t = 700 the bound t^2 e^{700} * 0 must read 0, not inf * 0 = NaN
+    @pytest.mark.parametrize("t", [40.0, 700.0])
+    def test_single_variable_holds_at_large_t(self, t):
+        gap, bound, holds = mgf_gap_check(np.array([0.7, 0.3]), t)
+        assert holds and bound == 0.0
+
+    # X2 = 1 - X1: covariance -1/4, so the bound is negative and the gap is not
+    @pytest.mark.parametrize("t", [1.0, 40.0, 300.0])
+    def test_negative_covariance_fails(self, t):
+        gap, bound, holds = mgf_gap_check(np.array([0.0, 0.5, 0.5, 0.0]), t)
+        assert bound < 0.0 < gap and not holds
+
     def test_random_monotone_laws_satisfy_bound(self):
         rng = np.random.default_rng(77)
         for _ in range(200):
