@@ -59,6 +59,9 @@ METHOD_ORDER = (
 )
 UPPER_METHODS = METHOD_ORDER[:-1]
 
+# janson-ratio's forms: as printed in its source, and the literature form.
+EQ2_FORMS = ("printed", "standard")
+
 # lv-optimal searches t in [T_GRID_MIN, T_GRID_MAX] (see minimize_scalar).
 # The cap at 50 makes the cov_sum=0 limit numerically exact:
 # exp(-50)*p/(1-p) is below double rounding for any p of interest.
@@ -182,6 +185,11 @@ def janson_basic(s: FamilySummary) -> BoundResult:
     return BoundResult("janson-basic", LogProb(-s.lambda_ + s.delta))
 
 
+def _check_form(form: str) -> None:
+    if form not in EQ2_FORMS:
+        raise ValueError(f"form must be one of {EQ2_FORMS}, got {form!r}")
+
+
 def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
     """Ratio-form bound: exp(-lambda/delta_bar^2) or exp(-lambda^2/delta_bar).
 
@@ -189,6 +197,7 @@ def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
     dimensionally suspect and is demonstrably not a valid upper bound at
     small lambda (see the tests).  ``standard`` selects the literature form.
     """
+    _check_form(form)
     if s.delta_bar <= 0:
         raise ValueError(
             f"janson-ratio requires delta_bar > 0, got {s.delta_bar} "
@@ -196,10 +205,8 @@ def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
         )
     if form == "printed":
         exponent = -s.lambda_ / (s.delta_bar * s.delta_bar)
-    elif form == "standard":
-        exponent = -(s.lambda_ * s.lambda_) / s.delta_bar
     else:
-        raise ValueError(f"form must be 'printed' or 'standard', got {form!r}")
+        exponent = -(s.lambda_ * s.lambda_) / s.delta_bar
     return BoundResult("janson-ratio", LogProb(exponent))
 
 
@@ -317,9 +324,13 @@ def evaluate_all(
     with the reason.  Without a t override, the lv entries are reported at
     the optimizer's t; an explicit t (or log-form log_t) adds an lv-general
     entry at that t and moves lv-iid onto it, while lv-optimal is always the
-    minimized bound.
+    minimized bound.  A bad override or form raises ValueError before any
+    bound is evaluated.
     """
+    _check_form(eq2_form)
     explicit_t = t is not None or log_t is not None
+    if explicit_t:
+        _resolve_t(t, log_t)
     entries: list[BoundEntry] = []
 
     def attempt(method: str, fn) -> BoundEntry:
@@ -334,9 +345,7 @@ def evaluate_all(
     entries.append(attempt("boutsikas-koutras", lambda: boutsikas_koutras(s)))
 
     if explicit_t:
-        entries.append(
-            attempt("lv-general", lambda: lv_general(s, t, log_t=log_t))
-        )
+        entries.append(attempt("lv-general", lambda: lv_general(s, t, log_t=log_t)))
 
     optimal = attempt("lv-optimal", lambda: lv_optimal(s))
 

@@ -63,8 +63,9 @@ CSV_COLUMNS = (
 
 
 def _parse_t(text: str | None) -> tuple[float | None, float | None]:
-    """--t accepts a positive real or 'log:<real>' for exponents that
-    underflow in linear form; (None, None) when it is not given."""
+    """--t as (t, None), or (None, log_t) for 'log:<real>', which reaches
+    exponents that underflow in linear form; (None, None) when it is not
+    given.  bounds.evaluate_all refuses a value out of range."""
     if text is None:
         return None, None
     log_form = text.startswith("log:")
@@ -72,13 +73,7 @@ def _parse_t(text: str | None) -> tuple[float | None, float | None]:
         value = float(text.removeprefix("log:"))
     except ValueError as exc:
         raise ValueError(f"bad {'log-form t' if log_form else 't'} {text!r}: {exc}") from exc
-    if log_form:
-        if not math.isfinite(value):
-            raise ValueError(f"log-form t must be finite, got {text!r}")
-        return None, value
-    if not value > 0 or math.isinf(value):
-        raise ValueError(f"t must be a positive finite real, got {text!r}")
-    return value, None
+    return (None, value) if log_form else (value, None)
 
 
 def _spec_from_args(args: argparse.Namespace) -> ModelSpec:
@@ -230,6 +225,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # each point is validated on its own; violations name the bad values
         spec = _spec_from_args(argparse.Namespace(**{**vars(args), param: cast}))
         summaries = [models.summary_for(spec, variant=v) for v in variants]
+        # before the oracle and the trials, so evaluate_all refuses a bad
+        # --t or --eq2-form before either runs
+        evaluated = [
+            bounds_mod.evaluate_all(s, t=t, log_t=log_t, eq2_form=args.eq2_form)
+            for s in summaries
+        ]
         # the truth depends on the spec alone, not on the formula variant
         oracle = oracles.oracle_for(spec) if args.oracle else None
         mc = (
@@ -237,10 +238,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if args.mc
             else None
         )
-        for variant, summary in zip(variants, summaries):
-            entries = bounds_mod.evaluate_all(
-                summary, t=t, log_t=log_t, eq2_form=args.eq2_form
-            )
+        for variant, summary, entries in zip(variants, summaries, evaluated):
             rows.append(_row(spec, variant, args.eq2_form, summary, entries, oracle, mc))
 
     if args.format == "csv":
@@ -251,24 +249,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def render_csv(rows: list[dict[str, Any]]) -> str:
-    """CSV with the fixed documented header; floats use repr so every value
-    round-trips to the exact double."""
+    """CSV with the fixed documented header.  The writer writes None as an
+    empty field and a float as its repr, so every value round-trips to the
+    exact double; booleans are written true and false."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        out = []
-        for col in CSV_COLUMNS:
-            v = row.get(col)
-            if v is None:
-                out.append("")
-            elif isinstance(v, bool):
-                out.append("true" if v else "false")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        writer.writerow(out)
+        values = (row.get(col) for col in CSV_COLUMNS)
+        writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in values)
     return buf.getvalue()
 
 
@@ -432,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     formulas.add_argument(
         "--eq2-form",
-        choices=["printed", "standard"],
+        choices=bounds_mod.EQ2_FORMS,
         default="printed",
         help="ratio-form bound: as printed in its source, or the literature form",
     )

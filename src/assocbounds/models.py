@@ -44,25 +44,24 @@ VARIANTS = (FIRST_PRINCIPLES, PAPER_AS_PRINTED)
 _LN2 = math.log(2.0)
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
 def _raise_first(violations: list[str]) -> None:
     if violations:
         raise ValueError(violations[0])
 
 
 def _summary(
-    family: str, count: int, mean: float, sums: Callable[[], tuple[float, float]]
+    family: str, variant: str, count: int, mean: float,
+    sums: Callable[[], tuple[float, float]],
 ) -> FamilySummary:
     """The summary of ``count`` indicators of one mean; ``sums()`` gives
-    (delta, cov_sum).  A ValueError naming the double range (about 1.8e308)
-    refuses a count beyond it, before ``sums`` runs, and a delta or cov_sum
-    outside it (an inf, a NaN from 0 * inf, an OverflowError).  delta_bar =
+    (delta, cov_sum) in the formula variant.  A ValueError refuses a variant
+    outside VARIANTS and, naming the double range (about 1.8e308), a count
+    beyond it, both before ``sums`` runs, and a delta or cov_sum outside it
+    (an inf, a NaN from 0 * inf, an OverflowError).  delta_bar =
     lambda + 2*delta may round to inf where delta does not: the ratio bound
     is then vacuous."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if count > sys.float_info.max:
         raise ValueError(
             f"{family} summary: the number of indicators is about "
@@ -153,7 +152,6 @@ def runs_summary(
     The printed variant halves the pair count (one neighbor per offset) and
     reuses delta as the covariance sum.
     """
-    _check_variant(variant)
     _raise_first(_runs_violations(n, k, p))
     if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
@@ -164,7 +162,7 @@ def runs_summary(
             return 0.5 * joint, 0.5 * joint
         return joint, math.fsum(n * (p ** (k + d) - p ** (2 * k)) for d in range(1, k))
 
-    return _summary("runs", n, p**k, sums)
+    return _summary("runs", variant, n, p**k, sums)
 
 
 def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
@@ -296,7 +294,6 @@ def triangles_summary(
     each triangle shares an edge with exactly 3(n-3) others.  The printed
     variant uses 3n partners instead and reuses delta as the covariance sum.
     """
-    _check_variant(variant)
     _raise_first(_triangles_violations(n, p))
     count = comb(n, 3)
     partners = 3 * n if variant == PAPER_AS_PRINTED else 3 * (n - 3)
@@ -307,7 +304,7 @@ def triangles_summary(
             return delta, delta
         return delta, 0.5 * count * partners * (p**5 - p**6)
 
-    return _summary("triangles", count, p**3, sums)
+    return _summary("triangles", variant, count, p**3, sums)
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +408,6 @@ def ustat_summary(
     Raises ValueError where C(n,k), delta or cov_sum exceeds the double
     range (about 1.8e308); ``ustat_zero_exact`` still covers such specs.
     """
-    _check_variant(variant)
     _raise_first(_ustat_violations(n, k, p))
     count = comb(n, k)
 
@@ -431,7 +427,7 @@ def ustat_summary(
         )
         return delta, cov
 
-    return _summary("ustat", count, p**k, sums)
+    return _summary("ustat", variant, count, p**k, sums)
 
 
 def _ustat_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
@@ -520,11 +516,16 @@ def _log_ratio(num: int, den: int) -> float:
     return math.log1p((num - den) / den) if 2 * num > den else math.log(num / den)
 
 
+def _log_uncovered(x: Fraction, n_draws: int) -> float:
+    """n_draws ln x, by :func:`_log_ratio` of the exact rational x: ln P(a
+    pattern stays uncovered) where x is its :func:`_per_draw_avoid`."""
+    return n_draws * _log_ratio(*x.as_integer_ratio())
+
+
 def hypergraph_edge_prob(N: int, k: int, n_draws: int) -> LogProb:
     """P(a fixed edge of K_N is uncovered after n_draws uniform k-cliques)."""
     _raise_first(_hyper_violations(N, k, n_draws))
-    a = _per_draw_avoid(N, k, *_EDGE)
-    return LogProb(n_draws * _log_ratio(*a.as_integer_ratio()))
+    return LogProb(_log_uncovered(_per_draw_avoid(N, k, *_EDGE), n_draws))
 
 
 def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogProb]:
@@ -536,12 +537,10 @@ def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogPr
     _raise_first(_hyper_violations(N, k, n_draws))
     if N < 3:
         raise ValueError(f"joint probabilities require N >= 3, got N={N}")
-    share = _per_draw_avoid(N, k, *_SHARING)
-    q_share = LogProb(n_draws * _log_ratio(*share.as_integer_ratio()))
+    q_share = LogProb(_log_uncovered(_per_draw_avoid(N, k, *_SHARING), n_draws))
     if N < 4:
         return q_share, LogProb(NEG_INF)
-    disjoint = _per_draw_avoid(N, k, *_DISJOINT)
-    return q_share, LogProb(n_draws * _log_ratio(*disjoint.as_integer_ratio()))
+    return q_share, LogProb(_log_uncovered(_per_draw_avoid(N, k, *_DISJOINT), n_draws))
 
 
 def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
@@ -558,15 +557,16 @@ def _pair_cov(b_joint: Fraction, a_single: Fraction, n_draws: int) -> float:
     """
     if a_single == 0:
         return 0.0
-    p2 = math.exp(2 * n_draws * _log_ratio(*a_single.as_integer_ratio()))
-    ratio = b_joint / (a_single * a_single)
-    x = n_draws * _log_ratio(*ratio.as_integer_ratio())
+    p2 = math.exp(_log_uncovered(a_single, 2 * n_draws))
+    x = _log_uncovered(b_joint / (a_single * a_single), n_draws)
     if x > 0 and p2 < sys.float_info.min:
-        return math.exp(n_draws * _log_ratio(*b_joint.as_integer_ratio())) * -math.expm1(-x)
+        return math.exp(_log_uncovered(b_joint, n_draws)) * -math.expm1(-x)
     return p2 * math.expm1(x)
 
 
-def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
+def hypergraph_summary(
+    N: int, k: int, n_draws: int, variant: str = FIRST_PRINCIPLES
+) -> FamilySummary:
     """Summary for the coverage family over the C(N,2) edges of K_N.
 
     Every pair of edges is correlated: each edge has 2(N-2) vertex-sharing
@@ -575,17 +575,15 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
     from exact per-draw rationals (:func:`_pair_cov`); the disjoint ones are
     negative (two disjoint edges can only compete for draws), so cov_sum
     itself can be negative, in which case the family is not positively
-    associated and the additive bounds refuse to run.
+    associated and the additive bounds refuse to run.  Both variants give
+    this summary: there is no printed closed form to reproduce.
     """
     _raise_first(_hyper_violations(N, k, n_draws))
     if N < 4:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
     a, b_s, b_d = (_per_draw_avoid(N, k, *x) for x in (_EDGE, _SHARING, _DISJOINT))
-    # hypergraph_edge_prob and hypergraph_joint_probs, from the same rationals
-    p, q_s, q_d = (
-        LogProb(n_draws * _log_ratio(*x.as_integer_ratio())).linear for x in (a, b_s, b_d)
-    )
+    p, q_s, q_d = (LogProb(_log_uncovered(x, n_draws)).linear for x in (a, b_s, b_d))
 
     def sums() -> tuple[float, float]:
         share_pairs = count * (N - 2)
@@ -596,20 +594,24 @@ def hypergraph_summary(N: int, k: int, n_draws: int) -> FamilySummary:
         )
         return delta, cov
 
-    return _summary("hypergraph-cover", count, p, sums)
+    return _summary("hypergraph-cover", variant, count, p, sums)
 
 
-def _draw_vertices(u: np.ndarray, N: int, k: int) -> np.ndarray:
-    """The k vertices of K_N that each row of uniforms u (rows, k) draws.
+def _choices(u: np.ndarray, N: int, k: int) -> np.ndarray:
+    """The partial Fisher-Yates choices of uniforms u (rows, draws * k), k
+    per draw: step j of a draw chooses c_j = min(floor(u_j (N - j)), N-1-j)."""
+    radix = N - np.arange(u.shape[1], dtype=np.int32) % k
+    choice = (u * radix).astype(np.int32)
+    return np.minimum(choice, radix - 1, out=choice)
 
-    Partial Fisher-Yates: step j swaps position j with position
-    j + min(floor(u_j (N - j)), N - 1 - j), one uniform per step.
-    """
-    rows = np.arange(u.shape[0])
-    perm = np.tile(np.arange(N, dtype=np.int64), (u.shape[0], 1))
+
+def _draw_vertices(choices: np.ndarray, N: int, k: int) -> np.ndarray:
+    """The k vertices of K_N that each row of choices (rows, k) draws:
+    step j swaps position j with position j + c_j."""
+    rows = np.arange(choices.shape[0])
+    perm = np.tile(np.arange(N, dtype=np.int64), (choices.shape[0], 1))
     for j in range(k):
-        idx = j + (u[:, j] * (N - j)).astype(np.int64)
-        np.minimum(idx, N - 1, out=idx)
+        idx = j + choices[:, j]
         chosen = perm[rows, idx]
         perm[rows, idx] = perm[:, j]
         perm[:, j] = chosen
@@ -631,21 +633,20 @@ def _cover_table(N: int, k: int) -> np.ndarray | None:
     """Clique edge masks of every Fisher-Yates draw, or None over the cap.
 
     Row c holds the edges of K_N (bit e % 64 of word e // 64) that the draw
-    with choice code c covers.  The draw's choices c_j = min(floor(u_j (N-j)),
-    N-1-j) form the mixed-radix code c = (..(c_0 (N-1) + c_1)(N-2) + ..)
-    (N-k+1) + c_{k-1} in [0, N!/(N-k)!).  Each row is built by running the
-    draw on the midpoint uniforms (c_j + 1/2)/(N - j), whose choices are c_j.
+    with choice code c covers.  The draw's :func:`_choices` c_j form the
+    mixed-radix code c = (..(c_0 (N-1) + c_1)(N-2) + ..)(N-k+1) + c_{k-1} in
+    [0, N!/(N-k)!), whose digits row c passes to :func:`_draw_vertices`.
     The table is shared between callers and read-only.
     """
     words = -(-comb(N, 2) // 64)
     codes = math.perm(N, k)
     if codes * words > _TABLE_WORDS:
         return None
-    choices = np.empty((codes, k), dtype=np.float64)
+    choices = np.empty((codes, k), dtype=np.int64)
     rest = np.arange(codes, dtype=np.int64)
     for j in reversed(range(k)):
         rest, choices[:, j] = np.divmod(rest, N - j)
-    vertices = _draw_vertices((choices + 0.5) / (N - np.arange(k)), N, k)
+    vertices = _draw_vertices(choices, N, k)
     edges = _edge_table(N)
     table = np.zeros((codes, words), dtype=np.uint64)
     rows = np.arange(codes)
@@ -670,14 +671,11 @@ def _hyper_sample(
         return _hyper_sample_by_draw(uniforms, N, k, n_draws)
     full = np.bitwise_or.reduce(table)  # every edge lies in some draw
     step = max(1, min(n_draws, _GATHER_WORDS // (max(batch, 1) * table.shape[1])))
-    radix = np.tile(N - np.arange(k, dtype=np.int32), step)  # N - j per uniform
     covered = np.zeros((batch, table.shape[1]), dtype=np.uint64)
     for r in range(0, n_draws, step):
         draws = min(step, n_draws - r)
         u = uniforms[:, r * k : (r + draws) * k]
-        choice = (u * radix[: draws * k]).astype(np.int32)
-        np.minimum(choice, radix[: draws * k] - 1, out=choice)
-        choice = choice.reshape(batch, draws, k)
+        choice = _choices(u, N, k).reshape(batch, draws, k)
         code = choice[..., 0]
         for j in range(1, k):
             code = code * (N - j) + choice[..., j]
@@ -697,7 +695,7 @@ def _hyper_sample_by_draw(
     rows = np.arange(batch)
     pairs = list(combinations(range(k), 2))
     for r in range(n_draws):
-        vertices = _draw_vertices(uniforms[:, r * k : (r + 1) * k], N, k)
+        vertices = _draw_vertices(_choices(uniforms[:, r * k : (r + 1) * k], N, k), N, k)
         for a, b in pairs:
             covered[rows, table[vertices[:, a], vertices[:, b]]] = True
         if covered.all():
@@ -771,9 +769,7 @@ FAMILIES: dict[str, Family] = {
     "hypergraph-cover": Family(
         params={"N": int, "k": int, "n_draws": int},
         check=_hyper_violations,
-        # No printed/first-principles split here: delta and covariances come
-        # straight from the exact joint-probability formulas.
-        summary=lambda N, k, n_draws, variant: hypergraph_summary(N, k, n_draws),
+        summary=hypergraph_summary,
         budget=lambda N, k, n_draws: n_draws * k,
         sample=_hyper_sample,
         exact=lambda N, k, n_draws: (
@@ -796,12 +792,6 @@ def trial_budget(spec: ModelSpec) -> int:
     return family.budget(**q)
 
 
-def _blocks_per_trial(spec: ModelSpec) -> int:
-    # Philox emits 4 uint64 words per counter value; each uniform double
-    # consumes one word, so pad the per-trial budget to a whole block count.
-    return max(1, -(-trial_budget(spec) // 4))
-
-
 def trial_uniforms(
     spec: ModelSpec, seed: int, start: int, count: int
 ) -> np.ndarray:
@@ -811,8 +801,10 @@ def trial_uniforms(
     keyed by the seed, so any batching or parallel split reproduces the
     per-trial values exactly.
     """
-    bpt = _blocks_per_trial(spec)
     budget = trial_budget(spec)
+    # Philox emits 4 uint64 words per counter value; each uniform double
+    # consumes one word, so pad the per-trial budget to a whole block count.
+    bpt = max(1, -(-budget // 4))
     bg = np.random.Philox(key=seed, counter=start * bpt)
     raw = np.random.Generator(bg).random(count * bpt * 4)
     return raw.reshape(count, bpt * 4)[:, :budget]

@@ -84,6 +84,12 @@ def json_log_linear(lp: LogProb | None) -> tuple[float | None, float | None]:
     return (None if lv == NEG_INF else lv), linear
 
 
+def check_level(level: float) -> None:
+    """Refuse a confidence level outside (0, 1), NaN included."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """A two-sided interval for a probability, with its nominal level."""
@@ -98,8 +104,7 @@ class ConfidenceInterval:
                 f"interval must satisfy 0 <= lower <= upper <= 1, "
                 f"got [{self.lower}, {self.upper}]"
             )
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        check_level(self.level)
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper
@@ -185,8 +190,7 @@ def clopper_pearson(successes: int, trials: int, level: float) -> ConfidenceInte
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    check_level(level)
     alpha = 1.0 - level
     if successes == 0:
         lower = 0.0

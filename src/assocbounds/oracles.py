@@ -21,7 +21,7 @@ from .models import (  # noqa: F401  (re-exported: each oracle lives with its fa
     triangle_free_exact,
     ustat_zero_exact,
 )
-from .numerics import ConfidenceInterval, LogProb, clopper_pearson
+from .numerics import ConfidenceInterval, LogProb, check_level, clopper_pearson
 
 DEFAULT_SEED = 0xA55C1A7E  # documented constant so bare runs are reproducible
 
@@ -87,13 +87,15 @@ def monte_carlo(
 
     The success count is a sum over per-trial outcomes that depend only on
     (seed, trial_index), so the result is bit-identical for any worker count
-    (1 to MAX_WORKERS threads) or batching schedule.
+    (1 to MAX_WORKERS threads) or batching schedule.  A bad spec, trial
+    count, worker count or level is refused before any trial.
     """
     spec.ensure_valid()
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    check_level(level)
     if workers == 1 or trials < 2 * workers:
         successes = _count_chunk(spec, seed, 0, trials)
     else:

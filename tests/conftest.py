@@ -1,8 +1,10 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles for the test suite, and the ``no_trials``
+fixture.
 
-These enumerate full joint laws independently of the library's formulas, so
-they can certify summaries (lambda, delta, cov_sum) and zero-probabilities
-without sharing any code path with the implementations under test.
+The oracles enumerate full joint laws independently of the library's
+formulas, so they can certify summaries (lambda, delta, cov_sum) and
+zero-probabilities without sharing any code path with the implementations
+under test.
 """
 
 from __future__ import annotations
@@ -12,6 +14,18 @@ from itertools import combinations, product
 from math import comb
 
 import numpy as np
+import pytest
+
+from assocbounds import oracles
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Makes drawing any Monte Carlo trial fail the test."""
+    def no_trial(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(oracles, "trial_uniforms", no_trial)
 
 # Pair covariances below this (relative) threshold count as "uncorrelated"
 # when deciding which pairs delta sums over.

@@ -510,6 +510,31 @@ class TestEvaluateAll:
             assert {"method", "log_value", "value", "t", "vacuous",
                     "skipped_reason"} <= set(row)
 
+    @pytest.mark.parametrize(
+        "kwargs,reason",
+        [
+            ({"t": -1.0}, "positive finite"),
+            ({"t": math.inf}, "positive finite"),
+            ({"log_t": 800.0}, "t would overflow"),
+            ({"log_t": math.nan}, "must be finite"),
+            ({"t": 1.0, "log_t": 0.0}, "exactly one"),
+            ({"eq2_form": "bogus"}, "form must be one of"),
+        ],
+    )
+    def test_bad_argument_refused_before_any_bound(self, kwargs, reason, monkeypatch):
+        # a skipped row would hide the caller's mistake; no bound may run
+        def no_bound(*args, **kwargs):
+            raise AssertionError("a bound was evaluated")
+
+        for name in ("janson_basic", "janson_ratio", "lv_general", "lv_optimal"):
+            monkeypatch.setattr(bounds, name, no_bound)
+        with pytest.raises(ValueError, match=reason):
+            evaluate_all(runs_summary(10, 2, 0.5), **kwargs)
+
+    def test_janson_ratio_refuses_an_unknown_form(self):
+        with pytest.raises(ValueError, match="form must be one of"):
+            janson_ratio(runs_summary(10, 2, 0.5), form="bogus")
+
     def test_tightest_upper_excludes_lower_and_vacuous(self):
         s = runs_summary(10, 2, 0.5)
         entries = evaluate_all(s)

@@ -308,6 +308,18 @@ class TestCompareCommand:
             assert r["mc_trials"] == 4000 and r["mc_seed"] == 7
             assert 0.0 <= r["mc_ci_lower"] <= r["mc_estimate"] <= r["mc_ci_upper"] <= 1.0
 
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [(["--t", "log:800"], "overflow"), (["--level", "1.5"], "level must be in")],
+    )
+    def test_bad_option_exits_two_before_any_trial(self, capsys, flags, reason):
+        code, out, err = run_main(
+            capsys, "compare", "--model", "runs", "--n", "30", "--k", "3",
+            "--sweep", "p=0.1:0.3:3", "--mc", "--trials", "2000000", *flags,
+        )
+        assert code == 2 and out == "" and reason in err
+
     def test_hypergraph_sweep_marks_inapplicable_additive_bounds(self, capsys):
         code, out, _ = run_main(
             capsys, "compare", "--model", "hypergraph", "--N", "6", "--k", "3",
@@ -513,6 +525,14 @@ class TestMcCommand:
         )
         assert code == 2 and out == ""
         assert "unrecognized arguments: " + " ".join(flag) in err
+
+    @pytest.mark.usefixtures("no_trials")
+    def test_bad_level_exits_two_before_any_trial(self, capsys):
+        code, out, err = run_main(
+            capsys, "mc", "--model", "runs", "--n", "30", "--k", "3", "--p", "0.3",
+            "--trials", "3000000", "--level", "1.5",
+        )
+        assert code == 2 and out == "" and "level must be in (0, 1)" in err
 
     def test_estimate_tracks_exact_value(self, capsys):
         code, out, _ = run_main(

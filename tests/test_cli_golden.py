@@ -98,6 +98,10 @@ COMMANDS: list[list[str]] = [
     ["bound", "--summary", _SUMMARY_UNIT_MEAN],
     ["bound", "--model", "runs", "--n", "10", "--k", "2", "--p", "1.0"],
     ["bound", "--summary", _SUMMARY_NO_COV, "--t", "log:-700"],
+    # refused before any work: a log-form t that overflows, a level outside (0, 1)
+    ["bound", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1", "--t", "log:800"],
+    ["mc", "--model", "runs", "--n", "30", "--k", "3", "--p", "0.3", "--trials", "3000000",
+     "--level", "1.5"],
 ]
 
 

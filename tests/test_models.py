@@ -367,6 +367,29 @@ def test_unknown_variant_refused():
         runs_summary(10, 2, 0.5, "printed")
 
 
+def test_every_family_refuses_an_unknown_variant_alike():
+    # one gate, in the constructor all four summaries go through
+    specs = [
+        ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5}),
+        ModelSpec("triangles", {"n": 6, "p": 0.3}),
+        ModelSpec("ustat", {"n": 8, "k": 2, "p": 0.1}),
+        ModelSpec("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 20}),
+    ]
+    messages = set()
+    for spec in specs:
+        with pytest.raises(ValueError, match="variant must be one of") as refused:
+            models.summary_for(spec, variant="nonsense")
+        messages.add(str(refused.value))
+    assert len(messages) == 1
+
+
+def test_hypergraph_summary_is_the_same_in_both_variants():
+    spec = ModelSpec("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 20})
+    assert models.FAMILIES["hypergraph-cover"].summary is hypergraph_summary
+    first, printed = (models.summary_for(spec, variant=v) for v in models.VARIANTS)
+    assert first == printed == hypergraph_summary(6, 3, 20)
+
+
 INVALID_SPECS = [
     ModelSpec("runs", {"n": 3, "k": 5, "p": 0.5}),
     ModelSpec("runs", {"n": 10}),
@@ -468,6 +491,13 @@ class TestSampling:
         est = monte_carlo(spec, 400_000, seed=2718, level=0.99)
         exact = enum_hypergraph_cover_prob(5, 3, 4)
         assert est.ci.contains(exact)
+
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize("level", [1.5, 0.0, 1.0, math.nan])
+    def test_bad_level_refused_before_any_trial(self, level):
+        spec = ModelSpec("runs", {"n": 30, "k": 3, "p": 0.3})
+        with pytest.raises(ValueError, match="level must be in"):
+            monte_carlo(spec, 3_000_000, level=level)
 
     def test_clopper_pearson_attached(self):
         spec = ModelSpec("ustat", {"n": 8, "k": 2, "p": 0.0})
