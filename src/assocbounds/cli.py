@@ -210,6 +210,7 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    oracles.check_run(args.trials, args.level)  # read only with --mc, refused anyway
     if args.sweep is None:
         raise ValueError("--sweep param=start:stop:count[:geom] is required")
     param, grid = _parse_sweep(args.sweep)
@@ -266,6 +267,7 @@ def render_csv(rows: list[dict[str, Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    oracles.check_run(args.trials, args.level)  # read only without an exact oracle
     spec = _spec_from_args(args)
     (variant,) = _variants(args)
     summary = models.summary_for(spec, variant=variant)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Any
@@ -42,21 +43,39 @@ class FamilySummary:
     max_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
+        # the one gate for every summary: built by a model, read from JSON or given
+        raw = self.count
+        try:
+            count = int(raw)
+        except OverflowError:  # int(inf); JSON reads 1e400 as inf
+            raise ValueError(f"count={raw} exceeds the double range (about 1.8e308)") from None
+        except TypeError:  # None, a list, an object
+            count = None
+        if count is None or isinstance(raw, Real) and count != raw:  # int() truncates
+            raise ValueError(f"count must be an integer, got {raw}")
+        if count > sys.float_info.max:
+            raise ValueError(
+                f"the number of indicators is about 10^{math.log10(count):.1f}, "
+                f"beyond the double range (about 1.8e308)"
+            )
+        for name, x in (("delta", self.delta), ("cov_sum", self.cov_sum)):
+            if not math.isfinite(x):  # NaN too, as 0 * inf gives it
+                raise ValueError(
+                    f"{name}={x} is not a number inside the double range (about 1.8e308)"
+                )
         try:
             means = tuple(self.means)
         except TypeError:  # a bare number, shared by every indicator
             means = (self.means,)
         if not means:
             raise ValueError("means must hold at least one entry")
-        if len(means) not in (1, self.count):
-            raise ValueError(f"means has {len(means)} entries but count is {self.count}")
+        if len(means) not in (1, count):
+            raise ValueError(f"means has {len(means)} entries but count is {count}")
         try:
-            lam = (self.count // len(means)) * math.fsum(means)
-        except OverflowError:  # an int count beyond the double range
-            raise ValueError(
-                f"lambda at count about 10^{math.log10(abs(self.count)):.1f} exceeds "
-                f"the double range (about 1.8e308)"
-            ) from None
+            lam = (count // len(means)) * math.fsum(means)
+        except OverflowError:  # means such as (1e308, 1e308), which validate flags
+            lam = math.inf
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "lambda_", lam)
         object.__setattr__(self, "delta_bar", lam + 2.0 * self.delta)
@@ -78,37 +97,28 @@ class FamilySummary:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict[str, Any]) -> "FamilySummary":
-        """The summary a JSON document gives, whose restated ``lambda``,
-        ``delta_bar`` and ``max_mean`` must agree with the derived ones."""
+    def from_json_dict(cls, d: Any) -> "FamilySummary":
+        """The summary a JSON object gives, whose ``means`` is one number or a
+        list of one mean per indicator, even with one entry, and whose restated
+        ``lambda``, ``delta_bar`` and ``max_mean`` agree with the derived ones;
+        a ValueError refuses anything else, a field that is not a number too."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected an object, got {type(d).__name__}")
         required = {"count", "means", "lambda", "delta", "delta_bar", "cov_sum", "max_mean"}
         missing = required - set(d)
         if missing:
             raise ValueError(f"summary JSON missing fields: {sorted(missing)}")
-        raw, means = d["count"], d["means"]
+        listed = isinstance(d["means"], list)
         try:
-            count = int(raw)
-        except OverflowError:  # JSON reads 1e400 as inf
-            raise ValueError(
-                f"count={raw} exceeds the double range (about 1.8e308)"
-            ) from None
-        if isinstance(raw, Real) and count != raw:  # the rule of Family.cast
-            raise ValueError(f"count must be an integer, got {raw}")
-        try:
-            means = tuple(map(float, means))
-        except TypeError:  # a number: the mean of every indicator
-            means = (float(means),)
-        else:  # a list holds one mean per indicator, even when it has one entry
-            if len(means) != count:
-                raise ValueError(f"means has {len(means)} entries but count is {count}")
-        delta, cov_sum = float(d["delta"]), float(d["cov_sum"])
-        for name, x in (("delta", delta), ("cov_sum", cov_sum)):
-            if not math.isfinite(x):  # JSON reads 1e400 as inf; NaN reads too
-                raise ValueError(
-                    f"{name}={x} is not a number inside the double range (about 1.8e308)"
-                )
-        s = cls(count=count, means=means, delta=delta, cov_sum=cov_sum)
-        lam, delta_bar = float(d["lambda"]), float(d["delta_bar"])
+            means = tuple(map(float, d["means"])) if listed else float(d["means"])
+        except TypeError:  # null, a list or an object where a number belongs
+            raise ValueError("means must be a number or a list of numbers") from None
+        lam, delta, delta_bar, cov_sum, max_mean = (
+            _number(d, k) for k in ("lambda", "delta", "delta_bar", "cov_sum", "max_mean")
+        )
+        s = cls(count=d["count"], means=means, delta=delta, cov_sum=cov_sum)
+        if listed and len(means) != s.count:
+            raise ValueError(f"means has {len(means)} entries but count is {s.count}")
         if not _rel_close(lam, s.lambda_, _REL_TOL_LAMBDA):
             raise ValueError(f"lambda={lam} does not match the sum of means {s.lambda_}")
         if not _rel_close(delta_bar, lam + 2.0 * s.delta, _REL_TOL_DERIVED):
@@ -116,7 +126,6 @@ class FamilySummary:
                 f"delta_bar={delta_bar} does not equal lambda + 2*delta "
                 f"= {lam + 2.0 * s.delta}"
             )
-        max_mean = float(d["max_mean"])
         if not _rel_close(max_mean, s.max_mean, _REL_TOL_LAMBDA):
             raise ValueError(
                 f"max_mean={max_mean} does not match the largest mean {s.max_mean}"
@@ -126,6 +135,13 @@ class FamilySummary:
     @classmethod
     def from_json(cls, text: str) -> "FamilySummary":
         return cls.from_json_dict(json.loads(text))
+
+
+def _number(d: dict[str, Any], name: str) -> float:
+    try:
+        return float(d[name])
+    except TypeError:  # null, a list or an object
+        raise ValueError(f"{name} must be a number, got {d[name]!r}") from None
 
 
 def _rel_close(a: float, b: float, rel: float) -> bool:
@@ -144,14 +160,14 @@ def validate(summary: FamilySummary) -> list[str]:
     if s.count < 1:
         v.append(f"count must be a positive integer, got {s.count}")
 
-    bad = [m for m in s.means if not (0.0 <= m <= 1.0) or math.isnan(m)]
+    bad = [m for m in s.means if not 0.0 <= m <= 1.0]
     if bad:
         v.append(f"means must lie in [0, 1], offending values: {bad[:5]}")
 
-    if s.delta < 0 or math.isnan(s.delta):
+    if s.delta < 0:
         v.append(f"delta must be nonnegative, got {s.delta}")
 
-    if s.cov_sum < 0 or math.isnan(s.cov_sum):
+    if s.cov_sum < 0:
         v.append(
             f"cov_sum={s.cov_sum} is negative: the family is not positively "
             f"associated (some pairwise covariance is below zero)"
@@ -199,16 +215,3 @@ class ModelSpec:
         if violations:
             raise ValueError("; ".join(violations))
         return self
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"model": self.model, "params": dict(self.params)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict[str, Any]) -> "ModelSpec":
-        if "model" not in d or "params" not in d:
-            raise ValueError('model spec JSON requires "model" and "params"')
-        return cls(model=str(d["model"]), params=dict(d["params"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls.from_json_dict(json.loads(text))

@@ -50,32 +50,19 @@ def _raise_first(violations: list[str]) -> None:
 
 
 def _summary(
-    family: str, variant: str, count: int, mean: float,
-    sums: Callable[[], tuple[float, float]],
+    variant: str, count: int, mean: float, sums: Callable[[], tuple[float, float]],
 ) -> FamilySummary:
     """The summary of ``count`` indicators of one mean; ``sums()`` gives
-    (delta, cov_sum) in the formula variant.  A ValueError refuses a variant
-    outside VARIANTS and, naming the double range (about 1.8e308), a count
-    beyond it, both before ``sums`` runs, and a delta or cov_sum outside it
-    (an inf, a NaN from 0 * inf, an OverflowError).  delta_bar =
-    lambda + 2*delta may round to inf where delta does not: the ratio bound
-    is then vacuous."""
+    (delta, cov_sum) in the formula variant, and an OverflowError from it
+    reads as inf, which the FamilySummary constructor refuses.  A variant
+    outside VARIANTS is refused before ``sums`` runs.  delta_bar may round
+    to inf where delta does not: the ratio bound is then vacuous."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if count > sys.float_info.max:
-        raise ValueError(
-            f"{family} summary: the number of indicators is about "
-            f"10^{math.log10(count):.1f}, beyond the double range (about 1.8e308)"
-        )
     try:
         delta, cov = sums()
-        finite = math.isfinite(delta) and math.isfinite(cov)
     except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError(
-            f"{family} summary: delta or cov_sum exceeds the double range (about 1.8e308)"
-        )
+        delta = cov = math.inf
     return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
 
 
@@ -111,10 +98,11 @@ class Family:
         """The parameters, cast; an ``int`` cast would truncate a fractional
         number, which is refused rather than evaluated elsewhere.  A string
         is left to the cast: ``int("10")`` is 10, ``int("10.7")`` raises.
-        Every refusal is a ValueError, an infinite ``int`` parameter too."""
+        Every refusal is a ValueError, an infinite ``int`` parameter and a
+        non-number such as a list too."""
         try:
             q = {name: to(params[name]) for name, to in self.params.items()}
-        except OverflowError as exc:  # int(inf); int(nan) raises ValueError
+        except (OverflowError, TypeError) as exc:  # int(inf), int([10])
             raise ValueError(str(exc)) from None
         fractional = [
             f"{x}={params[x]}" for x in q
@@ -162,7 +150,7 @@ def runs_summary(
             return 0.5 * joint, 0.5 * joint
         return joint, math.fsum(n * (p ** (k + d) - p ** (2 * k)) for d in range(1, k))
 
-    return _summary("runs", variant, n, p**k, sums)
+    return _summary(variant, n, p**k, sums)
 
 
 def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
@@ -304,7 +292,7 @@ def triangles_summary(
             return delta, delta
         return delta, 0.5 * count * partners * (p**5 - p**6)
 
-    return _summary("triangles", variant, count, p**3, sums)
+    return _summary(variant, count, p**3, sums)
 
 
 @lru_cache(maxsize=None)
@@ -427,7 +415,7 @@ def ustat_summary(
         )
         return delta, cov
 
-    return _summary("ustat", variant, count, p**k, sums)
+    return _summary(variant, count, p**k, sums)
 
 
 def _ustat_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
@@ -594,7 +582,7 @@ def hypergraph_summary(
         )
         return delta, cov
 
-    return _summary("hypergraph-cover", variant, count, p, sums)
+    return _summary(variant, count, p, sums)
 
 
 def _choices(u: np.ndarray, N: int, k: int) -> np.ndarray:

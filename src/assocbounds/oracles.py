@@ -63,6 +63,16 @@ _BATCH_DOUBLES = 4_000_000
 MAX_WORKERS = 64
 
 
+def check_run(trials: int, level: float, workers: int = 1) -> None:
+    """Refuse, in this order, a trial count below 1, a worker count outside
+    [1, MAX_WORKERS] or a level outside (0, 1); run before any trial."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
+    check_level(level)
+
+
 def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> int:
     budget = trial_budget(spec)
     batch = max(1, min(stop - start, _BATCH_DOUBLES // max(budget, 1)))
@@ -91,11 +101,7 @@ def monte_carlo(
     count, worker count or level is refused before any trial.
     """
     spec.ensure_valid()
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    check_level(level)
+    check_run(trials, level, workers)
     if workers == 1 or trials < 2 * workers:
         successes = _count_chunk(spec, seed, 0, trials)
     else:
@@ -122,6 +128,12 @@ def oracle_for(spec: ModelSpec) -> LogProb | None:
 # ---------------------------------------------------------------------------
 # Moment-generating-function gap verifier.
 # ---------------------------------------------------------------------------
+
+def _atom_bits(m: int) -> np.ndarray:
+    """The 2^m x m matrix whose row a holds the bits of a as 0.0 and 1.0."""
+    atoms = np.arange(1 << m, dtype=np.uint64)
+    return ((atoms[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(np.float64)
+
 
 def mgf_gap_check(
     joint: np.ndarray | list[float], t: float
@@ -150,10 +162,7 @@ def mgf_gap_check(
     if not m * t <= math.log(sys.float_info.max):  # an infinite t too
         raise ValueError(f"m*t must be at most ln(DBL_MAX), about 709.78: got m={m}, t={t}")
 
-    atoms = np.arange(size, dtype=np.uint64)
-    bits = ((atoms[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(
-        np.float64
-    )
+    bits = _atom_bits(m)
     pops = bits.sum(axis=1)
 
     e_joint = float(probs @ np.exp(t * pops))
@@ -186,10 +195,7 @@ def random_monotone_joint(
     weights = rng.uniform(0.0, 1.0, size=(n_vars, n_bits))
     thresholds = rng.uniform(0.0, weights.sum(axis=1))
 
-    atoms = np.arange(1 << n_bits, dtype=np.uint64)
-    bits = ((atoms[:, None] >> np.arange(n_bits, dtype=np.uint64)) & 1).astype(
-        np.float64
-    )
+    bits = _atom_bits(n_bits)
     atom_probs = np.prod(np.where(bits == 1.0, bit_p, 1.0 - bit_p), axis=1)
     values = (bits @ weights.T >= thresholds).astype(np.int64)
     indices = (values << np.arange(n_vars, dtype=np.int64)).sum(axis=1)

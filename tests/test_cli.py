@@ -156,6 +156,29 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert f"bad summary JSON: {field}=" in err and "double range" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "null",
+            "5",
+            '{"count": null, "means": 0.1, "lambda": 1.0, "delta": 0.2, '
+            '"delta_bar": 1.4, "cov_sum": 0.05, "max_mean": 0.1}',
+            '{"count": 10, "means": 0.1, "lambda": 1.0, "delta": [0.2], '
+            '"delta_bar": 1.4, "cov_sum": 0.05, "max_mean": 0.1}',
+            '{"count": 10, "means": 0.1, "lambda": 1.0, "delta": 0.2, '
+            '"delta_bar": 1.4, "cov_sum": 0.05, "max_mean": {"v": 0.1}}',
+            '{"count": 2, "means": [0.1, null], "lambda": 0.2, "delta": 0.2, '
+            '"delta_bar": 0.6, "cov_sum": 0.05, "max_mean": 0.1}',
+        ],
+        ids=["null", "number", "null-count", "list-delta", "object-max-mean",
+             "null-mean"],
+    )
+    def test_malformed_summary_exits_two(self, capsys, text):
+        # exit 1 would read as a failed verification
+        code, out, err = run_main(capsys, "bound", "--summary", text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad summary JSON: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("count,means", [(10, [0.1]), (4, [0.1, 0.2, 0.3])])
     def test_list_summary_length_must_match_count(self, capsys, count, means):
         # a one-entry list is still one indicator's mean, not a shared one
@@ -320,6 +343,20 @@ class TestCompareCommand:
         )
         assert code == 2 and out == "" and reason in err
 
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--level", "7", "--trials", "0"], "trials must be >= 1, got 0"),
+         (["--level", "7"], "level must be in (0, 1), got 7.0")],
+    )
+    def test_bad_run_option_exits_two_without_mc(self, capsys, flags, message):
+        # --level and --trials are read only with --mc, and refused anyway
+        code, out, err = run_main(
+            capsys, "compare", "--model", "runs", "--n", "12", "--k", "3",
+            "--sweep", "p=0.05:0.3:3", *flags,
+        )
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     def test_hypergraph_sweep_marks_inapplicable_additive_bounds(self, capsys):
         code, out, _ = run_main(
             capsys, "compare", "--model", "hypergraph", "--N", "6", "--k", "3",
@@ -476,6 +513,21 @@ class TestVerifyCommand:
         assert code == 1
         fails = [c["method"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
         assert fails == ["janson-basic"]
+
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--level", "1.5", "--trials", "-3"], "trials must be >= 1, got -3"),
+         (["--level", "1.5"], "level must be in (0, 1), got 1.5"),
+         (["--level", "1.5", "--mc"], "level must be in (0, 1), got 1.5")],
+    )
+    def test_bad_run_option_exits_two_before_any_work(self, capsys, flags, message):
+        # the exact oracle exists here, so neither value would be read
+        code, out, err = run_main(
+            capsys, "verify", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1",
+            *flags,
+        )
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_oracle_unavailable_without_mc_exits_two(self, capsys):
         code, _, err = run_main(

@@ -102,6 +102,12 @@ COMMANDS: list[list[str]] = [
     ["bound", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1", "--t", "log:800"],
     ["mc", "--model", "runs", "--n", "30", "--k", "3", "--p", "0.3", "--trials", "3000000",
      "--level", "1.5"],
+    # refused though nothing would read them: a summary document that is not
+    # an object, and --trials or --level without Monte Carlo
+    ["bound", "--summary", "null"],
+    ["compare", "--model", "runs", "--n", "12", "--k", "3", "--sweep", "p=0.05:0.3:3",
+     "--level", "7", "--trials", "0"],
+    ["verify", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1", "--level", "1.5"],
 ]
 
 

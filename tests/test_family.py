@@ -90,6 +90,36 @@ class TestValidate:
             FamilySummary(count=0, means=(), delta=0.0, cov_sum=0.0)
 
 
+class TestConstructorGate:
+    """What no bound can read is refused however the summary is built."""
+
+    def test_fractional_count_refused(self):
+        # every product bound would weight the means by 10.5 indicators
+        with pytest.raises(ValueError, match="count must be an integer, got 10.5"):
+            consistent_summary(count=10.5)
+        s = consistent_summary(count=10.0)
+        assert s.count == 10 and isinstance(s.count, int)
+
+    @pytest.mark.parametrize("field", ["delta", "cov_sum"])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sum_refused_naming_the_field(self, field, x):
+        with pytest.raises(ValueError, match=rf"^{field}=-?(inf|nan) .*double range"):
+            consistent_summary(**{field: x})
+
+    def test_count_beyond_double_range_refused_naming_its_size(self):
+        with pytest.raises(ValueError, match=r"indicators is about 10\^400\.0, beyond"):
+            consistent_summary(count=10**400)
+        # checked before the sums, which overflow at such a count
+        with pytest.raises(ValueError, match=r"indicators is about 10\^400\.0"):
+            consistent_summary(count=10**400, delta=math.inf)
+
+    def test_means_summing_beyond_double_range_flagged(self):
+        # fsum overflows; such means lie outside [0, 1], which validate flags
+        s = FamilySummary(count=2, means=(1e308, 1e308), delta=0.0, cov_sum=0.0)
+        assert s.lambda_ == math.inf
+        assert validate(s) == ["means must lie in [0, 1], offending values: [1e+308, 1e+308]"]
+
+
 class TestJsonInterchange:
     def test_homogeneous_roundtrip_uses_lambda_key(self):
         s = consistent_summary()
@@ -134,6 +164,43 @@ class TestJsonInterchange:
         )
         with pytest.raises(ValueError, match=rf"^{field}=(inf|nan) .*double range"):
             FamilySummary.from_json(doc)
+
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("null", "expected an object, got NoneType"),
+            ("5", "expected an object, got int"),
+            ('[{"count": 10}]', "expected an object, got list"),
+        ],
+    )
+    def test_non_object_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            FamilySummary.from_json(text)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("count", None, "count must be an integer, got None"),
+            ("count", [10], r"count must be an integer, got \[10\]"),
+            ("delta", [0.2], r"delta must be a number, got \[0.2\]"),
+            ("max_mean", {}, "max_mean must be a number, got {}"),
+            ("lambda", None, "lambda must be a number, got None"),
+            ("means", None, "means must be a number or a list of numbers"),
+            ("means", [0.1] * 9 + [None], "means must be a number or a list of numbers"),
+        ],
+    )
+    def test_non_number_field_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FamilySummary.from_json_dict(consistent_doc(**{field: value}))
+
+    def test_string_mean_is_one_number(self):
+        # a string reads as one number, not as one mean per character
+        doc = consistent_doc(count=2, means="01", delta=0.0, delta_bar=2.0,
+                             cov_sum=0.0, max_mean=1.0, **{"lambda": 2.0})
+        assert FamilySummary.from_json_dict(doc).means == (1.0,)
+        with pytest.raises(ValueError, match="lambda=1.0 does not match"):
+            FamilySummary.from_json_dict({**doc, "lambda": 1.0, "delta_bar": 1.0})
 
 
 _shared = st.builds(
@@ -209,10 +276,14 @@ class TestModelSpec:
         assert ModelSpec("runs", {"n": "10", "k": "2", "p": 0.5}).validate() == []
         out = ModelSpec("runs", {"n": "10.7", "k": 2, "p": 0.5}).validate()
         assert len(out) == 1 and "fractional" not in out[0]
-        # a spec read from JSON can carry these; int() raises OverflowError at inf
+        # a library caller can pass these; int() raises OverflowError at inf
         for bad in (math.nan, math.inf, -math.inf):
             out = ModelSpec("runs", {"n": bad, "k": 2, "p": 0.5}).validate()
             assert len(out) == 1 and "cannot convert float" in out[0]
+        # and a non-number, which the cast refuses with a TypeError
+        for params in ({"n": [10], "k": 2, "p": 0.5}, {"n": 10, "k": 2, "p": [0.5]}):
+            out = ModelSpec("runs", params).validate()
+            assert len(out) == 1 and "not 'list'" in out[0]
 
     def test_remaining_models(self):
         assert ModelSpec("triangles", {"n": 3, "p": 0.0}).validate() == []
@@ -226,13 +297,6 @@ class TestModelSpec:
     def test_missing_parameters_reported(self):
         out = ModelSpec("runs", {"n": 10}).validate()
         assert any("requires parameters" in v for v in out)
-
-    def test_json_roundtrip(self):
-        spec = ModelSpec("ustat", {"n": 8, "k": 2, "p": 0.3})
-        back = ModelSpec.from_json(json.dumps(spec.to_json_dict()))
-        assert back == spec
-        with pytest.raises(ValueError):
-            ModelSpec.from_json('{"model": "runs"}')
 
 
 class TestModelSummariesValidate:
