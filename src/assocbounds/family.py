@@ -29,9 +29,10 @@ class FamilySummary:
 
     ``means`` is a tuple of one or ``count`` entries, each standing for
     ``count // len(means)`` indicators: ``(p,)`` when all ``count``
-    indicators share the mean p (a bare number p is stored as ``(p,)``),
-    one entry per indicator otherwise.  ``lambda_`` (serialized as
-    ``"lambda"``), ``delta_bar`` and ``max_mean`` are derived, not given.
+    indicators share the mean p (a bare number p, or a string that reads as
+    one, is stored as ``(p,)``), one entry per indicator otherwise.
+    ``lambda_`` (serialized as ``"lambda"``), ``delta_bar`` and
+    ``max_mean`` are derived, not given.
     """
 
     count: int
@@ -63,8 +64,8 @@ class FamilySummary:
                 raise ValueError(
                     f"{name}={x} is not a number inside the double range (about 1.8e308)"
                 )
-        try:
-            means = tuple(self.means)
+        try:  # a string is one number, as in JSON, not one mean per character
+            means = (float(self.means),) if isinstance(self.means, str) else tuple(self.means)
         except TypeError:  # a bare number, shared by every indicator
             means = (self.means,)
         if not means:
@@ -145,7 +146,8 @@ def _number(d: dict[str, Any], name: str) -> float:
 
 
 def _rel_close(a: float, b: float, rel: float) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
+    # an infinite value is close only to itself: inf - b is not finite
+    return a == b or math.isfinite(a - b) and abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
 
 
 def validate(summary: FamilySummary) -> list[str]:
@@ -185,33 +187,10 @@ def validate(summary: FamilySummary) -> list[str]:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A tagged description of one of the built-in indicator families.
-
-    ``model`` names a record of ``models.FAMILIES``, whose ``params`` schema
-    lists the parameters the model requires.
+    """A tagged description of one of the built-in indicator families: the
+    name of a record of ``models.FAMILIES`` and its parameters, unchecked
+    until ``models.bind`` reads them.
     """
 
     model: str
     params: dict[str, Any]
-
-    def validate(self) -> list[str]:
-        from .models import FAMILIES  # models imports this module
-
-        family = FAMILIES.get(self.model)
-        if family is None:
-            return [f"unknown model {self.model!r}; expected one of {tuple(FAMILIES)}"]
-        missing = [x for x in family.params if self.params.get(x) is None]
-        if missing:
-            return [f"model {self.model!r} requires parameters {missing}"]
-        try:
-            q = family.cast(self.params)
-        except ValueError as exc:  # e.g. a fractional value of an int parameter
-            return [f"model {self.model!r}: {exc}"]
-        return family.check(**q)
-
-    def ensure_valid(self) -> "ModelSpec":
-        """The spec; a ValueError with its violations joined by "; " if any."""
-        violations = self.validate()
-        if violations:
-            raise ValueError("; ".join(violations))
-        return self

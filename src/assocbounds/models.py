@@ -44,9 +44,10 @@ VARIANTS = (FIRST_PRINCIPLES, PAPER_AS_PRINTED)
 _LN2 = math.log(2.0)
 
 
-def _raise_first(violations: list[str]) -> None:
+def _refuse(violations: list[str]) -> None:
+    """A ValueError naming every violation, joined by "; ", if there is any."""
     if violations:
-        raise ValueError(violations[0])
+        raise ValueError("; ".join(violations))
 
 
 def _summary(
@@ -94,33 +95,38 @@ class Family:
     exact: Callable[..., LogProb | None]
     aliases: tuple[str, ...] = ()
 
-    def cast(self, params: dict[str, Any]) -> dict[str, Any]:
-        """The parameters, cast; an ``int`` cast would truncate a fractional
-        number, which is refused rather than evaluated elsewhere.  A string
-        is left to the cast: ``int("10")`` is 10, ``int("10.7")`` raises.
-        Every refusal is a ValueError, an infinite ``int`` parameter and a
-        non-number such as a list too."""
-        try:
-            q = {name: to(params[name]) for name, to in self.params.items()}
-        except (OverflowError, TypeError) as exc:  # int(inf), int([10])
-            raise ValueError(str(exc)) from None
-        fractional = [
-            f"{x}={params[x]}" for x in q
-            if self.params[x] is int and isinstance(params[x], Real) and q[x] != params[x]
-        ]
-        if fractional:
-            raise ValueError(
-                f"integer parameters got fractional values: {', '.join(fractional)}"
-            )
-        return q
-
 
 def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
-    """The spec's family record and its parameters, cast by the record; the
-    one gate that refuses an invalid spec (:meth:`ModelSpec.ensure_valid`)."""
-    spec.ensure_valid()
-    family = FAMILIES[spec.model]
-    return family, family.cast(spec.params)
+    """The spec's family record and its parameters, cast by the record: the
+    one gate for a spec, which every function that reads one goes through.
+
+    A ValueError refuses, in this order, an unknown model, a missing
+    parameter, a value the cast cannot read (``int(inf)``, ``int([10])``,
+    ``int("10.7")``; ``int("10")`` is 10), a fractional value of an ``int``
+    parameter, which the cast would truncate, and the family's range
+    violations, joined by "; ".
+    """
+    family = FAMILIES.get(spec.model)
+    if family is None:
+        raise ValueError(f"unknown model {spec.model!r}; expected one of {tuple(FAMILIES)}")
+    model, params = f"model {spec.model!r}", spec.params
+    missing = [x for x in family.params if params.get(x) is None]
+    if missing:
+        raise ValueError(f"{model} requires parameters {missing}")
+    try:
+        q = {name: to(params[name]) for name, to in family.params.items()}
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{model}: {exc}") from None
+    fractional = [
+        f"{x}={params[x]}" for x in q
+        if family.params[x] is int and isinstance(params[x], Real) and q[x] != params[x]
+    ]
+    if fractional:
+        raise ValueError(
+            f"{model}: integer parameters got fractional values: {', '.join(fractional)}"
+        )
+    _refuse(family.check(**q))
+    return family, q
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def runs_summary(
     The printed variant halves the pair count (one neighbor per offset) and
     reuses delta as the covariance sum.
     """
-    _raise_first(_runs_violations(n, k, p))
+    _refuse(_runs_violations(n, k, p))
     if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
 
@@ -158,7 +164,7 @@ def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
 
     Returns (center, radius): |P(Z=0) - exp(-n (1-p) p^k)| <= (2k(1-p)+1) p^k.
     """
-    _raise_first(_runs_violations(n, k, p))
+    _refuse(_runs_violations(n, k, p))
     center = math.exp(-n * (1.0 - p) * p**k)
     radius = (2.0 * k * (1.0 - p) + 1.0) * p**k
     return center, radius
@@ -238,7 +244,7 @@ def runs_zero_exact(n: int, k: int, p: float) -> LogProb:
     trace(T^n - M^n) is the trace of the upper-right block of
     [[T, T - M], [0, M]]^n, a sum of nonnegative terms.
     """
-    _raise_first(_runs_violations(n, k, p))
+    _refuse(_runs_violations(n, k, p))
 
     t = np.zeros((k + 1, k + 1), dtype=np.float64)
     t[:, 0] = 1.0 - p
@@ -282,7 +288,7 @@ def triangles_summary(
     each triangle shares an edge with exactly 3(n-3) others.  The printed
     variant uses 3n partners instead and reuses delta as the covariance sum.
     """
-    _raise_first(_triangles_violations(n, p))
+    _refuse(_triangles_violations(n, p))
     count = comb(n, 3)
     partners = 3 * n if variant == PAPER_AS_PRINTED else 3 * (n - 3)
 
@@ -359,7 +365,7 @@ def triangle_free_exact(n: int, p: float) -> LogProb:
     counts[m] a^m (b-a)^(M-m) over b^M is taken in Python integers: the
     exact rational, correctly rounded.
     """
-    _raise_first(_triangles_violations(n, p))
+    _refuse(_triangles_violations(n, p))
     n_edges = comb(n, 2)
     counts = _avoid_histogram(n, 3)[::-1, 0].tolist()  # counts[m], m edges
     a, b = p.as_integer_ratio()
@@ -396,7 +402,7 @@ def ustat_summary(
     Raises ValueError where C(n,k), delta or cov_sum exceeds the double
     range (about 1.8e308); ``ustat_zero_exact`` still covers such specs.
     """
-    _raise_first(_ustat_violations(n, k, p))
+    _refuse(_ustat_violations(n, k, p))
     count = comb(n, k)
 
     def sums() -> tuple[float, float]:
@@ -431,7 +437,7 @@ def ustat_zero_exact(n: int, k: int, p: float) -> LogProb:
     is summed instead and the result is log1p(-upper), which keeps the
     log's relative accuracy near one.
     """
-    _raise_first(_ustat_violations(n, k, p))
+    _refuse(_ustat_violations(n, k, p))
     if p == 0.0:
         return LogProb(0.0)
     if p == 1.0:
@@ -512,7 +518,7 @@ def _log_uncovered(x: Fraction, n_draws: int) -> float:
 
 def hypergraph_edge_prob(N: int, k: int, n_draws: int) -> LogProb:
     """P(a fixed edge of K_N is uncovered after n_draws uniform k-cliques)."""
-    _raise_first(_hyper_violations(N, k, n_draws))
+    _refuse(_hyper_violations(N, k, n_draws))
     return LogProb(_log_uncovered(_per_draw_avoid(N, k, *_EDGE), n_draws))
 
 
@@ -522,7 +528,7 @@ def hypergraph_joint_probs(N: int, k: int, n_draws: int) -> tuple[LogProb, LogPr
     Requires N >= 3 for the sharing pair; for N = 3 no disjoint pair exists
     and the disjoint probability is reported as zero.
     """
-    _raise_first(_hyper_violations(N, k, n_draws))
+    _refuse(_hyper_violations(N, k, n_draws))
     if N < 3:
         raise ValueError(f"joint probabilities require N >= 3, got N={N}")
     q_share = LogProb(_log_uncovered(_per_draw_avoid(N, k, *_SHARING), n_draws))
@@ -566,7 +572,7 @@ def hypergraph_summary(
     associated and the additive bounds refuse to run.  Both variants give
     this summary: there is no printed closed form to reproduce.
     """
-    _raise_first(_hyper_violations(N, k, n_draws))
+    _refuse(_hyper_violations(N, k, n_draws))
     if N < 4:
         raise ValueError(f"hypergraph summary requires N >= 4, got N={N}")
     count = comb(N, 2)
@@ -710,7 +716,7 @@ def cover_all_exact(N: int, k: int, n_draws: int) -> LogProb:
     below 2^-1075 by sum_{0<a<C} |c_a| (a*/C)^n_draws, a* the largest such a
     with c_a != 0, the log is returned as -0.0, which it rounds to.
     """
-    _raise_first(_hyper_violations(N, k, n_draws))
+    _refuse(_hyper_violations(N, k, n_draws))
     hist = _avoid_histogram(N, k)
     signed = ((-1) ** np.arange(len(hist)) @ hist).tolist()  # c_a
     inner = [(a, abs(c)) for a, c in enumerate(signed[:-1]) if a and c]  # 0 < a < C
@@ -805,14 +811,3 @@ def simulate_batch(spec: ModelSpec, uniforms: np.ndarray) -> np.ndarray:
     """
     family, q = bind(spec)
     return family.sample(uniforms, **q)
-
-
-def sample_is_zero(spec: ModelSpec, rng_seed: int, trial_index: int) -> bool:
-    """One realization: True iff Z = 0 (full coverage for hypergraph-cover).
-
-    Deterministic given (rng_seed, trial_index); trials are independently
-    positioned in a counter-based stream, so any parallel schedule yields
-    identical results.
-    """
-    u = trial_uniforms(spec, rng_seed, trial_index, 1)
-    return bool(simulate_batch(spec, u)[0])

@@ -1,6 +1,6 @@
-"""Ground truth for P(Z=0): the exact oracle of each family (defined with
-its family in :mod:`models` and re-exported here), a Monte Carlo driver, and
-the moment-generating-function gap verifier.
+"""Ground truth for P(Z=0): a Monte Carlo driver, :func:`oracle_for`, which
+looks up the exact oracle defined with each family in :mod:`models`, and the
+moment-generating-function gap verifier.
 """
 
 from __future__ import annotations
@@ -15,12 +15,6 @@ import numpy as np
 
 from .family import ModelSpec
 from .models import bind, simulate_batch, trial_budget, trial_uniforms
-from .models import (  # noqa: F401  (re-exported: each oracle lives with its family)
-    cover_all_exact,
-    runs_zero_exact,
-    triangle_free_exact,
-    ustat_zero_exact,
-)
 from .numerics import ConfidenceInterval, LogProb, check_level, clopper_pearson
 
 DEFAULT_SEED = 0xA55C1A7E  # documented constant so bare runs are reproducible
@@ -100,7 +94,7 @@ def monte_carlo(
     (1 to MAX_WORKERS threads) or batching schedule.  A bad spec, trial
     count, worker count or level is refused before any trial.
     """
-    spec.ensure_valid()
+    bind(spec)
     check_run(trials, level, workers)
     if workers == 1 or trials < 2 * workers:
         successes = _count_chunk(spec, seed, 0, trials)

@@ -36,23 +36,23 @@ from assocbounds.bounds import (
 from assocbounds.family import FamilySummary, ModelSpec, validate
 from assocbounds.models import (
     FIRST_PRINCIPLES,
+    cover_all_exact,
     hypergraph_edge_prob,
     hypergraph_joint_probs,
     hypergraph_summary,
     runs_poisson_band,
     runs_summary,
+    runs_zero_exact,
     summary_for,
+    triangle_free_exact,
+    ustat_zero_exact,
 )
 from assocbounds.oracles import (
     DEFAULT_SEED,
-    cover_all_exact,
     mgf_gap_check,
     monte_carlo,
     oracle_for,
     random_monotone_joint,
-    runs_zero_exact,
-    triangle_free_exact,
-    ustat_zero_exact,
 )
 
 TOL = 1e-9

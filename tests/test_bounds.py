@@ -36,9 +36,9 @@ from assocbounds.models import (
     PAPER_AS_PRINTED,
     hypergraph_summary,
     runs_summary,
+    runs_zero_exact,
 )
 from assocbounds.numerics import log_exceeds
-from assocbounds.oracles import runs_zero_exact
 
 
 def homog(count, p, delta, cov_sum):

@@ -14,9 +14,8 @@ import pytest
 from assocbounds import bounds
 from assocbounds.bounds import BoundResult
 from assocbounds.cli import CSV_COLUMNS, build_parser, main
-from assocbounds.models import FAMILIES
+from assocbounds.models import FAMILIES, runs_zero_exact
 from assocbounds.numerics import LogProb
-from assocbounds.oracles import runs_zero_exact
 
 
 def run_main(capsys, *argv):

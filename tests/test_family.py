@@ -1,19 +1,23 @@
-"""FamilySummary consistency checks, JSON interchange, and ModelSpec validation."""
+"""FamilySummary consistency checks, JSON interchange, and the ModelSpec gate."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assocbounds import family
 from assocbounds.family import FamilySummary, ModelSpec, validate
 from assocbounds.models import (
     FIRST_PRINCIPLES,
     PAPER_AS_PRINTED,
+    bind,
     hypergraph_summary,
     runs_summary,
     triangles_summary,
@@ -113,6 +117,12 @@ class TestConstructorGate:
         with pytest.raises(ValueError, match=r"indicators is about 10\^400\.0"):
             consistent_summary(count=10**400, delta=math.inf)
 
+    def test_string_mean_is_one_number(self):
+        # as the JSON reader reads it, not one mean per character
+        s = FamilySummary(count=2, means="01", delta=0.0, cov_sum=0.0)
+        assert (s.means, s.lambda_) == ((1.0,), 2.0)
+        assert FamilySummary(count=1, means="0.5", delta=0.0, cov_sum=0.0).means == (0.5,)
+
     def test_means_summing_beyond_double_range_flagged(self):
         # fsum overflows; such means lie outside [0, 1], which validate flags
         s = FamilySummary(count=2, means=(1e308, 1e308), delta=0.0, cov_sum=0.0)
@@ -202,6 +212,13 @@ class TestJsonInterchange:
         with pytest.raises(ValueError, match="lambda=1.0 does not match"):
             FamilySummary.from_json_dict({**doc, "lambda": 1.0, "delta_bar": 1.0})
 
+    def test_finite_lambda_is_not_close_to_an_infinite_sum(self):
+        # the means' sum overflows to inf; a finite restatement must not match it
+        doc = {"count": 2, "means": [1e308, 1e308], "lambda": 1.0, "delta": 0.0,
+               "delta_bar": 1.0, "cov_sum": 0.0, "max_mean": 1e308}
+        with pytest.raises(ValueError, match="^lambda=1.0 does not match the sum of means inf$"):
+            FamilySummary.from_json_dict(doc)
+
 
 _shared = st.builds(
     lambda count, p: (count, (p,)),
@@ -259,44 +276,86 @@ class TestDerivedFields:
             FamilySummary(count=10, means=0.1, delta=0.2, cov_sum=0.05, lambda_=1.0)
 
 
+def refusal(model, params):
+    """The message with which ``bind`` refuses a spec, or None if it binds."""
+    try:
+        bind(ModelSpec(model, params))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestModelSpec:
+    """``ModelSpec`` is a record; ``models.bind`` is its one gate."""
+
     def test_runs_parameter_region(self):
-        assert ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5}).validate() == []
+        assert refusal("runs", {"n": 10, "k": 2, "p": 0.5}) is None
         # n in [k, 2k) supports sampling and the exact oracle, not summaries
-        assert ModelSpec("runs", {"n": 3, "k": 2, "p": 0.5}).validate() == []
-        assert ModelSpec("runs", {"n": 1, "k": 2, "p": 0.5}).validate() != []
-        assert ModelSpec("runs", {"n": 10, "k": 0, "p": 0.5}).validate() != []
-        assert ModelSpec("runs", {"n": 10, "k": 2, "p": 1.5}).validate() != []
+        assert refusal("runs", {"n": 3, "k": 2, "p": 0.5}) is None
+        assert refusal("runs", {"n": 1, "k": 2, "p": 0.5}) == (
+            "runs requires n >= k, got n=1, k=2"
+        )
+        assert refusal("runs", {"n": 10, "k": 0, "p": 0.5}) == "runs requires k >= 1, got k=0"
+        assert refusal("runs", {"n": 10, "k": 2, "p": 1.5}) == (
+            "runs requires p in [0, 1], got p=1.5"
+        )
+        # every range violation, joined, as a direct call gives them
+        assert refusal("runs", {"n": 1, "k": 0, "p": 2.0}) == (
+            "runs requires k >= 1, got k=0; runs requires p in [0, 1], got p=2.0"
+        )
         # the int cast would truncate these to n=10, k=2; integral floats,
         # as JSON may carry them, still cast
-        out = ModelSpec("runs", {"n": 10.7, "k": 2.9, "p": 0.5}).validate()
-        assert len(out) == 1 and "n=10.7, k=2.9" in out[0]
-        assert ModelSpec("runs", {"n": 10.0, "k": 2.0, "p": 0.5}).validate() == []
+        assert refusal("runs", {"n": 10.7, "k": 2.9, "p": 0.5}) == (
+            "model 'runs': integer parameters got fractional values: n=10.7, k=2.9"
+        )
+        assert refusal("runs", {"n": 10.0, "k": 2.0, "p": 0.5}) is None
         # a string is left to the cast, which reads an integral one
-        assert ModelSpec("runs", {"n": "10", "k": "2", "p": 0.5}).validate() == []
-        out = ModelSpec("runs", {"n": "10.7", "k": 2, "p": 0.5}).validate()
-        assert len(out) == 1 and "fractional" not in out[0]
+        assert refusal("runs", {"n": "10", "k": "2", "p": 0.5}) is None
+        out = refusal("runs", {"n": "10.7", "k": 2, "p": 0.5})
+        assert out.startswith("model 'runs': invalid literal") and "fractional" not in out
         # a library caller can pass these; int() raises OverflowError at inf
         for bad in (math.nan, math.inf, -math.inf):
-            out = ModelSpec("runs", {"n": bad, "k": 2, "p": 0.5}).validate()
-            assert len(out) == 1 and "cannot convert float" in out[0]
+            out = refusal("runs", {"n": bad, "k": 2, "p": 0.5})
+            assert out.startswith("model 'runs': cannot convert float")
         # and a non-number, which the cast refuses with a TypeError
         for params in ({"n": [10], "k": 2, "p": 0.5}, {"n": 10, "k": 2, "p": [0.5]}):
-            out = ModelSpec("runs", params).validate()
-            assert len(out) == 1 and "not 'list'" in out[0]
+            out = refusal("runs", params)
+            assert out.startswith("model 'runs': ") and "not 'list'" in out
 
     def test_remaining_models(self):
-        assert ModelSpec("triangles", {"n": 3, "p": 0.0}).validate() == []
-        assert ModelSpec("triangles", {"n": 2, "p": 0.5}).validate() != []
-        assert ModelSpec("ustat", {"n": 4, "k": 5, "p": 0.5}).validate() != []
-        assert ModelSpec("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4}).validate() == []
-        assert ModelSpec("hypergraph-cover", {"N": 6, "k": 1, "n_draws": 4}).validate() != []
-        assert ModelSpec("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4.5}).validate() != []
-        assert ModelSpec("nope", {}).validate() != []
+        assert refusal("triangles", {"n": 3, "p": 0.0}) is None
+        assert "triangles requires n >= 3" in refusal("triangles", {"n": 2, "p": 0.5})
+        assert "ustat requires 1 <= k <= n" in refusal("ustat", {"n": 4, "k": 5, "p": 0.5})
+        assert refusal("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4}) is None
+        assert "2 <= k <= N" in refusal("hypergraph-cover", {"N": 6, "k": 1, "n_draws": 4})
+        assert "n_draws=4.5" in refusal("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4.5})
+        assert refusal("nope", {}) == (
+            "unknown model 'nope'; expected one of "
+            "('runs', 'triangles', 'ustat', 'hypergraph-cover')"
+        )
 
     def test_missing_parameters_reported(self):
-        out = ModelSpec("runs", {"n": 10}).validate()
-        assert any("requires parameters" in v for v in out)
+        assert refusal("runs", {"n": 10}) == "model 'runs' requires parameters ['k', 'p']"
+
+    def test_a_record_of_two_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelSpec)] == ["model", "params"]
+        assert not [
+            name for name, value in vars(ModelSpec).items()
+            if callable(value) and not name.startswith("__")
+        ]
+
+    def test_family_module_imports_nothing_from_models(self):
+        # models imports family; an import back would make the cycle again
+        tree = ast.parse(Path(family.__file__).read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported += [module] + [f"{module}.{a.name}" for a in node.names]
+        assert imported, "the walk found no import at all"
+        assert not [m for m in imported if "models" in m.split(".")]
 
 
 class TestModelSummariesValidate:

@@ -26,14 +26,14 @@ from assocbounds.models import (
     hypergraph_summary,
     runs_poisson_band,
     runs_summary,
-    sample_is_zero,
     simulate_batch,
+    triangle_free_exact,
     triangles_summary,
     trial_uniforms,
     ustat_summary,
 )
 from assocbounds.numerics import clopper_pearson
-from assocbounds.oracles import DEFAULT_SEED, monte_carlo, triangle_free_exact
+from assocbounds.oracles import DEFAULT_SEED, monte_carlo
 
 from conftest import (
     enum_hypergraph_family,
@@ -89,10 +89,10 @@ class TestRunsSummary:
     @pytest.mark.parametrize("f", [runs_summary, models.runs_zero_exact],
                              ids=["summary", "exact"])
     @pytest.mark.parametrize("n,k,p", [(10, 0, 0.5), (1, 2, 0.5), (10, 2, 1.5),
-                                       (10, 2, math.nan)])
+                                       (10, 2, math.nan), (1, 0, 2.0)])
     def test_violations_are_the_spec_check(self, f, n, k, p):
-        # the same first message as ModelSpec.validate, not a restatement
-        expected = ModelSpec("runs", {"n": n, "k": k, "p": p}).validate()[0]
+        # the family's own check, not a restatement; (1, 0, 2.0) names two
+        expected = "; ".join(models.FAMILIES["runs"].check(n, k, p))
         with pytest.raises(ValueError) as exc:
             f(n, k, p)
         assert str(exc.value) == expected
@@ -102,9 +102,9 @@ class TestRunsSummary:
         assert center == pytest.approx(math.exp(-10 * 0.5 * 0.25), rel=1e-15)
         assert radius == pytest.approx((2 * 2 * 0.5 + 1) * 0.25, rel=1e-15)
 
-    @pytest.mark.parametrize("n,k,p", [(-5, 2, 0.5), (10, 0, 0.5), (1, 2, 0.5)])
+    @pytest.mark.parametrize("n,k,p", [(-5, 2, 0.5), (10, 0, 0.5), (1, 2, 0.5), (1, 0, 2.0)])
     def test_poisson_band_refuses_the_spec_violations(self, n, k, p):
-        expected = ModelSpec("runs", {"n": n, "k": k, "p": p}).validate()[0]
+        expected = "; ".join(models.FAMILIES["runs"].check(n, k, p))
         with pytest.raises(ValueError) as exc:
             runs_poisson_band(n, k, p)
         assert str(exc.value) == expected
@@ -152,7 +152,7 @@ class TestUstatSummary:
         # C(n, k) exceeds 1.8e308; the oracle at the same spec still works
         with pytest.raises(ValueError, match="double range"):
             ustat_summary(n, k, 0.5, variant)
-        truth = oracles.ustat_zero_exact(n, k, 0.5).log_value
+        truth = models.ustat_zero_exact(n, k, 0.5).log_value
         assert -0.72 < truth < -0.7
 
     @pytest.mark.parametrize("variant", [FIRST_PRINCIPLES, PAPER_AS_PRINTED])
@@ -400,7 +400,7 @@ INVALID_SPECS = [
 
 
 # every public function that reads a spec refuses an invalid one, with the
-# spec's own violations
+# message of the one gate, bind
 @pytest.mark.parametrize(
     "call",
     [
@@ -409,16 +409,16 @@ INVALID_SPECS = [
         models.trial_budget,
         lambda spec: simulate_batch(spec, np.zeros((1, 3))),
         lambda spec: monte_carlo(spec, 10),
-        lambda spec: sample_is_zero(spec, 7, 0),
     ],
-    ids=["summary_for", "oracle_for", "trial_budget", "simulate_batch",
-         "monte_carlo", "sample_is_zero"],
+    ids=["summary_for", "oracle_for", "trial_budget", "simulate_batch", "monte_carlo"],
 )
 @pytest.mark.parametrize("spec", INVALID_SPECS, ids=["n<k", "missing", "fractional", "unknown"])
 def test_invalid_spec_refused_with_its_violations(call, spec):
+    with pytest.raises(ValueError) as gate:
+        models.bind(spec)
     with pytest.raises(ValueError) as refused:
         call(spec)
-    assert str(refused.value) == "; ".join(spec.validate())
+    assert str(refused.value) == str(gate.value)
 
 
 class TestCovBoundedByDelta:
@@ -435,19 +435,24 @@ class TestCovBoundedByDelta:
         assert 0.0 <= s.cov_sum <= s.delta + 1e-12
 
 
+def one_trial(spec, seed, i):
+    """Whether trial i of the seed's stream gives Z = 0, from a one-trial batch."""
+    return bool(simulate_batch(spec, trial_uniforms(spec, seed, i, 1))[0])
+
+
 class TestSampling:
     def test_runs_p_one_never_zero(self):
         spec = ModelSpec("runs", {"n": 8, "k": 2, "p": 1.0})
-        assert not sample_is_zero(spec, 7, 0)
+        assert not one_trial(spec, 7, 0)
 
     def test_ustat_p_zero_always_zero(self):
         spec = ModelSpec("ustat", {"n": 8, "k": 2, "p": 0.0})
-        assert sample_is_zero(spec, 7, 3)
+        assert one_trial(spec, 7, 3)
 
     def test_scalar_deterministic(self):
         spec = ModelSpec("triangles", {"n": 6, "p": 0.5})
-        first = [sample_is_zero(spec, 11, i) for i in range(32)]
-        second = [sample_is_zero(spec, 11, i) for i in range(32)]
+        first = [one_trial(spec, 11, i) for i in range(32)]
+        second = [one_trial(spec, 11, i) for i in range(32)]
         assert first == second
 
     @pytest.mark.parametrize(
@@ -462,7 +467,7 @@ class TestSampling:
     def test_scalar_equals_batch(self, spec):
         u = trial_uniforms(spec, 99, 0, 64)
         batch = simulate_batch(spec, u)
-        scalars = [sample_is_zero(spec, 99, i) for i in range(64)]
+        scalars = [one_trial(spec, 99, i) for i in range(64)]
         assert [bool(b) for b in batch] == scalars
 
     def test_batch_offset_consistency(self):
@@ -479,11 +484,9 @@ class TestSampling:
         assert est.ci.contains(exact)
 
     def test_ustat_sampler_matches_binomial_tail(self):
-        from assocbounds.oracles import ustat_zero_exact
-
         spec = ModelSpec("ustat", {"n": 12, "k": 3, "p": 0.2})
         est = monte_carlo(spec, 1_000_000, seed=161803, level=0.99)
-        assert est.ci.contains(ustat_zero_exact(12, 3, 0.2).linear)
+        assert est.ci.contains(models.ustat_zero_exact(12, 3, 0.2).linear)
 
     def test_hypergraph_sampler_matches_enumeration(self):
         from conftest import enum_hypergraph_cover_prob

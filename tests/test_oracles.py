@@ -10,19 +10,21 @@ import numpy as np
 import pytest
 
 from assocbounds.family import ModelSpec
-from assocbounds.models import _avoid_histogram
+from assocbounds.models import (
+    _avoid_histogram,
+    cover_all_exact,
+    runs_zero_exact,
+    triangle_free_exact,
+    ustat_zero_exact,
+)
 from assocbounds.numerics import clopper_pearson
 from assocbounds.oracles import (
     MAX_WORKERS,
     EstimateWithCI,
-    cover_all_exact,
     mgf_gap_check,
     monte_carlo,
     oracle_for,
     random_monotone_joint,
-    runs_zero_exact,
-    triangle_free_exact,
-    ustat_zero_exact,
 )
 
 from conftest import (
@@ -142,6 +144,66 @@ class TestUstatZeroExact:
         assert ustat_zero_exact(n, k, p).linear == pytest.approx(
             brute_ustat_zero(n, k, p), rel=1e-12
         )
+
+
+def exact_log(v: Fraction) -> float:
+    """ln v for a rational 0 < v <= 1.  Above 1/2 it is log1p of the exact
+    deficit, whose digits a log of v itself would lose; below, v is scaled by
+    a power of two into [1/2, 2), so it may lie below the double range."""
+    if 2 * v > 1:
+        return math.log1p(-float(1 - v))
+    e = v.numerator.bit_length() - v.denominator.bit_length()
+    return math.log(float(v / Fraction(2) ** e)) + e * math.log(2.0)
+
+
+def runs_zero_rational(n: int, k: int, p: float) -> Fraction:
+    """trace(M^n) in integers, M the run-free transfer matrix of the trailing
+    count of ones (0 .. k-1) times the denominator d of p = a/d exactly."""
+    a, d = p.as_integer_ratio()
+    m = [[d - a if j == 0 else a if j == s + 1 else 0 for j in range(k)] for s in range(k)]
+    power = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(n):
+        power = [[sum(row[x] * m[x][j] for x in range(k)) for j in range(k)] for row in power]
+    return Fraction(sum(power[i][i] for i in range(k)), d**n)
+
+
+def binomial_lower_tail_rational(n: int, k: int, p: float) -> Fraction:
+    """P(Binomial(n, p) <= k - 1), exactly, with p = a/d."""
+    a, d = p.as_integer_ratio()
+    return Fraction(sum(math.comb(n, j) * a**j * (d - a) ** (n - j) for j in range(k)), d**n)
+
+
+class TestExactRationalReference:
+    """The two float oracles against their exact rationals, the value near
+    one and far below it included; logs agree to relative 1e-13."""
+
+    GRID = [
+        (n, k, p)
+        for n in (5, 20, 100)
+        for k in (1, 2, 3, 5)
+        for p in (1e-12, 1e-3, 0.3, 0.5, 0.9, 1 - 1e-9)
+        if k <= n
+    ]
+
+    @pytest.mark.parametrize(
+        "oracle,reference",
+        [(runs_zero_exact, runs_zero_rational), (ustat_zero_exact, binomial_lower_tail_rational)],
+        ids=["runs", "ustat"],
+    )
+    def test_log_matches_the_exact_rational(self, oracle, reference):
+        far = []
+        for n, k, p in self.GRID:
+            truth = exact_log(reference(n, k, p))
+            got = oracle(n, k, p).log_value
+            if not abs(got - truth) <= 1e-13 * abs(truth):
+                far.append((n, k, p, got, truth))
+        assert not far
+
+    def test_reference_log_keeps_the_deficit(self):
+        # 1 - 5e-60: a log of the rounded value would read 0
+        v = 1 - Fraction(5, 10**60)
+        assert exact_log(v) == pytest.approx(-5e-60, rel=1e-15)
+        assert exact_log(Fraction(1, 2**3000)) == pytest.approx(-3000 * math.log(2.0), rel=1e-15)
 
 
 class TestTriangleFreeExact:
