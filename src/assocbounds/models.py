@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from numbers import Real
 from typing import Any, Callable, Iterator
@@ -100,12 +100,15 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
     """The spec's family record and its parameters, cast by the record: the
     one gate for a spec, which every function that reads one goes through.
 
-    A ValueError refuses, in this order, an unknown model, a missing
-    parameter, a value the cast cannot read (``int(inf)``, ``int([10])``,
-    ``int("10.7")``; ``int("10")`` is 10), a fractional value of an ``int``
-    parameter, which the cast would truncate, and the family's range
-    violations, joined by "; ".
+    A ValueError refuses, in this order, a model not a ``str``, params not a
+    ``dict``, an unknown model, a missing parameter, a value the cast cannot
+    read (``int(inf)``, ``int([10])``, ``int("10.7")``; ``int("10")`` is 10),
+    a fractional value of an ``int`` parameter, which the cast would
+    truncate, and the family's range violations, joined by "; ".
     """
+    for field, value, want in (("model", spec.model, str), ("params", spec.params, dict)):
+        if not isinstance(value, want):
+            raise ValueError(f"{field} must be a {want.__name__}, got {type(value).__name__}")
     family = FAMILIES.get(spec.model)
     if family is None:
         raise ValueError(f"unknown model {spec.model!r}; expected one of {tuple(FAMILIES)}")
@@ -127,6 +130,22 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
         )
     _refuse(family.check(**q))
     return family, q
+
+
+# Words (512 KB) that one gather step reads: the cover sampler's mask words
+# (trials x draws x words), and _none_all_ones's booleans per set member.
+_GATHER_WORDS = 1 << 16
+
+
+def _none_all_ones(bits: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Per row of bits, whether no indicator is one, indicator i being the
+    product of bits[:, sets[:, i]] (sets: arity x indicators), gathered in
+    steps of at most _GATHER_WORDS words per set member."""
+    hit = np.zeros(bits.shape[0], dtype=bool)
+    step = max(1, 8 * _GATHER_WORDS // max(len(hit), 1))
+    for s in range(0, sets.shape[1], step):
+        hit |= bits[:, sets[:, s : s + step]].all(axis=1).any(axis=1)
+    return ~hit
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +200,6 @@ def _runs_violations(n: int, k: int, p: float) -> list[str]:
     if not 0.0 <= p <= 1.0:
         v.append(f"runs requires p in [0, 1], got p={p}")
     return v
-
-
-def _runs_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
-    """Row-wise: does the circular string (uniforms < p) lack k consecutive ones?"""
-    bits = (uniforms < p).astype(np.int8)
-    ext = np.concatenate([bits, bits[:, : k - 1]], axis=1) if k > 1 else bits
-    cs = np.cumsum(ext, axis=1, dtype=np.int64)
-    zero = np.zeros((bits.shape[0], 1), dtype=np.int64)
-    cs = np.concatenate([zero, cs], axis=1)
-    window = cs[:, k:] - cs[:, :-k]
-    return ~(window[:, :n] == k).any(axis=1)
 
 
 def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -343,17 +351,10 @@ def _avoid_histogram(N: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triangle_edge_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    table = _edge_table(n)
-    a, b, c = np.array(list(combinations(range(n), 3))).T
-    return table[a, b], table[a, c], table[b, c]
-
-
-def _triangles_sample(uniforms: np.ndarray, n: int, p: float) -> np.ndarray:
-    edges = uniforms < p
-    t0, t1, t2 = _triangle_edge_indices(n)
-    has_triangle = (edges[:, t0] & edges[:, t1] & edges[:, t2]).any(axis=1)
-    return ~has_triangle
+def _triangle_edge_indices(n: int) -> np.ndarray:
+    """Column t holds the three edge indices of the t-th triangle of K_n."""
+    a, b, c = np.fromiter(chain.from_iterable(combinations(range(n), 3)), int).reshape(-1, 3).T
+    return _edge_table(n)[[a, a, b], [b, c, c]]
 
 
 def triangle_free_exact(n: int, p: float) -> LogProb:
@@ -617,9 +618,6 @@ def _draw_vertices(choices: np.ndarray, N: int, k: int) -> np.ndarray:
 # of scratch to build on a 2-core Xeon.  A cap on codes alone would let
 # N = 100, k = 3 build 600 MB.  Larger shapes sample draw by draw.
 _TABLE_WORDS = 1 << 18
-# Mask words (trials x draws x words) that one step of the table sampler
-# gathers before the batch checks for full cover.
-_GATHER_WORDS = 1 << 16
 
 
 @lru_cache(maxsize=16)  # at most 32 MB of tables
@@ -741,7 +739,9 @@ FAMILIES: dict[str, Family] = {
         check=_runs_violations,
         summary=runs_summary,
         budget=lambda n, k, p: n,
-        sample=_runs_sample,
+        sample=lambda u, n, k, p: _none_all_ones(
+            u < p, (np.arange(k)[:, None] + np.arange(n)) % n
+        ),
         exact=runs_zero_exact,
     ),
     "triangles": Family(
@@ -749,7 +749,7 @@ FAMILIES: dict[str, Family] = {
         check=_triangles_violations,
         summary=triangles_summary,
         budget=lambda n, p: comb(n, 2),
-        sample=_triangles_sample,
+        sample=lambda u, n, p: _none_all_ones(u < p, _triangle_edge_indices(n)),
         exact=lambda n, p: triangle_free_exact(n, p) if n <= _ENUM_VERTICES else None,
     ),
     "ustat": Family(

@@ -337,6 +337,13 @@ class TestModelSpec:
     def test_missing_parameters_reported(self):
         assert refusal("runs", {"n": 10}) == "model 'runs' requires parameters ['k', 'p']"
 
+    def test_malformed_fields_refused_before_the_lookup(self):
+        # these reached FAMILIES.get or params.get and raised TypeError or
+        # AttributeError
+        assert refusal("runs", None) == "params must be a dict, got NoneType"
+        assert refusal("runs", [("n", 10)]) == "params must be a dict, got list"
+        assert refusal(["runs"], {}) == "model must be a str, got list"
+
     def test_a_record_of_two_fields(self):
         assert [f.name for f in dataclasses.fields(ModelSpec)] == ["model", "params"]
         assert not [

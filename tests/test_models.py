@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -524,7 +526,12 @@ class TestPhiloxContract:
             # over the table cap: sampled draw by draw
             ("hypergraph-cover", {"N": 16, "k": 6, "n_draws": 25}, 5_000, 92),
             ("runs", {"n": 100, "k": 3, "p": 0.3}, 100_000, 13013),
+            ("runs", {"n": 9, "k": 5, "p": 0.6}, 20_000, 14174),  # windows wrap
+            ("runs", {"n": 7, "k": 7, "p": 0.9}, 20_000, 10481),  # n = k
+            ("runs", {"n": 10, "k": 1, "p": 0.05}, 20_000, 12069),  # k = 1
             ("triangles", {"n": 20, "p": 0.1}, 20_000, 7646),
+            # about 75 gather steps per batch at the default budget
+            ("triangles", {"n": 50, "p": 0.05}, 2_000, 255),
             ("ustat", {"n": 24, "k": 3, "p": 0.05}, 100_000, 88266),
         ],
         ids=lambda v: "-".join(map(str, v.values())) if isinstance(v, dict) else None,
@@ -593,3 +600,61 @@ class TestCoverTable:
             (12, 5): True, (70, 2): True,
             (13, 5): False, (16, 6): False, (10, 10): False, (100, 3): False,
         }
+
+
+def has_all_ones_set(spec, row):
+    """Whether some run window or triangle of one row's bits is all ones."""
+    n = spec.params["n"]
+    if spec.model == "runs":
+        return any(all(row[(i + j) % n] for j in range(spec.params["k"])) for i in range(n))
+    edge = {e: i for i, e in enumerate(combinations(range(n), 2))}
+    return any(
+        row[edge[a, b]] and row[edge[a, c]] and row[edge[b, c]]
+        for a, b, c in combinations(range(n), 3)
+    )
+
+
+INDEX_SET_CASES = [
+    *(ModelSpec("runs", {"n": n, "k": k, "p": p})
+      for n, k in [(1, 1), (5, 1), (7, 7), (9, 5), (10, 2), (30, 3)]
+      for p in (0.2, 0.5, 0.9)),
+    *(ModelSpec("triangles", {"n": n, "p": p}) for n in range(3, 9) for p in (0.2, 0.5, 0.9)),
+]
+
+
+class TestNoneAllOnes:
+    """Runs and triangles, sampled as "no indicator's bit set is all ones",
+    against a per-row Python reference."""
+
+    @pytest.mark.parametrize("budget", ["default", "one set per step"])
+    @pytest.mark.parametrize(
+        "spec", INDEX_SET_CASES, ids=lambda s: "-".join(map(str, [s.model, *s.params.values()]))
+    )
+    def test_matches_a_per_row_reference(self, spec, budget, monkeypatch):
+        if budget == "one set per step":
+            monkeypatch.setattr(models, "_GATHER_WORDS", 1)
+        u = trial_uniforms(spec, 2024, 0, 200)
+        expected = [not has_all_ones_set(spec, row) for row in (u < spec.params["p"]).tolist()]
+        assert simulate_batch(spec, u).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec("runs", {"n": 10, "k": 3, "p": 0.5}), ModelSpec("triangles", {"n": 8, "p": 0.5})],
+    )
+    def test_empty_batch(self, spec):
+        assert simulate_batch(spec, trial_uniforms(spec, 1, 0, 0)).shape == (0,)
+
+    def test_triangles_batch_memory_does_not_grow_with_n(self):
+        # one full batch at n = 100: gathering all C(n, 3) triangles at once
+        # peaks at 378 MiB, gathering them in bounded steps at about 6 MiB
+        spec = ModelSpec("triangles", {"n": 100, "p": 0.05})
+        models._triangle_edge_indices(100)
+        u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_DOUBLES // math.comb(100, 2))
+        assert u.shape == (808, 4950)
+        tracemalloc.start()
+        try:
+            simulate_batch(spec, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
