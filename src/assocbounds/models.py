@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,12 +102,12 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
     one gate for a spec, which every function that reads one goes through.
 
     A ValueError refuses, in this order, a model not a ``str``, params not a
-    ``dict``, an unknown model, a missing parameter, a value the cast cannot
+    ``Mapping``, an unknown model, a missing parameter, a value the cast cannot
     read (``int(inf)``, ``int([10])``, ``int("10.7")``; ``int("10")`` is 10),
     a fractional value of an ``int`` parameter, which the cast would
     truncate, and the family's range violations, joined by "; ".
     """
-    for field, value, want in (("model", spec.model, str), ("params", spec.params, dict)):
+    for field, value, want in (("model", spec.model, str), ("params", spec.params, Mapping)):
         if not isinstance(value, want):
             raise ValueError(f"{field} must be a {want.__name__}, got {type(value).__name__}")
     family = FAMILIES.get(spec.model)
@@ -138,13 +139,16 @@ _GATHER_WORDS = 1 << 16
 
 
 def _none_all_ones(bits: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Per row of bits, whether no indicator is one, indicator i being the
-    product of bits[:, sets[:, i]] (sets: arity x indicators), gathered in
-    steps of at most _GATHER_WORDS words per set member."""
+    """Per row of bits, whether no indicator i, the product of bits[:, sets[:, i]]
+    (sets: arity x indicators), is one.  A step ANDs the members' columns in
+    turn, 8 * _GATHER_WORDS booleans each, so its memory ignores the arity."""
     hit = np.zeros(bits.shape[0], dtype=bool)
     step = max(1, 8 * _GATHER_WORDS // max(len(hit), 1))
     for s in range(0, sets.shape[1], step):
-        hit |= bits[:, sets[:, s : s + step]].all(axis=1).any(axis=1)
+        ones = bits[:, sets[0, s : s + step]]
+        for member in sets[1:, s : s + step]:
+            ones &= bits[:, member]
+        hit |= ones.any(axis=1)
     return ~hit
 
 
@@ -200,6 +204,18 @@ def _runs_violations(n: int, k: int, p: float) -> list[str]:
     if not 0.0 <= p <= 1.0:
         v.append(f"runs requires p in [0, 1], got p={p}")
     return v
+
+
+def _run_halves(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b, sets) with the circular window of the k bits from i on the product
+    of b[:, sets[:, i]]: b[:, i] is the product of the m bits from i on, m the
+    largest power of two up to k, by doubling in O(rows n log k)."""
+    m = 1
+    while 2 * m <= k:
+        bits = bits & np.roll(bits, -m, axis=1)
+        m *= 2
+    i = np.arange(bits.shape[1])
+    return bits, np.stack([i, (i + k - m) % len(i)])
 
 
 def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -739,9 +755,7 @@ FAMILIES: dict[str, Family] = {
         check=_runs_violations,
         summary=runs_summary,
         budget=lambda n, k, p: n,
-        sample=lambda u, n, k, p: _none_all_ones(
-            u < p, (np.arange(k)[:, None] + np.arange(n)) % n
-        ),
+        sample=lambda u, n, k, p: _none_all_ones(*_run_halves(u < p, k)),
         exact=runs_zero_exact,
     ),
     "triangles": Family(

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -340,9 +341,11 @@ class TestModelSpec:
     def test_malformed_fields_refused_before_the_lookup(self):
         # these reached FAMILIES.get or params.get and raised TypeError or
         # AttributeError
-        assert refusal("runs", None) == "params must be a dict, got NoneType"
-        assert refusal("runs", [("n", 10)]) == "params must be a dict, got list"
+        assert refusal("runs", None) == "params must be a Mapping, got NoneType"
+        assert refusal("runs", [("n", 10)]) == "params must be a Mapping, got list"
         assert refusal(["runs"], {}) == "model must be a str, got list"
+        # any Mapping has .get and [], so it binds
+        assert refusal("runs", MappingProxyType({"n": 10, "k": 2, "p": 0.5})) is None
 
     def test_a_record_of_two_fields(self):
         assert [f.name for f in dataclasses.fields(ModelSpec)] == ["model", "params"]

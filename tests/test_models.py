@@ -578,9 +578,16 @@ class TestCoverTable:
         assert models._cover_table(N, k) is None
         assert np.array_equal(by_table, by_draw)
 
-    @pytest.mark.parametrize("N,k", [(10, 3), (16, 6)])  # table, then loop
-    def test_empty_batch(self, N, k):
-        spec = ModelSpec("hypergraph-cover", {"N": N, "k": k, "n_draws": 5})
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(ModelSpec("hypergraph-cover", {"N": 10, "k": 3, "n_draws": 5}), id="10-3"),
+            pytest.param(ModelSpec("hypergraph-cover", {"N": 16, "k": 6, "n_draws": 5}), id="16-6"),
+            pytest.param(ModelSpec("runs", {"n": 10, "k": 3, "p": 0.5}), id="runs"),
+            pytest.param(ModelSpec("triangles", {"n": 8, "p": 0.5}), id="triangles"),
+        ],
+    )  # cover by table, cover draw by draw, then the two index-set families
+    def test_empty_batch(self, spec):
         assert simulate_batch(spec, trial_uniforms(spec, 1, 0, 0)).shape == (0,)
 
     def test_table_respects_cap(self):
@@ -639,18 +646,18 @@ class TestNoneAllOnes:
 
     @pytest.mark.parametrize(
         "spec",
-        [ModelSpec("runs", {"n": 10, "k": 3, "p": 0.5}), ModelSpec("triangles", {"n": 8, "p": 0.5})],
+        [
+            # gathering all C(n, 3) triangles at once peaked at 378 MiB
+            pytest.param(ModelSpec("triangles", {"n": 100, "p": 0.05}), id="triangles-n100"),
+            # prefix sums peaked at 134 MiB; a k x n window gather at GBs
+            pytest.param(ModelSpec("runs", {"n": 10_000, "k": 10_000, "p": 0.9}), id="runs-k10000"),
+        ],
     )
-    def test_empty_batch(self, spec):
-        assert simulate_batch(spec, trial_uniforms(spec, 1, 0, 0)).shape == (0,)
-
-    def test_triangles_batch_memory_does_not_grow_with_n(self):
-        # one full batch at n = 100: gathering all C(n, 3) triangles at once
-        # peaks at 378 MiB, gathering them in bounded steps at about 6 MiB
-        spec = ModelSpec("triangles", {"n": 100, "p": 0.05})
-        models._triangle_edge_indices(100)
-        u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_DOUBLES // math.comb(100, 2))
-        assert u.shape == (808, 4950)
+    def test_full_batch_memory_does_not_grow(self, spec):
+        # one full batch, gathered in bounded steps: about 6-8 MiB
+        family, q = models.bind(spec)
+        u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_DOUBLES // family.budget(**q))
+        simulate_batch(spec, u[:0])  # builds the cached index sets
         tracemalloc.start()
         try:
             simulate_batch(spec, u)
