@@ -134,22 +134,38 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 
 
 # Words (512 KB) that one gather step reads: the cover sampler's mask words
-# (trials x draws x words), and _none_all_ones's booleans per set member.
+# (trials x draws x words), and _none_all_ones's packed bytes per set member.
 _GATHER_WORDS = 1 << 16
 
 
-def _none_all_ones(bits: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Per row of bits, whether no indicator i, the product of bits[:, sets[:, i]]
-    (sets: arity x indicators), is one.  A step ANDs the members' columns in
-    turn, 8 * _GATHER_WORDS booleans each, so its memory ignores the arity."""
-    hit = np.zeros(bits.shape[0], dtype=bool)
+def _packed_bits(u: np.ndarray, p: float) -> np.ndarray:
+    """The bits u < p of rows u bit-sliced: (columns, ceil(rows / 8)) bytes,
+    bit r % 8 of byte r // 8 in row j holding row r's bit j, so one byte op
+    serves eight trials.  It is ``np.packbits((u < p).T, axis=1,
+    bitorder="little")``, ORed lane by lane from the row-major bits, which
+    skips transposing a byte per trial."""
+    bits = np.zeros((-(-len(u) // 8) * 8, u.shape[1]), dtype=bool)
+    np.less(u, p, out=bits[: len(u)])
+    lanes = bits.view(np.uint8).reshape(-1, 8, u.shape[1])
+    packed = lanes[:, 0].copy()
+    for j in range(1, 8):
+        packed |= lanes[:, j] << j
+    return np.ascontiguousarray(packed.T)
+
+
+def _none_all_ones(packed: np.ndarray, sets: np.ndarray, rows: int) -> np.ndarray:
+    """Per trial of :func:`_packed_bits` packed, whether no indicator i, the
+    product of packed[sets[:, i]] (sets: arity x indicators), is one.  A step
+    ANDs the members' rows in turn, 8 * _GATHER_WORDS bytes each, so its
+    memory ignores the arity."""
+    hit = np.zeros(packed.shape[1], dtype=np.uint8)
     step = max(1, 8 * _GATHER_WORDS // max(len(hit), 1))
     for s in range(0, sets.shape[1], step):
-        ones = bits[:, sets[0, s : s + step]]
+        ones = packed[sets[0, s : s + step]]
         for member in sets[1:, s : s + step]:
-            ones &= bits[:, member]
-        hit |= ones.any(axis=1)
-    return ~hit
+            ones &= packed[member]
+        hit |= np.bitwise_or.reduce(ones, axis=0)
+    return np.unpackbits(hit, count=rows, bitorder="little") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +222,17 @@ def _runs_violations(n: int, k: int, p: float) -> list[str]:
     return v
 
 
-def _run_halves(bits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_halves(packed: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(b, sets) with the circular window of the k bits from i on the product
-    of b[:, sets[:, i]]: b[:, i] is the product of the m bits from i on, m the
-    largest power of two up to k, by doubling in O(rows n log k)."""
+    of b[sets[:, i]], for packed bits (n, bytes): b[i] is the product of the m
+    bits from i on, m the largest power of two up to k, by doubling in
+    O(n bytes log k)."""
     m = 1
     while 2 * m <= k:
-        bits = bits & np.roll(bits, -m, axis=1)
+        packed = packed & np.roll(packed, -m, axis=0)
         m *= 2
-    i = np.arange(bits.shape[1])
-    return bits, np.stack([i, (i + k - m) % len(i)])
+    i = np.arange(len(packed))
+    return packed, np.stack([i, (i + k - m) % len(i)])
 
 
 def _scaled_power(m: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -366,11 +383,17 @@ def _avoid_histogram(N: int, k: int) -> np.ndarray:
     return hist
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # 3.3 MB each at n = 150
 def _triangle_edge_indices(n: int) -> np.ndarray:
-    """Column t holds the three edge indices of the t-th triangle of K_n."""
-    a, b, c = np.fromiter(chain.from_iterable(combinations(range(n), 3)), int).reshape(-1, 3).T
-    return _edge_table(n)[[a, a, b], [b, c, c]]
+    """Column t holds the three edge indices of the t-th triangle of K_n, in
+    the smallest unsigned dtype that holds C(n, 2) - 1: uint16 up to n = 362.
+    The index is shared between callers and read-only."""
+    vertex = np.min_scalar_type(n - 1)
+    a, b, c = np.fromiter(chain.from_iterable(combinations(range(n), 3)), vertex).reshape(-1, 3).T
+    edges = _edge_table(n).astype(np.min_scalar_type(comb(n, 2) - 1))
+    index = edges[[a, a, b], [b, c, c]]
+    index.flags.writeable = False
+    return index
 
 
 def triangle_free_exact(n: int, p: float) -> LogProb:
@@ -521,10 +544,17 @@ def _log_ratio(num: int, den: int) -> float:
     """ln(num/den) for integers 0 <= num, 0 < den.  Above 1/2 it is log1p of
     the exact (num - den)/den, so the log keeps its relative accuracy near
     one, where log(num/den) would keep only its absolute accuracy; int / int
-    rounds correctly."""
+    rounds correctly.  Below 2^-1022, where num/den would lose digits or
+    round to 0, it is ln((num << s)/den) - s ln 2, s the bit-length
+    difference, as :func:`runs_zero_exact` carries its exponent."""
     if num == 0:
         return NEG_INF
-    return math.log1p((num - den) / den) if 2 * num > den else math.log(num / den)
+    if 2 * num > den:
+        return math.log1p((num - den) / den)
+    if num << 1022 < den:
+        s = den.bit_length() - num.bit_length()
+        return math.log((num << s) / den) - s * _LN2
+    return math.log(num / den)
 
 
 def _log_uncovered(x: Fraction, n_draws: int) -> float:
@@ -755,7 +785,7 @@ FAMILIES: dict[str, Family] = {
         check=_runs_violations,
         summary=runs_summary,
         budget=lambda n, k, p: n,
-        sample=lambda u, n, k, p: _none_all_ones(*_run_halves(u < p, k)),
+        sample=lambda u, n, k, p: _none_all_ones(*_run_halves(_packed_bits(u, p), k), len(u)),
         exact=runs_zero_exact,
     ),
     "triangles": Family(
@@ -763,7 +793,9 @@ FAMILIES: dict[str, Family] = {
         check=_triangles_violations,
         summary=triangles_summary,
         budget=lambda n, p: comb(n, 2),
-        sample=lambda u, n, p: _none_all_ones(u < p, _triangle_edge_indices(n)),
+        sample=lambda u, n, p: _none_all_ones(
+            _packed_bits(u, p), _triangle_edge_indices(n), len(u)
+        ),
         exact=lambda n, p: triangle_free_exact(n, p) if n <= _ENUM_VERTICES else None,
     ),
     "ustat": Family(

@@ -640,9 +640,23 @@ class TestNoneAllOnes:
     def test_matches_a_per_row_reference(self, spec, budget, monkeypatch):
         if budget == "one set per step":
             monkeypatch.setattr(models, "_GATHER_WORDS", 1)
-        u = trial_uniforms(spec, 2024, 0, 200)
+        u = trial_uniforms(spec, 2024, 0, 203)
         expected = [not has_all_ones_set(spec, row) for row in (u < spec.params["p"]).tolist()]
-        assert simulate_batch(spec, u).tolist() == expected
+        # batches that fill no whole last byte of eight trials, and one that does
+        for rows in (1, 7, 9, 200, 203):
+            assert simulate_batch(spec, u[:rows]).tolist() == expected[:rows]
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 203])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_packing_round_trip(self, rows, p):
+        u = trial_uniforms(ModelSpec("runs", {"n": 13, "k": 2, "p": p}), 7, 0, rows)
+        packed = models._packed_bits(u, p)
+        assert packed.dtype == np.uint8 and packed.shape == (13, -(-rows // 8))
+        assert packed.flags.c_contiguous
+        unpacked = np.unpackbits(packed, axis=1, count=rows, bitorder="little")
+        assert np.array_equal(unpacked.T.astype(bool), u < p)
+        # the padding bits of the last byte stay zero
+        assert not np.unpackbits(packed, axis=1, bitorder="little")[:, rows:].any()
 
     @pytest.mark.parametrize(
         "spec",
@@ -654,7 +668,7 @@ class TestNoneAllOnes:
         ],
     )
     def test_full_batch_memory_does_not_grow(self, spec):
-        # one full batch, gathered in bounded steps: about 6-8 MiB
+        # one full batch, packed and gathered in bounded steps: about 5 MiB
         family, q = models.bind(spec)
         u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_DOUBLES // family.budget(**q))
         simulate_batch(spec, u[:0])  # builds the cached index sets
@@ -665,3 +679,45 @@ class TestNoneAllOnes:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestTriangleEdgeIndices:
+    @pytest.mark.parametrize(
+        "n,dtype", [(3, np.uint8), (23, np.uint8), (24, np.uint16), (150, np.uint16)]
+    )
+    def test_smallest_unsigned_dtype(self, n, dtype):
+        # C(23, 2) - 1 = 252 fits a byte, C(24, 2) - 1 = 275 does not
+        index = models._triangle_edge_indices(n)
+        assert index.dtype == dtype and index.shape == (3, math.comb(n, 3))
+        assert not index.flags.writeable
+        assert int(index.max()) == math.comb(n, 2) - 1
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 24, 30])
+    def test_values_in_combinations_order(self, n):
+        edge = {e: i for i, e in enumerate(combinations(range(n), 2))}
+        expected = [
+            (edge[a, b], edge[a, c], edge[b, c]) for a, b, c in combinations(range(n), 3)
+        ]
+        assert models._triangle_edge_indices(n).T.tolist() == [list(t) for t in expected]
+
+    def test_cache_is_bounded(self):
+        assert models._triangle_edge_indices.cache_info().maxsize is not None
+
+
+class TestLogRatio:
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            pytest.param(1, 10**400, id="1/1e400"),  # num / den rounds to 0
+            pytest.param(123456789, 10**330, id="subnormal"),  # about 1.2e-322
+            pytest.param(2**53 - 1, 2**1076, id="just-below-2^-1022"),
+            pytest.param(2**2000 + 1, 3**3000, id="(2^2000+1)/3^3000"),
+            pytest.param(10**300, 10**700, id="1e300/1e700"),
+            pytest.param(1, 10**20, id="1/1e20"),  # normal ratios, as before
+            pytest.param(2, 3, id="2/3"),
+        ],
+    )
+    def test_against_exact_logs(self, num, den):
+        with mpmath.workdps(60):
+            exact = float(mpmath.log(mpmath.mpf(num) / den))
+        assert models._log_ratio(num, den) == pytest.approx(exact, rel=4e-16, abs=0.0)
