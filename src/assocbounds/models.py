@@ -342,14 +342,16 @@ def triangles_summary(
     return _summary(variant, count, p**3, sums)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # 16 MB each at N = 2,000
 def _edge_table(N: int) -> np.ndarray:
     """table[a, b] = table[b, a] = the index of edge {a, b} of K_N in
-    ``combinations(range(N), 2)`` order, which every edge bit and column uses."""
-    table = np.zeros((N, N), dtype=np.int64)
-    for i, (a, b) in enumerate(combinations(range(N), 2)):
-        table[a, b] = i
-        table[b, a] = i
+    ``combinations(range(N), 2)`` order, which every edge bit and column uses,
+    in the smallest unsigned dtype that holds C(N, 2) - 1.  The table is
+    shared between callers and read-only."""
+    a, b = np.triu_indices(N, 1)  # row-major, so in combinations order
+    table = np.zeros((N, N), dtype=np.min_scalar_type(comb(N, 2) - 1))
+    table[a, b] = table[b, a] = np.arange(a.size, dtype=table.dtype)
+    table.flags.writeable = False
     return table
 
 
@@ -390,8 +392,7 @@ def _triangle_edge_indices(n: int) -> np.ndarray:
     The index is shared between callers and read-only."""
     vertex = np.min_scalar_type(n - 1)
     a, b, c = np.fromiter(chain.from_iterable(combinations(range(n), 3)), vertex).reshape(-1, 3).T
-    edges = _edge_table(n).astype(np.min_scalar_type(comb(n, 2) - 1))
-    index = edges[[a, a, b], [b, c, c]]
+    index = _edge_table(n)[[a, a, b], [b, c, c]]
     index.flags.writeable = False
     return index
 

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.stats import beta as _beta_dist
-
 NEG_INF = float("-inf")
 
 @dataclass(frozen=True, order=True)
@@ -185,7 +183,11 @@ def minimize_scalar(
 
 
 def clopper_pearson(successes: int, trials: int, level: float) -> ConfidenceInterval:
-    """Exact binomial confidence interval via Beta-quantile inversion."""
+    """Exact binomial confidence interval via Beta-quantile inversion.
+
+    ``scipy.stats``, most of a process's start-up, loads on the first call."""
+    from scipy.stats import beta as beta_dist
+
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
@@ -195,9 +197,9 @@ def clopper_pearson(successes: int, trials: int, level: float) -> ConfidenceInte
     if successes == 0:
         lower = 0.0
     else:
-        lower = float(_beta_dist.ppf(alpha / 2.0, successes, trials - successes + 1))
+        lower = float(beta_dist.ppf(alpha / 2.0, successes, trials - successes + 1))
     if successes == trials:
         upper = 1.0
     else:
-        upper = float(_beta_dist.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
+        upper = float(beta_dist.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
     return ConfidenceInterval(lower=lower, upper=upper, level=level)

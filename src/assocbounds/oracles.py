@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .family import ModelSpec
-from .models import bind, simulate_batch, trial_budget, trial_uniforms
+from .models import bind, simulate_batch, trial_uniforms
 from .numerics import ConfidenceInterval, LogProb, check_level, clopper_pearson
 
 DEFAULT_SEED = 0xA55C1A7E  # documented constant so bare runs are reproducible
@@ -67,19 +67,6 @@ def check_run(trials: int, level: float, workers: int = 1) -> None:
     check_level(level)
 
 
-def _count_chunk(spec: ModelSpec, seed: int, start: int, stop: int) -> int:
-    budget = trial_budget(spec)
-    batch = max(1, min(stop - start, _BATCH_DOUBLES // max(budget, 1)))
-    successes = 0
-    i = start
-    while i < stop:
-        count = min(batch, stop - i)
-        u = trial_uniforms(spec, seed, i, count)
-        successes += int(simulate_batch(spec, u).sum())
-        i += count
-    return successes
-
-
 def monte_carlo(
     spec: ModelSpec,
     trials: int,
@@ -91,21 +78,25 @@ def monte_carlo(
 
     The success count is a sum over per-trial outcomes that depend only on
     (seed, trial_index), so the result is bit-identical for any worker count
-    (1 to MAX_WORKERS threads) or batching schedule.  A bad spec, trial
-    count, worker count or level is refused before any trial.
+    (1 to MAX_WORKERS threads) or batching schedule; min(workers, trials)
+    pool threads count them while the calling thread waits.  A bad spec,
+    trial count, worker count or level is refused before any trial.
     """
-    bind(spec)
+    family, q = bind(spec)
     check_run(trials, level, workers)
-    if workers == 1 or trials < 2 * workers:
-        successes = _count_chunk(spec, seed, 0, trials)
-    else:
-        bounds_ = [round(w * trials / workers) for w in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_count_chunk, spec, seed, a, b)
-                for a, b in zip(bounds_[:-1], bounds_[1:])
-            ]
-            successes = sum(f.result() for f in futures)
+    batch = max(1, _BATCH_DOUBLES // family.budget(**q))
+
+    def count(start: int, stop: int) -> int:
+        # no name holds a batch's uniforms, so each is freed before the next is drawn
+        return sum(
+            int(simulate_batch(spec, trial_uniforms(spec, seed, i, min(batch, stop - i))).sum())
+            for i in range(start, stop, batch)
+        )
+
+    ranges = min(workers, trials)
+    cuts = [w * trials // ranges for w in range(ranges + 1)]
+    with ThreadPoolExecutor(max_workers=ranges) as pool:
+        successes = sum(pool.map(count, cuts[:-1], cuts[1:]))
     estimate = successes / trials
     ci = clopper_pearson(successes, trials, level)
     return EstimateWithCI(

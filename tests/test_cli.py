@@ -692,3 +692,25 @@ class TestParsing:
         code = main([])
         capsys.readouterr()
         assert code == 2
+
+
+def test_scipy_stats_loads_on_the_first_interval():
+    # a fresh process: bound and compare --oracle never compute an interval
+    script = """
+import contextlib, io, sys
+from assocbounds.cli import main
+from assocbounds.family import ModelSpec
+from assocbounds.oracles import monte_carlo
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["bound", "--model", "runs", "--n", "100", "--k", "3", "--p", "0.3"]),
+        main(["compare", "--model", "runs", "--n", "10", "--k", "2",
+              "--sweep", "p=0.1:0.5:3", "--oracle"]),
+    ]
+before = "scipy.stats" in sys.modules
+monte_carlo(ModelSpec("runs", {"n": 10, "k": 2, "p": 0.3}), 10)
+print(*codes, before, "scipy.stats" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "False", "True"]

@@ -513,11 +513,13 @@ class TestSampling:
 
 
 class TestPhiloxContract:
-    """Exact success counts at the default seed, the same for one worker,
-    two workers and small batches; a change to a sampler or to the stream
+    """Exact success counts at the default seed, the same for one, two and
+    three workers and small batches; a change to a sampler or to the stream
     layout shows here.  Criterion 6 pins the 1M-trial coverage count."""
 
-    @pytest.mark.parametrize("schedule", ["workers=1", "workers=2", "small batches"])
+    @pytest.mark.parametrize(
+        "schedule", ["workers=1", "workers=2", "workers=3", "small batches"]
+    )
     @pytest.mark.parametrize(
         "model,params,trials,successes",
         [
@@ -541,7 +543,7 @@ class TestPhiloxContract:
     ):
         if schedule == "small batches":
             monkeypatch.setattr(oracles, "_BATCH_DOUBLES", 5000)
-        workers = 2 if schedule == "workers=2" else 1
+        workers = int(schedule[-1]) if schedule.startswith("workers=") else 1
         est = monte_carlo(ModelSpec(model, params), trials, seed=DEFAULT_SEED, workers=workers)
         assert est.successes == successes
 
@@ -702,6 +704,28 @@ class TestTriangleEdgeIndices:
 
     def test_cache_is_bounded(self):
         assert models._triangle_edge_indices.cache_info().maxsize is not None
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("N", [2, 3, 7, 23, 24, 64])
+    def test_values_in_combinations_order(self, N):
+        table = models._edge_table(N)
+        assert np.array_equal(table, table.T)
+        for i, (a, b) in enumerate(combinations(range(N), 2)):
+            assert table[a, b] == i
+
+    @pytest.mark.parametrize(
+        "N,dtype", [(2, np.uint8), (23, np.uint8), (24, np.uint16), (363, np.uint32)]
+    )
+    def test_smallest_unsigned_dtype(self, N, dtype):
+        # C(362, 2) - 1 = 65,340 fits 16 bits, C(363, 2) - 1 = 65,702 does not
+        table = models._edge_table(N)
+        assert table.dtype == dtype and table.shape == (N, N)
+        assert not table.flags.writeable
+        assert int(table.max()) == math.comb(N, 2) - 1
+
+    def test_cache_is_bounded(self):
+        assert models._edge_table.cache_info().maxsize is not None
 
 
 class TestLogRatio:

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from assocbounds import oracles
 from assocbounds.family import ModelSpec
 from assocbounds.models import (
     _avoid_histogram,
     cover_all_exact,
     runs_zero_exact,
     triangle_free_exact,
+    trial_budget,
     ustat_zero_exact,
 )
 from assocbounds.numerics import clopper_pearson
@@ -463,6 +467,44 @@ class TestMonteCarlo:
         b = monte_carlo(spec, 30_000, seed=3)
         c = monte_carlo(spec, 30_000, seed=3, workers=4)
         assert a == b == c
+
+    @pytest.mark.parametrize("trials,workers", [(1, MAX_WORKERS), (3, 8), (5, 2)])
+    def test_no_more_workers_than_trials(self, trials, workers, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(oracles, "ThreadPoolExecutor", Recording)
+        spec = ModelSpec("runs", {"n": 12, "k": 2, "p": 0.4})
+        assert monte_carlo(spec, trials, seed=3, workers=workers) == monte_carlo(
+            spec, trials, seed=3
+        )
+        assert sizes == [min(workers, trials), 1]
+
+    @pytest.mark.parametrize(
+        "spec,workers",
+        [
+            pytest.param(ModelSpec("runs", {"n": 100, "k": 3, "p": 0.3}), 1, id="runs-1"),
+            pytest.param(ModelSpec("runs", {"n": 100, "k": 3, "p": 0.3}), 2, id="runs-2"),
+            pytest.param(ModelSpec("ustat", {"n": 24, "k": 3, "p": 0.05}), 1, id="ustat-1"),
+        ],
+    )
+    def test_one_batch_of_uniforms_alive_per_worker(self, spec, workers, monkeypatch):
+        # three batches per worker: a batch held while the next is drawn
+        # would peak at two batches per worker
+        monkeypatch.setattr(oracles, "_BATCH_DOUBLES", 400_000)
+        batch = oracles._BATCH_DOUBLES // trial_budget(spec)
+        monte_carlo(spec, workers, workers=workers)
+        tracemalloc.start()
+        try:
+            monte_carlo(spec, 3 * batch * workers, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * workers * 8 * oracles._BATCH_DOUBLES
 
     def test_estimate_within_interval_invariant(self):
         spec = ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5})
