@@ -127,6 +127,9 @@ class SkippedBound:
 
 BoundEntry = BoundResult | SkippedBound
 
+# _tilted_product's result: (t, log_w) -> a bare log value.
+_Tilted = Callable[[float, float], float]
+
 
 def _log_cov(s: FamilySummary) -> float:
     """ln cov_sum, and -inf for cov_sum <= 0: the additive bounds refuse a
@@ -134,40 +137,49 @@ def _log_cov(s: FamilySummary) -> float:
     return math.log(s.cov_sum) if s.cov_sum > 0 else NEG_INF
 
 
-def _tilted_product(s: FamilySummary) -> Callable[[float, float], LogProb]:
+def _tilted_product(s: FamilySummary) -> _Tilted:
     """(t, log_w) -> ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum).
 
     The bounds that read the means, lv-iid aside, are points of it (see the
     module docstring).  The summary's means and ln cov_sum are bound once:
-    lv-optimal evaluates the function about 55 times per summary.  A shared
-    mean is evaluated in scalar ``math`` (numpy's cost per call would exceed
-    that of the one term), several means in one numpy pass.  On either path
-    each term ln(1 - p + p e^{-t}) is log1p(p expm1(-t)), exactly -t at p = 1
-    and log1p(-p) at t = inf, and the log product keeps a relative accuracy
-    of 1e-14 wherever every p (1 - e^{-t}) <= 1/2.
+    lv-optimal evaluates the function about 55 times per summary, so it
+    returns a bare log value and builds no LogProb.  A shared mean is
+    evaluated in scalar ``math`` in one frame (numpy's cost per call would
+    exceed that of the one term), several means in one numpy pass.  On either
+    path each term ln(1 - p + p e^{-t}) is log1p(p expm1(-t)), exactly -t at
+    p = 1 and log1p(-p) at t = inf, and the log product keeps a relative
+    accuracy of 1e-14 wherever every p (1 - e^{-t}) <= 1/2.
     """
     log_cov = _log_cov(s)
     if len(s.means) == 1:
         weight, (p,) = s.count, s.means
 
-        def log_product(t: float) -> float:
+        def value(t: float, log_w: float) -> float:
             term = -t if p >= 1.0 else math.log1p(p * math.expm1(-t))
             # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
             # to 0) read ln 1 = +0.0, as a sum over several means does
-            return weight * (term + 0.0)
-    else:
-        # one indicator per mean; certain ones (p = 1) contribute -t each and
-        # stay out of log1p, which would warn on log1p(-1) at t = inf
-        means = np.asarray(s.means, dtype=np.float64)
-        uncertain = means[means < 1.0]
-        n_certain = len(means) - len(uncertain)
+            la, lb = weight * (term + 0.0), log_w + log_cov
+            # log_add_floats(la, lb), written out: one frame fewer per probe
+            if la == NEG_INF:
+                return lb
+            if lb == NEG_INF:
+                return la
+            hi, lo = (la, lb) if la >= lb else (lb, la)
+            return hi + math.log1p(math.exp(lo - hi))
 
-        def log_product(t: float) -> float:
-            total = float(np.sum(np.log1p(uncertain * math.expm1(-t))))
-            return total - n_certain * t if n_certain else total  # 0 * inf is NaN
+        return value
 
-    def value(t: float, log_w: float) -> LogProb:
-        return LogProb(log_add_floats(log_product(t), log_w + log_cov))
+    # one indicator per mean; certain ones (p = 1) contribute -t each and
+    # stay out of log1p, which would warn on log1p(-1) at t = inf
+    means = np.asarray(s.means, dtype=np.float64)
+    uncertain = means[means < 1.0]
+    n_certain = len(means) - len(uncertain)
+
+    def value(t: float, log_w: float) -> float:
+        total = float(np.sum(np.log1p(uncertain * math.expm1(-t))))
+        if n_certain:  # 0 * inf is NaN
+            total -= n_certain * t
+        return log_add_floats(total, log_w + log_cov)
 
     return value
 
@@ -210,20 +222,21 @@ def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
     return BoundResult("janson-ratio", LogProb(exponent))
 
 
-def boppona_spencer(s: FamilySummary) -> BoundResult:
+def boppona_spencer(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """exp(delta / (1 - max_mean)) * prod(1 - p_i)."""
     if s.max_mean >= 1.0:
         raise ValueError(
             f"boppona-spencer requires max mean < 1, got {s.max_mean}"
         )
-    product = _tilted_product(s)(math.inf, NEG_INF).log_value
+    product = (_tilted or _tilted_product(s))(math.inf, NEG_INF)
     return BoundResult("boppona-spencer", LogProb(s.delta / (1.0 - s.max_mean) + product))
 
 
-def boutsikas_koutras(s: FamilySummary) -> BoundResult:
+def boutsikas_koutras(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """prod(1 - p_i) + cov_sum."""
     _require_nonneg_cov(s, "boutsikas-koutras")
-    return BoundResult("boutsikas-koutras", _tilted_product(s)(math.inf, 0.0))
+    value = (_tilted or _tilted_product(s))(math.inf, 0.0)
+    return BoundResult("boutsikas-koutras", LogProb(value))
 
 
 def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
@@ -248,7 +261,11 @@ def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
 
 
 def lv_general(
-    s: FamilySummary, t: float | None = None, *, log_t: float | None = None
+    s: FamilySummary,
+    t: float | None = None,
+    *,
+    log_t: float | None = None,
+    _tilted: _Tilted | None = None,
 ) -> BoundResult:
     """exp(-t|I|) * (prod E[e^{t(1-X_i)}] + t^2 e^{t|I|} cov_sum).
 
@@ -257,7 +274,8 @@ def lv_general(
     """
     _require_nonneg_cov(s, "lv-general")
     t_lin, lt = _resolve_t(t, log_t)
-    return BoundResult("lv-general", _tilted_product(s)(t_lin, 2.0 * lt), t=t_lin, log_t=lt)
+    value = (_tilted or _tilted_product(s))(t_lin, 2.0 * lt)
+    return BoundResult("lv-general", LogProb(value), t=t_lin, log_t=lt)
 
 
 def lv_iid(
@@ -290,7 +308,7 @@ def lv_iid(
     return BoundResult("lv-iid", value, t=t_lin, log_t=lt)
 
 
-def lv_optimal(s: FamilySummary) -> BoundResult:
+def lv_optimal(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """lv-general minimized over t in [T_GRID_MIN, T_GRID_MAX].
 
     The objective is convex in t (see the module docstring), so its log is
@@ -299,16 +317,17 @@ def lv_optimal(s: FamilySummary) -> BoundResult:
     exactly T_GRID_MIN or T_GRID_MAX when the minimum sits at that end.
     """
     _require_nonneg_cov(s, "lv-optimal")
-    value = _tilted_product(s)
+    value = _tilted or _tilted_product(s)
     t_star, f_star = minimize_scalar(
         lambda t: value(t, 2.0 * math.log(t)), T_GRID_MIN, T_GRID_MAX
     )
     return BoundResult("lv-optimal", f_star, t=t_star, log_t=math.log(t_star))
 
 
-def independent_lower(s: FamilySummary) -> BoundResult:
+def independent_lower(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """prod(1 - p_i): a lower bound on P(X=0) under positive association."""
-    return BoundResult("independent-lower", _tilted_product(s)(math.inf, NEG_INF))
+    value = (_tilted or _tilted_product(s))(math.inf, NEG_INF)
+    return BoundResult("independent-lower", LogProb(value))
 
 
 def evaluate_all(
@@ -341,13 +360,17 @@ def evaluate_all(
 
     entries.append(attempt("janson-basic", lambda: janson_basic(s)))
     entries.append(attempt("janson-ratio", lambda: janson_ratio(s, form=eq2_form)))
-    entries.append(attempt("boppona-spencer", lambda: boppona_spencer(s)))
-    entries.append(attempt("boutsikas-koutras", lambda: boutsikas_koutras(s)))
+    # the five bounds that read the means share one bind of them
+    tilted = _tilted_product(s)
+    entries.append(attempt("boppona-spencer", lambda: boppona_spencer(s, _tilted=tilted)))
+    entries.append(attempt("boutsikas-koutras", lambda: boutsikas_koutras(s, _tilted=tilted)))
 
     if explicit_t:
-        entries.append(attempt("lv-general", lambda: lv_general(s, t, log_t=log_t)))
+        entries.append(
+            attempt("lv-general", lambda: lv_general(s, t, log_t=log_t, _tilted=tilted))
+        )
 
-    optimal = attempt("lv-optimal", lambda: lv_optimal(s))
+    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _tilted=tilted))
 
     if explicit_t:
         entries.append(attempt("lv-iid", lambda: lv_iid(s, t, log_t=log_t)))
@@ -358,7 +381,7 @@ def evaluate_all(
         entries.append(SkippedBound("lv-iid", optimal.reason))
 
     entries.append(optimal)
-    entries.append(attempt("independent-lower", lambda: independent_lower(s)))
+    entries.append(attempt("independent-lower", lambda: independent_lower(s, _tilted=tilted)))
     return entries
 
 

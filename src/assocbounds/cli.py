@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -94,8 +94,51 @@ def _variants(args: argparse.Namespace, allow_both: bool = False) -> tuple[str, 
     return _VARIANTS[args.variant]
 
 
+# The types the C encoder writes as one token; np.float64 is a float.
+_SCALARS = frozenset({str, int, float, bool, type(None), np.float64})
+
+
+@functools.lru_cache(maxsize=8)  # one per depth; CLI documents are 3 deep
+def _encoder(pad: str) -> Callable[[Any], str]:
+    """The C encoder of a container at indent ``pad``: its item separator
+    holds the newline and the padding of the items."""
+    return json.JSONEncoder(separators=(",\n" + pad + "  ", ": ")).encode
+
+
+def _indent2(obj: Any, pad: str = "") -> str:
+    """The text of ``json.dumps(obj, indent=2)`` for ``obj`` at indent ``pad``,
+    from the C encoder.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder.  Here each
+    non-empty container is one call of the C encoder, whose item separator
+    holds the newline and the padding, with the first and last line breaks
+    spliced in.  A container that holds containers is encoded with 0 in
+    their place and split at its separator, which no token holds (the
+    encoder escapes every control character), and each 0 is replaced by the
+    text of its container.  Tuples count as lists, and keys are coerced as
+    ``json.dumps`` coerces them, by the C encoder itself.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    items = obj.values() if isinstance(obj, dict) else obj
+    if _SCALARS.issuperset(map(type, items)):
+        text = _encoder(pad)(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    nested = [isinstance(x, (dict, list, tuple)) for x in items]
+    flat = [0 if n else x for n, x in zip(nested, items)]
+    text = _encoder(pad)(dict(zip(obj, flat)) if isinstance(obj, dict) else flat)
+    body = sep.join(
+        part[:-1] + _indent2(x, inner) if n else part
+        for part, n, x in zip(text[1:-1].split(sep), nested, items)
+    )
+    return f"{text[0]}\n{inner}{body}\n{pad}{text[-1]}"
+
+
 def _emit(obj: Any) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Write ``json.dumps(obj, indent=2)`` and a newline to stdout."""
+    sys.stdout.write(_indent2(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------

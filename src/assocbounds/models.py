@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from numbers import Real
 from typing import Any, Callable, Iterator
@@ -391,7 +391,12 @@ def _triangle_edge_indices(n: int) -> np.ndarray:
     the smallest unsigned dtype that holds C(n, 2) - 1: uint16 up to n = 362.
     The index is shared between callers and read-only."""
     vertex = np.min_scalar_type(n - 1)
-    a, b, c = np.fromiter(chain.from_iterable(combinations(range(n), 3)), vertex).reshape(-1, 3).T
+    # the triangles {a, b, c}, a < b < c, in combinations order: for each a,
+    # the pairs b < c above a, which end the row-major pairs of range(n)
+    pairs = np.array(np.triu_indices(n, 1), dtype=vertex)
+    above = [comb(n - a - 1, 2) for a in range(n - 2)]
+    a = np.repeat(np.arange(n - 2, dtype=vertex), above)
+    b, c = np.concatenate([pairs[:, pairs.shape[1] - m :] for m in above], axis=1)
     index = _edge_table(n)[[a, a, b], [b, c, c]]
     index.flags.writeable = False
     return index

@@ -130,9 +130,12 @@ _LOG_T_TOLERANCE = 1e-9
 
 
 def minimize_scalar(
-    f: Callable[[float], LogProb], t_min: float, t_max: float
+    f: Callable[[float], float], t_min: float, t_max: float
 ) -> tuple[float, LogProb]:
     """Golden-section minimization in ln t of an objective unimodal in ln t.
+
+    ``f`` returns a bare log value, so a search builds one LogProb, for the
+    minimum, and none per probe.
 
     Both ends, exactly ``t_min`` and ``t_max``, are evaluated first; the
     search then spans the whole range in ln t until the bracket is
@@ -140,7 +143,8 @@ def minimize_scalar(
     no grid: a multimodal objective may be left in a local minimum.  The
     returned t is a point the objective was evaluated at, so it lies in
     ``[t_min, t_max]`` and is exactly an end when the minimum is there.  A
-    point where ``f`` raises ValueError or ArithmeticError counts as +inf.
+    point where ``f`` returns NaN, or raises ValueError or ArithmeticError,
+    counts as +inf.
 
     Raises ValueError if the objective fails at both ends.
     """
@@ -149,9 +153,10 @@ def minimize_scalar(
 
     def probe(t: float) -> float:
         try:
-            return f(t).log_value
+            v = f(t)
         except (ValueError, ArithmeticError):
             return math.inf
+        return math.inf if math.isnan(v) else v
 
     best_f, best_t = min((probe(t), t) for t in (t_min, t_max))
     if best_f == math.inf:

@@ -380,11 +380,11 @@ class TestTiltedProductPrecision:
         s, t, log_w = point
         log_product, value = mp_tilted(s, t, log_w)
         f = bounds._tilted_product(s)
-        assert f(t, -math.inf).log_value == pytest.approx(log_product, rel=1e-14, abs=0.0)
+        assert f(t, -math.inf) == pytest.approx(log_product, rel=1e-14, abs=0.0)
         # ln cov_sum and log_w add before the log-sum, so the value keeps the
         # absolute accuracy of the larger of them, which may cancel
         scale = max(1.0, abs(value), abs(log_w) if log_w > -math.inf else 0.0)
-        assert f(t, log_w).log_value == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
+        assert f(t, log_w) == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [1e-12, 1e-3, 0.5, math.inf])
@@ -395,20 +395,21 @@ class TestTiltedProductPrecision:
         s = hetero(means, 0.0, 1.0)
         log_product, value = mp_tilted(s, t, 0.0)
         f = bounds._tilted_product(s)
-        assert f(t, -math.inf).log_value == pytest.approx(log_product, rel=1e-14, abs=0.0)
+        assert f(t, -math.inf) == pytest.approx(log_product, rel=1e-14, abs=0.0)
         # the log-sum with ln cov_sum = 0 keeps absolute accuracy, as above
         scale = max(1.0, abs(value))
-        assert f(t, 0.0).log_value == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
+        assert f(t, 0.0) == pytest.approx(value, rel=0.0, abs=1e-14 * scale)
 
     # ln 1 prints as 0.0, not -0.0: p = 0, or p = 1 at a log-form t that
     # underflows to 0
     @pytest.mark.parametrize("means,t", [([0.0], 0.5), ([0.0, 0.0], 0.5), ([1.0], 0.0)])
     def test_a_product_of_ones_reads_plus_zero(self, means, t):
-        log_product = bounds._tilted_product(hetero(means, 0.0, 0.0))(t, -math.inf).log_value
+        log_product = bounds._tilted_product(hetero(means, 0.0, 0.0))(t, -math.inf)
         assert math.copysign(1.0, log_product) == 1.0
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="where p (1 - e^{-t}) > 1/2, log1p(p expm1(-t)) keeps only the absolute "
         "accuracy of 1 + p expm1(-t); ln((1 - p) + p e^{-t}) would keep the relative one",
     )
@@ -416,19 +417,20 @@ class TestTiltedProductPrecision:
     def test_near_one_means_at_large_t(self, p):
         s = homog(1, p, 0.0, 0.0)
         log_product, _ = mp_tilted(s, 31.6, -math.inf)
-        assert bounds._tilted_product(s)(31.6, -math.inf).log_value == pytest.approx(
+        assert bounds._tilted_product(s)(31.6, -math.inf) == pytest.approx(
             log_product, rel=1e-14, abs=0.0
         )
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="p expm1(-t) = -1e-312 rounds to a subnormal with 12 digits, and the "
         "weight of 1e9 brings the log back into the normal range",
     )
     def test_subnormal_terms(self):
         s = homog(10**9, 1e-300, 0.0, 0.0)
         log_product, _ = mp_tilted(s, 1e-12, -math.inf)
-        assert bounds._tilted_product(s)(1e-12, -math.inf).log_value == pytest.approx(
+        assert bounds._tilted_product(s)(1e-12, -math.inf) == pytest.approx(
             log_product, rel=1e-14, abs=0.0
         )
 
@@ -530,6 +532,17 @@ class TestEvaluateAll:
             monkeypatch.setattr(bounds, name, no_bound)
         with pytest.raises(ValueError, match=reason):
             evaluate_all(runs_summary(10, 2, 0.5), **kwargs)
+
+    @pytest.mark.parametrize(
+        "s", [homog(12, 0.1, 0.02, 0.01), hetero([0.1, 0.3, 1.0], 0.02, 0.01)]
+    )
+    @pytest.mark.parametrize("t", [None, 0.7])
+    def test_binds_the_tilted_product_once(self, s, t, monkeypatch):
+        # the five bounds that read the means share one bind
+        bind, binds = bounds._tilted_product, []
+        monkeypatch.setattr(bounds, "_tilted_product", lambda s: binds.append(s) or bind(s))
+        evaluate_all(s, t=t)
+        assert len(binds) == 1 and binds[0] is s
 
     def test_janson_ratio_refuses_an_unknown_form(self):
         with pytest.raises(ValueError, match="form must be one of"):

@@ -9,11 +9,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from assocbounds import bounds
+from assocbounds import bounds, cli
 from assocbounds.bounds import BoundResult
 from assocbounds.cli import CSV_COLUMNS, build_parser, main
+from assocbounds.family import FamilySummary
 from assocbounds.models import FAMILIES, runs_zero_exact
 from assocbounds.numerics import LogProb
 
@@ -253,6 +257,55 @@ class TestBoundCommand:
             "--p", "0.5", "--variant", "both",
         )
         assert code == 2 and "compare" in err
+
+
+_json_floats = st.floats(allow_nan=True, allow_infinity=True)
+_json_text = st.one_of(
+    st.text(max_size=6),
+    # ",\n  " is a separator of the encoder's; in a string it is escaped
+    st.sampled_from(["", "\x00", "\x1f\n\t", ",\n  ", "\u00e9\u4e2d", "\u2028", "\ud800", '"\\/']),
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    _json_floats,
+    _json_floats.map(np.float64),
+    _json_text,
+)
+_json_keys = st.one_of(
+    _json_text, st.integers(), _json_floats, _json_floats.map(np.float64), st.booleans(), st.none()
+)
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_json_keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestOutputEncoding:
+    """stdout is json.dumps(obj, indent=2), written by the C encoder."""
+
+    @given(_json_documents)
+    def test_same_bytes_as_indent_2(self, doc):
+        assert cli._indent2(doc) == json.dumps(doc, indent=2)
+
+    def test_five_thousand_mean_summary_same_stdout_as_indent_2(self, capsys, monkeypatch):
+        means = np.random.default_rng(21).uniform(1e-4, 0.05, 5000).tolist()
+        means[::1000] = [0.0] * 5
+        summary = FamilySummary(count=5000, means=means, delta=0.4, cov_sum=0.1)
+        argv = ["bound", "--summary", json.dumps(summary.to_json_dict())]
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["summary"]["means"]) == 5000
+        monkeypatch.setattr(
+            cli, "_emit", lambda obj: sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        )
+        assert run_main(capsys, *argv) == (code, out, "")
 
 
 class TestCompareCommand:

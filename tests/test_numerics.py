@@ -110,13 +110,13 @@ class TestLogExceeds:
 
 class TestMinimizeScalar:
     def test_monotone_objective_returns_left_endpoint(self):
-        t, f = minimize_scalar(lambda t: LogProb(t), 1.0, 2.0)
+        t, f = minimize_scalar(lambda t: t, 1.0, 2.0)
         assert t == pytest.approx(1.0, rel=1e-6)
         assert f.log_value == pytest.approx(1.0, rel=1e-6)
 
     def test_quadratic_minimum_located(self):
         t, f = minimize_scalar(
-            lambda t: LogProb(math.log((t - 3.0) ** 2 + 1.0)), 0.1, 10.0
+            lambda t: math.log((t - 3.0) ** 2 + 1.0), 0.1, 10.0
         )
         assert abs(t - 3.0) < 1e-6
         assert f.log_value == pytest.approx(0.0, abs=1e-10)
@@ -128,7 +128,7 @@ class TestMinimizeScalar:
 
         def f(t):
             evals.append(t)
-            return LogProb((math.log(t) - math.log(1e-3)) ** 2)
+            return (math.log(t) - math.log(1e-3)) ** 2
 
         t, v = minimize_scalar(f, 1e-12, 50.0)
         assert evals[:2] == [1e-12, 50.0]
@@ -140,24 +140,30 @@ class TestMinimizeScalar:
     def test_minimum_at_an_end_is_that_end_exactly(self, lo, hi):
         # exp(ln 50) and exp(ln 1e-12) round off 50 and 1e-12: the ends must
         # not come from exp
-        assert minimize_scalar(lambda t: LogProb(t), lo, hi)[0] == lo
-        assert minimize_scalar(lambda t: LogProb(-t), lo, hi)[0] == hi
+        assert minimize_scalar(lambda t: t, lo, hi)[0] == lo
+        assert minimize_scalar(lambda t: -t, lo, hi)[0] == hi
 
     def test_failing_probes_count_as_infinite(self):
         # every interior probe fails and counts as +inf; the right end stands
         def broken_below_five(t):
             if t < 5.0:
                 raise ValueError("no value here")
-            return LogProb(t)
+            return t
 
         t, f = minimize_scalar(broken_below_five, 0.001, 10.0)
+        assert t == 10.0 and f.log_value == 10.0
+
+    def test_nan_probes_count_as_infinite(self):
+        # as in test_failing_probes_count_as_infinite; a NaN left end kept
+        # as NaN would lose no comparison and be returned as the minimum
+        t, f = minimize_scalar(lambda t: t if t >= 5.0 else math.nan, 0.001, 10.0)
         assert t == 10.0 and f.log_value == 10.0
 
     def test_ill_posed_objective_rejected(self):
         def broken_at_both_ends(t):
             if not 1.0 < t < 5.0:
                 raise ArithmeticError("no value here")
-            return LogProb(t)
+            return t
 
         with pytest.raises(ValueError, match="ill-posed"):
             minimize_scalar(broken_at_both_ends, 0.001, 10.0)
@@ -165,7 +171,7 @@ class TestMinimizeScalar:
     def test_bad_bracket_rejected(self):
         for lo, hi in [(2.0, 1.0), (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
             with pytest.raises(ValueError, match="t_min"):
-                minimize_scalar(lambda t: LogProb(t), lo, hi)
+                minimize_scalar(lambda t: t, lo, hi)
 
 
 class TestClopperPearson:
