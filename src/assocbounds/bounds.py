@@ -46,7 +46,7 @@ import numpy as np
 from .family import FamilySummary
 from .numerics import NEG_INF, LogProb, json_log_linear, log_add_floats, minimize_scalar
 
-# Canonical emission order for evaluate_all.
+# The method order of evaluate_all's entries and of compare's bound columns.
 METHOD_ORDER = (
     "janson-basic",
     "janson-ratio",
@@ -337,7 +337,7 @@ def evaluate_all(
     log_t: float | None = None,
     eq2_form: str = "printed",
 ) -> list[BoundEntry]:
-    """Evaluate every applicable bound in a deterministic order.
+    """Evaluate every applicable bound, ordered by METHOD_ORDER.
 
     Bounds whose preconditions fail are reported as :class:`SkippedBound`
     with the reason.  Without a t override, the lv entries are reported at
@@ -350,7 +350,6 @@ def evaluate_all(
     explicit_t = t is not None or log_t is not None
     if explicit_t:
         _resolve_t(t, log_t)
-    entries: list[BoundEntry] = []
 
     def attempt(method: str, fn) -> BoundEntry:
         try:
@@ -358,35 +357,28 @@ def evaluate_all(
         except ValueError as exc:
             return SkippedBound(method, str(exc))
 
-    entries.append(attempt("janson-basic", lambda: janson_basic(s)))
-    entries.append(attempt("janson-ratio", lambda: janson_ratio(s, form=eq2_form)))
     # the five bounds that read the means share one bind of them
     tilted = _tilted_product(s)
-    entries.append(attempt("boppona-spencer", lambda: boppona_spencer(s, _tilted=tilted)))
-    entries.append(attempt("boutsikas-koutras", lambda: boutsikas_koutras(s, _tilted=tilted)))
-
+    entries = [
+        attempt("janson-basic", lambda: janson_basic(s)),
+        attempt("janson-ratio", lambda: janson_ratio(s, form=eq2_form)),
+        attempt("boppona-spencer", lambda: boppona_spencer(s, _tilted=tilted)),
+        attempt("boutsikas-koutras", lambda: boutsikas_koutras(s, _tilted=tilted)),
+        attempt("independent-lower", lambda: independent_lower(s, _tilted=tilted)),
+    ]
+    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _tilted=tilted))
+    entries.append(optimal)
     if explicit_t:
         entries.append(
             attempt("lv-general", lambda: lv_general(s, t, log_t=log_t, _tilted=tilted))
         )
-
-    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _tilted=tilted))
-
-    if explicit_t:
         entries.append(attempt("lv-iid", lambda: lv_iid(s, t, log_t=log_t)))
     elif isinstance(optimal, BoundResult):
-        t_star = optimal.t
-        entries.append(attempt("lv-iid", lambda: lv_iid(s, t_star)))
+        entries.append(attempt("lv-iid", lambda: lv_iid(s, optimal.t)))
     else:
         entries.append(SkippedBound("lv-iid", optimal.reason))
-
-    entries.append(optimal)
-    entries.append(attempt("independent-lower", lambda: independent_lower(s, _tilted=tilted)))
+    entries.sort(key=lambda e: METHOD_ORDER.index(e.method))
     return entries
-
-
-def entries_to_json(entries: list[BoundEntry]) -> list[dict[str, Any]]:
-    return [e.to_json_dict() for e in entries]
 
 
 def tightest_upper(entries: list[BoundEntry]) -> BoundResult | None:

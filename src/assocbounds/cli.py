@@ -1,9 +1,11 @@
 """Command-line surface: evaluate bounds, sweep parameters, verify against
 oracles or Monte Carlo, and emit machine-readable comparison tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
-All randomness is controlled by --seed (default 0xA55C1A7E); there is no
-environment-variable configuration.
+Exit codes: 0 success, 1 verification failure, 2 usage/parameter error,
+among them a --seed outside [0, 2**128) and a --sweep of more than
+MAX_SWEEP_POINTS points, refused before any work.  All randomness is
+controlled by --seed (default 0xA55C1A7E); there is no environment-variable
+configuration.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .numerics import LogProb, json_log_linear, log_exceeds
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+
+# Every row of a sweep is held until the document prints.
+MAX_SWEEP_POINTS = 10_000
 
 # --variant choices and the formula variants each names; "both" is compare's.
 _VARIANTS = {
@@ -172,7 +177,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             "variant": variant,
             "eq2_form": args.eq2_form,
             "summary": summary.to_json_dict(),
-            "bounds": bounds_mod.entries_to_json(entries),
+            "bounds": [e.to_json_dict() for e in entries],
             "tightest_method": None if tight is None else tight.method,
         }
     )
@@ -192,38 +197,33 @@ def _row(
     oracle: LogProb | None,
     mc: oracles.EstimateWithCI | None,
 ) -> dict[str, Any]:
-    """One sweep point and variant, keyed by CSV_COLUMNS in their order:
-    parameters, summary statistics, every bound, the tightest non-vacuous
-    upper method, and the oracle and Monte Carlo columns (null if absent)."""
-    row: dict[str, Any] = {
-        "model": spec.model,
-        "variant": variant,
-        "eq2_form": eq2_form,
-        **{name: spec.params.get(name) for name in _PARAMS},
-        **{k: v for k, v in summary.to_json_dict().items() if k != "means"},
-    }
-    by_method = {e.method: e.to_json_dict() for e in entries}
-    for m in bounds_mod.METHOD_ORDER:
-        d = by_method.get(m, {})
-        row[f"{m}_log"] = d.get("log_value")
-        row[f"{m}_linear"] = d.get("value")
-        row[f"{m}_vacuous"] = d.get("vacuous")
-    row["lv-optimal_t"] = by_method.get("lv-optimal", {}).get("t")
+    """One sweep point and variant, keyed by exactly CSV_COLUMNS in their
+    order: parameters, summary statistics, every bound, the tightest
+    non-vacuous upper method, and the oracle and Monte Carlo columns; a
+    column with no value (an absent bound, oracle or estimate) is null."""
+    row: dict[str, Any] = dict.fromkeys(CSV_COLUMNS)
+    row.update(model=spec.model, variant=variant, eq2_form=eq2_form, **spec.params)
+    row.update(summary.to_json_dict())
+    del row["means"]
+    for e in entries:
+        d = e.to_json_dict()
+        row[f"{e.method}_log"] = d["log_value"]
+        row[f"{e.method}_linear"] = d["value"]
+        row[f"{e.method}_vacuous"] = d["vacuous"]
+        if e.method == "lv-optimal":
+            row["lv-optimal_t"] = d["t"]
     tight = bounds_mod.tightest_upper(entries)
     row["tightest_method"] = None if tight is None else tight.method
     row["oracle_log"], row["oracle_linear"] = json_log_linear(oracle)
-    est = {} if mc is None else mc.to_json_dict()
-    ci = est.get("ci", {})
-    row["mc_estimate"] = est.get("estimate")
-    row["mc_ci_lower"] = ci.get("lower")
-    row["mc_ci_upper"] = ci.get("upper")
-    row["mc_trials"] = est.get("trials")
-    row["mc_seed"] = est.get("seed")
+    if mc is not None:
+        row["mc_estimate"], row["mc_trials"], row["mc_seed"] = mc.estimate, mc.trials, mc.seed
+        row["mc_ci_lower"], row["mc_ci_upper"] = mc.ci.lower, mc.ci.upper
     return row
 
 
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
-    """Grammar: param=start:stop:count[:geom|:linear]."""
+    """Grammar: param=start:stop:count[:geom|:linear], with 1 <= count <=
+    MAX_SWEEP_POINTS, refused before the grid is built."""
     if "=" not in text:
         raise ValueError(f"bad sweep {text!r}; expected param=start:stop:count[:geom]")
     name, _, grid_text = text.partition("=")
@@ -241,6 +241,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         raise ValueError(f"bad sweep grid {grid_text!r}: endpoints must be finite")
     if count < 1:
         raise ValueError(f"sweep needs at least one grid point, got count={count}")
+    if count > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep takes at most {MAX_SWEEP_POINTS} grid points, got count={count}")
     if count == 1:
         values = [start]
     elif mode == "geom":
@@ -253,7 +255,7 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    oracles.check_run(args.trials, args.level)  # read only with --mc, refused anyway
+    oracles.check_run(args.trials, args.level, args.seed)  # read with --mc, refused anyway
     if args.sweep is None:
         raise ValueError("--sweep param=start:stop:count[:geom] is required")
     param, grid = _parse_sweep(args.sweep)
@@ -300,8 +302,7 @@ def render_csv(rows: list[dict[str, Any]]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        values = (row.get(col) for col in CSV_COLUMNS)
-        writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in values)
+        writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in row.values())
     return buf.getvalue()
 
 
@@ -310,7 +311,7 @@ def render_csv(rows: list[dict[str, Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    oracles.check_run(args.trials, args.level)  # read only without an exact oracle
+    oracles.check_run(args.trials, args.level, args.seed)  # read without an exact oracle
     spec = _spec_from_args(args)
     (variant,) = _variants(args)
     summary = models.summary_for(spec, variant=variant)
@@ -349,7 +350,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 {"method": e.method, "status": "skipped", "reason": e.reason}
             )
             continue
-        lower = e.method == "independent-lower"
+        lower = e.method not in bounds_mod.UPPER_METHODS
         ok = not above(e.value) if lower else e.vacuous or not below(e.value)
         check = {
             "method": e.method,

@@ -57,14 +57,17 @@ _BATCH_DOUBLES = 4_000_000
 MAX_WORKERS = 64
 
 
-def check_run(trials: int, level: float, workers: int = 1) -> None:
+def check_run(trials: int, level: float, seed: int, workers: int = 1) -> None:
     """Refuse, in this order, a trial count below 1, a worker count outside
-    [1, MAX_WORKERS] or a level outside (0, 1); run before any trial."""
+    [1, MAX_WORKERS], a level outside (0, 1) or a seed outside [0, 2**128),
+    the Philox key range; run before any trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     check_level(level)
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
 
 
 def monte_carlo(
@@ -80,10 +83,10 @@ def monte_carlo(
     (seed, trial_index), so the result is bit-identical for any worker count
     (1 to MAX_WORKERS threads) or batching schedule; min(workers, trials)
     pool threads count them while the calling thread waits.  A bad spec,
-    trial count, worker count or level is refused before any trial.
+    trial count, worker count, level or seed is refused before any trial.
     """
     family, q = bind(spec)
-    check_run(trials, level, workers)
+    check_run(trials, level, seed, workers)
     batch = max(1, _BATCH_DOUBLES // family.budget(**q))
 
     def count(start: int, stop: int) -> int:

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from assocbounds import bounds
 from assocbounds.bounds import (
+    METHOD_ORDER,
     T_GRID_MAX,
     T_GRID_MIN,
     BoundResult,
     SkippedBound,
     boppona_spencer,
     boutsikas_koutras,
-    entries_to_json,
     evaluate_all,
     independent_lower,
     janson_basic,
@@ -449,11 +449,22 @@ class TestEvaluateAll:
             "lv-optimal",
             "independent-lower",
         ]
+        # cov_sum < 0: the skipped additive bounds keep their places
+        entries = evaluate_all(hypergraph_summary(6, 2, 16))
+        assert [e.method for e in entries] == [m for m in METHOD_ORDER if m != "lv-general"]
+        assert [e.method for e in entries if isinstance(e, SkippedBound)] == [
+            "boutsikas-koutras", "lv-iid", "lv-optimal",
+        ]
 
     def test_explicit_t_adds_lv_general(self):
         entries = evaluate_all(runs_summary(10, 2, 0.5), t=0.7)
         methods = [e.method for e in entries]
-        assert "lv-general" in methods
+        assert methods == list(METHOD_ORDER)
+        skipped = evaluate_all(hypergraph_summary(6, 2, 16), t=0.7)
+        assert [e.method for e in skipped] == list(METHOD_ORDER)
+        assert [e.method for e in skipped if isinstance(e, SkippedBound)] == [
+            "boutsikas-koutras", "lv-general", "lv-iid", "lv-optimal",
+        ]
         by = {e.method: e for e in entries}
         assert by["lv-general"].t == 0.7
         assert by["lv-iid"].t == 0.7
@@ -507,7 +518,7 @@ class TestEvaluateAll:
             assert isinstance(by[method], BoundResult)
 
     def test_json_shape(self):
-        rows = entries_to_json(evaluate_all(runs_summary(10, 2, 0.5)))
+        rows = [e.to_json_dict() for e in evaluate_all(runs_summary(10, 2, 0.5))]
         for row in rows:
             assert {"method", "log_value", "value", "t", "vacuous",
                     "skipped_reason"} <= set(row)

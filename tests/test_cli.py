@@ -334,27 +334,41 @@ class TestCompareCommand:
             assert r["oracle_linear"] is not None
 
     def test_csv_roundtrip_exact(self, capsys):
-        code, out, _ = run_main(
-            capsys, "compare", "--model", "runs", "--n", "30", "--k", "2",
-            "--sweep", "p=0.05:0.4:4", "--format", "csv", "--oracle",
-        )
-        assert code == 0
-        reader = csv.reader(io.StringIO(out))
-        header = next(reader)
-        assert header == list(CSV_COLUMNS)
-        data = list(reader)
-        assert len(data) == 4
+        # a plain runs sweep; a coverage sweep whose additive bounds are
+        # skipped; and both variants at a log-form t, which adds lv-general,
+        # with Monte Carlo columns
+        sweeps = [
+            ["--model", "runs", "--n", "30", "--k", "2", "--sweep", "p=0.05:0.4:4",
+             "--oracle"],
+            ["--model", "hypergraph", "--N", "6", "--k", "3",
+             "--sweep", "n_draws=4:64:3:geom", "--oracle"],
+            ["--model", "runs", "--n", "20", "--k", "3", "--sweep", "p=0.1:0.3:2",
+             "--t", "log:-2", "--variant", "both", "--mc", "--trials", "500"],
+        ]
+        for flags in sweeps:
+            code, out, _ = run_main(capsys, "compare", *flags, "--format", "csv")
+            assert code == 0
+            reader = csv.reader(io.StringIO(out))
+            header = next(reader)
+            assert header == list(CSV_COLUMNS)
+            data = list(reader)
 
-        code2, out2, _ = run_main(
-            capsys, "compare", "--model", "runs", "--n", "30", "--k", "2",
-            "--sweep", "p=0.05:0.4:4", "--format", "json", "--oracle",
-        )
-        rows = json.loads(out2)["rows"]
-        for parsed, row in zip(data, rows):
-            for col, cell in zip(header, parsed):
-                want = row[col]
-                if isinstance(want, float):
-                    assert float(cell) == want, f"{col} failed to round-trip"
+            code2, out2, _ = run_main(capsys, "compare", *flags, "--format", "json")
+            assert code2 == 0
+            rows = json.loads(out2)["rows"]
+            assert len(data) == len(rows) > 0
+            for parsed, row in zip(data, rows):
+                assert list(row) == list(CSV_COLUMNS)
+                for col, cell in zip(header, parsed):
+                    want = row[col]
+                    if want is None:
+                        assert cell == "", col
+                    elif isinstance(want, bool):
+                        assert cell == str(want).lower(), col
+                    elif isinstance(want, (int, float)):
+                        assert type(want)(cell) == want, f"{col} failed to round-trip"
+                    else:
+                        assert cell == want, col
 
     def test_variant_both_emits_paired_rows(self, capsys):
         code, out, _ = run_main(
@@ -386,7 +400,9 @@ class TestCompareCommand:
     @pytest.mark.usefixtures("no_trials")
     @pytest.mark.parametrize(
         "flags,reason",
-        [(["--t", "log:800"], "overflow"), (["--level", "1.5"], "level must be in")],
+        [(["--t", "log:800"], "overflow"), (["--level", "1.5"], "level must be in"),
+         (["--seed", "-1"], "seed must lie in [0, 2**128), got -1"),
+         (["--seed", str(2**128)], f"seed must lie in [0, 2**128), got {2**128}")],
     )
     def test_bad_option_exits_two_before_any_trial(self, capsys, flags, reason):
         code, out, err = run_main(
@@ -399,7 +415,8 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "flags,message",
         [(["--level", "7", "--trials", "0"], "trials must be >= 1, got 0"),
-         (["--level", "7"], "level must be in (0, 1), got 7.0")],
+         (["--level", "7"], "level must be in (0, 1), got 7.0"),
+         (["--seed", "-1"], "seed must lie in [0, 2**128), got -1")],
     )
     def test_bad_run_option_exits_two_without_mc(self, capsys, flags, message):
         # --level and --trials are read only with --mc, and refused anyway
@@ -456,6 +473,26 @@ class TestCompareCommand:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: " + message) and "Warning" not in err
+
+    @pytest.mark.parametrize("mode", ["", ":geom"], ids=["linear", "geom"])
+    def test_oversized_sweep_exits_two_before_the_grid(self, capsys, mode, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        code, out, err = run_main(
+            capsys, "compare", "--model", "runs", "--n", "10", "--k", "2",
+            "--sweep", f"p=0.1:0.2:{cli.MAX_SWEEP_POINTS + 1}{mode}",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: sweep takes at most 10000 grid points, got count=10001\n"
+
+    @pytest.mark.parametrize("mode", ["", ":geom"], ids=["linear", "geom"])
+    def test_largest_sweep_grid_is_built(self, mode):
+        name, grid = cli._parse_sweep(f"p=0.1:0.2:{cli.MAX_SWEEP_POINTS}{mode}")
+        assert name == "p" and len(grid) == 10_000
+        assert grid[0] == 0.1 and grid[-1] == pytest.approx(0.2, rel=1e-15)
 
     def test_one_point_sweep_uses_the_start(self, capsys):
         code, out, _ = run_main(
@@ -571,7 +608,9 @@ class TestVerifyCommand:
         "flags,message",
         [(["--level", "1.5", "--trials", "-3"], "trials must be >= 1, got -3"),
          (["--level", "1.5"], "level must be in (0, 1), got 1.5"),
-         (["--level", "1.5", "--mc"], "level must be in (0, 1), got 1.5")],
+         (["--level", "1.5", "--mc"], "level must be in (0, 1), got 1.5"),
+         (["--seed", "-1"], "seed must lie in [0, 2**128), got -1"),
+         (["--seed", "-1", "--mc"], "seed must lie in [0, 2**128), got -1")],
     )
     def test_bad_run_option_exits_two_before_any_work(self, capsys, flags, message):
         # the exact oracle exists here, so neither value would be read
@@ -637,6 +676,16 @@ class TestMcCommand:
             "--trials", "3000000", "--level", "1.5",
         )
         assert code == 2 and out == "" and "level must be in (0, 1)" in err
+
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_bad_seed_exits_two_before_any_trial(self, capsys, seed):
+        code, out, err = run_main(
+            capsys, "mc", "--model", "runs", "--n", "30", "--k", "3", "--p", "0.3",
+            "--trials", "3000000", "--seed", str(seed), "--workers", "2",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: seed must lie in [0, 2**128), got {seed}\n"
 
     def test_estimate_tracks_exact_value(self, capsys):
         code, out, _ = run_main(

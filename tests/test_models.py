@@ -505,6 +505,19 @@ class TestSampling:
         with pytest.raises(ValueError, match="level must be in"):
             monte_carlo(spec, 3_000_000, level=level)
 
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_bad_seed_refused_before_any_trial(self, seed):
+        spec = ModelSpec("runs", {"n": 30, "k": 3, "p": 0.3})
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            monte_carlo(spec, 3_000_000, seed=seed, workers=2)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        spec = ModelSpec("ustat", {"n": 8, "k": 2, "p": 0.0})
+        est = monte_carlo(spec, 10, seed=seed)
+        assert est.seed == seed and est.successes == 10
+
     def test_clopper_pearson_attached(self):
         spec = ModelSpec("ustat", {"n": 8, "k": 2, "p": 0.0})
         est = monte_carlo(spec, 500, seed=1)
