@@ -262,6 +262,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if param not in _PARAMS:
         raise ValueError(f"cannot sweep unknown parameter {param!r}")
 
+    if _PARAMS[param] is int:
+        # each distinct rounded value once, in grid order
+        grid = [float(v) for v in dict.fromkeys(round(v) for v in grid)]
+
     variants = _variants(args, allow_both=True)
     t, log_t = _parse_t(args.t)
 
@@ -272,11 +276,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         spec = _spec_from_args(argparse.Namespace(**{**vars(args), param: cast}))
         summaries = [models.summary_for(spec, variant=v) for v in variants]
         # before the oracle and the trials, so evaluate_all refuses a bad
-        # --t or --eq2-form before either runs
-        evaluated = [
-            bounds_mod.evaluate_all(s, t=t, log_t=log_t, eq2_form=args.eq2_form)
-            for s in summaries
-        ]
+        # --t or --eq2-form before either runs; once per distinct summary,
+        # since hypergraph-cover's ignores the variant
+        evaluated = {
+            s: bounds_mod.evaluate_all(s, t=t, log_t=log_t, eq2_form=args.eq2_form)
+            for s in dict.fromkeys(summaries)
+        }
         # the truth depends on the spec alone, not on the formula variant
         oracle = oracles.oracle_for(spec) if args.oracle else None
         mc = (
@@ -284,8 +289,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if args.mc
             else None
         )
-        for variant, summary, entries in zip(variants, summaries, evaluated):
-            rows.append(_row(spec, variant, args.eq2_form, summary, entries, oracle, mc))
+        for variant, summary in zip(variants, summaries):
+            rows.append(
+                _row(spec, variant, args.eq2_form, summary, evaluated[summary], oracle, mc)
+            )
 
     if args.format == "csv":
         sys.stdout.write(render_csv(rows))
@@ -403,6 +410,7 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
         raise ValueError(f"m must be in [1, 10] (2^m enumeration), got {args.m}")
     if args.count < 1:
         raise ValueError(f"count must be >= 1, got {args.count}")
+    oracles.check_seed(args.seed)
 
     rng = np.random.default_rng(args.seed)
     n_bits = min(10, max(args.m, 6))

@@ -12,7 +12,11 @@ Each family ships in two formula variants:
 Samplers are pure functions of (seed, trial_index): every trial owns a fixed
 block range of a Philox counter-based stream, so scalar evaluation, batched
 evaluation, and any parallel split of the trial range produce bit-identical
-results.
+results.  They read the stream's raw 64-bit words, never doubles: a word w
+stands for numpy's uniform double u = (w >> 11) * 2**-53, and each sampler
+decides exactly what it would decide on u.  Runs, triangles and ustat test
+u < p as one integer comparison per word (:func:`_below`); coverage converts
+each step's words to those doubles, scaled by its radix (:func:`_choices`).
 
 The exact oracles deliberately use different machinery than the summary
 formulas (transfer matrices, binomial tails, exhaustive enumeration,
@@ -83,8 +87,8 @@ class Family:
 
       check(**q)             range violations, one message each
       summary(**q, variant)  the FamilySummary
-      budget(**q)            uniform doubles consumed per trial
-      sample(u, **q)         per row of uniforms u, whether Z = 0
+      budget(**q)            Philox words consumed per trial
+      sample(w, **q)         per row of uint64 Philox words w, whether Z = 0
       exact(**q)             exact P(Z = 0), or None outside the exact range
     """
 
@@ -138,15 +142,33 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 _GATHER_WORDS = 1 << 16
 
 
-def _packed_bits(u: np.ndarray, p: float) -> np.ndarray:
-    """The bits u < p of rows u bit-sliced: (columns, ceil(rows / 8)) bytes,
-    bit r % 8 of byte r // 8 in row j holding row r's bit j, so one byte op
-    serves eight trials.  It is ``np.packbits((u < p).T, axis=1,
-    bitorder="little")``, ORed lane by lane from the row-major bits, which
-    skips transposing a byte per trial."""
-    bits = np.zeros((-(-len(u) // 8) * 8, u.shape[1]), dtype=bool)
-    np.less(u, p, out=bits[: len(u)])
-    lanes = bits.view(np.uint8).reshape(-1, 8, u.shape[1])
+def _word_limit(p: float) -> int:
+    """The largest 64-bit word w whose numpy double (w >> 11) * 2**-53 lies
+    below p, for p in [0, 1]: -1 at p = 0, where no word does, and 2**64 - 1
+    at p = 1, where every word does.  (w >> 11) * 2**-53 < p holds exactly
+    when w >> 11 < c = ceil(p * 2**53), that is when w < c << 11; p * 2**53
+    is exact for every double p."""
+    return (math.ceil(p * 2**53) << 11) - 1
+
+
+def _below(w: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The mask u < p of the doubles u = (w >> 11) * 2**-53 of uint64 words
+    w, as w <= :func:`_word_limit` (p): one comparison per word, no double."""
+    limit = _word_limit(p)
+    if limit < 0:  # p = 0: no word is below 0, and -1 is no uint64
+        return np.less(w, 0, out=out)
+    return np.less_equal(w, np.uint64(limit), out=out)
+
+
+def _packed_bits(w: np.ndarray, p: float) -> np.ndarray:
+    """The bits u < p (:func:`_below`) of rows of words w bit-sliced:
+    (columns, ceil(rows / 8)) bytes, bit r % 8 of byte r // 8 in row j
+    holding row r's bit j, so one byte op serves eight trials.  It is
+    ``np.packbits(_below(w, p).T, axis=1, bitorder="little")``, ORed lane by
+    lane from the row-major bits, which skips transposing a byte per trial."""
+    bits = np.zeros((-(-len(w) // 8) * 8, w.shape[1]), dtype=bool)
+    _below(w, p, out=bits[: len(w)])
+    lanes = bits.view(np.uint8).reshape(-1, 8, w.shape[1])
     packed = lanes[:, 0].copy()
     for j in range(1, 8):
         packed |= lanes[:, j] << j
@@ -470,9 +492,11 @@ def ustat_summary(
     return _summary(variant, count, p**k, sums)
 
 
-def _ustat_sample(uniforms: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
-    ones = (uniforms < p).sum(axis=1)
-    return ones <= k - 1
+def _ustat_sample(w: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
+    """Per row of n words, whether fewer than k of the n variables succeed;
+    the hits are counted in the smallest unsigned dtype that holds n."""
+    ones = _below(w, p).sum(axis=1, dtype=np.min_scalar_type(n))
+    return ones < k
 
 
 def ustat_zero_exact(n: int, k: int, p: float) -> LogProb:
@@ -644,11 +668,16 @@ def hypergraph_summary(
     return _summary(variant, count, p, sums)
 
 
-def _choices(u: np.ndarray, N: int, k: int) -> np.ndarray:
-    """The partial Fisher-Yates choices of uniforms u (rows, draws * k), k
-    per draw: step j of a draw chooses c_j = min(floor(u_j (N - j)), N-1-j)."""
-    radix = N - np.arange(u.shape[1], dtype=np.int32) % k
-    choice = (u * radix).astype(np.int32)
+def _choices(w: np.ndarray, N: int, k: int) -> np.ndarray:
+    """The partial Fisher-Yates choices of words w (rows, draws * k), k per
+    draw: step j of a draw chooses c_j = min(floor(u_j (N - j)), N-1-j), u_j
+    numpy's double (w_j >> 11) * 2**-53.  The 53-bit integer w_j >> 11 is
+    exact as a double and times (N - j) 2**-53, a power-of-two scaling, rounds
+    once, as u_j (N - j) does, so each product is numpy's to the bit."""
+    radix = N - np.arange(w.shape[1], dtype=np.int32) % k
+    scaled = (w >> 11).view(np.int64).astype(np.float64)  # int64 converts faster
+    scaled *= radix * 2.0**-53
+    choice = scaled.astype(np.int32)
     return np.minimum(choice, radix - 1, out=choice)
 
 
@@ -701,25 +730,24 @@ def _cover_table(N: int, k: int) -> np.ndarray | None:
     return table
 
 
-def _hyper_sample(
-    uniforms: np.ndarray, N: int, k: int, n_draws: int
-) -> np.ndarray:
-    """Full coverage of K_N, the hypergraph family's event {Z = 0}.
+def _hyper_sample(w: np.ndarray, N: int, k: int, n_draws: int) -> np.ndarray:
+    """Full coverage of K_N, the hypergraph family's event {Z = 0}, from
+    words w (rows, n_draws * k), k per draw.
 
-    The batch stops early once every trial is covered, which cannot change
-    any trial's outcome.
+    Each step converts only its own draws' words (:func:`_choices`), so the
+    batch is never held as doubles.  The batch stops early once every trial
+    is covered, which cannot change any trial's outcome.
     """
-    batch = uniforms.shape[0]
+    batch = w.shape[0]
     table = _cover_table(N, k)
     if table is None:
-        return _hyper_sample_by_draw(uniforms, N, k, n_draws)
+        return _hyper_sample_by_draw(w, N, k, n_draws)
     full = np.bitwise_or.reduce(table)  # every edge lies in some draw
     step = max(1, min(n_draws, _GATHER_WORDS // (max(batch, 1) * table.shape[1])))
     covered = np.zeros((batch, table.shape[1]), dtype=np.uint64)
     for r in range(0, n_draws, step):
         draws = min(step, n_draws - r)
-        u = uniforms[:, r * k : (r + draws) * k]
-        choice = _choices(u, N, k).reshape(batch, draws, k)
+        choice = _choices(w[:, r * k : (r + draws) * k], N, k).reshape(batch, draws, k)
         code = choice[..., 0]
         for j in range(1, k):
             code = code * (N - j) + choice[..., j]
@@ -729,17 +757,15 @@ def _hyper_sample(
     return (covered == full).all(axis=1)
 
 
-def _hyper_sample_by_draw(
-    uniforms: np.ndarray, N: int, k: int, n_draws: int
-) -> np.ndarray:
+def _hyper_sample_by_draw(w: np.ndarray, N: int, k: int, n_draws: int) -> np.ndarray:
     """:func:`_hyper_sample` one draw at a time, for shapes over the table cap."""
-    batch = uniforms.shape[0]
+    batch = w.shape[0]
     table = _edge_table(N)
     covered = np.zeros((batch, comb(N, 2)), dtype=bool)
     rows = np.arange(batch)
     pairs = list(combinations(range(k), 2))
     for r in range(n_draws):
-        vertices = _draw_vertices(_choices(uniforms[:, r * k : (r + 1) * k], N, k), N, k)
+        vertices = _draw_vertices(_choices(w[:, r * k : (r + 1) * k], N, k), N, k)
         for a, b in pairs:
             covered[rows, table[vertices[:, a], vertices[:, b]]] = True
         if covered.all():
@@ -791,7 +817,7 @@ FAMILIES: dict[str, Family] = {
         check=_runs_violations,
         summary=runs_summary,
         budget=lambda n, k, p: n,
-        sample=lambda u, n, k, p: _none_all_ones(*_run_halves(_packed_bits(u, p), k), len(u)),
+        sample=lambda w, n, k, p: _none_all_ones(*_run_halves(_packed_bits(w, p), k), len(w)),
         exact=runs_zero_exact,
     ),
     "triangles": Family(
@@ -799,8 +825,8 @@ FAMILIES: dict[str, Family] = {
         check=_triangles_violations,
         summary=triangles_summary,
         budget=lambda n, p: comb(n, 2),
-        sample=lambda u, n, p: _none_all_ones(
-            _packed_bits(u, p), _triangle_edge_indices(n), len(u)
+        sample=lambda w, n, p: _none_all_ones(
+            _packed_bits(w, p), _triangle_edge_indices(n), len(w)
         ),
         exact=lambda n, p: triangle_free_exact(n, p) if n <= _ENUM_VERTICES else None,
     ),
@@ -833,7 +859,7 @@ def summary_for(spec: ModelSpec, variant: str = FIRST_PRINCIPLES) -> FamilySumma
 
 
 def trial_budget(spec: ModelSpec) -> int:
-    """Uniform doubles consumed per trial (fixed per spec, never data-dependent)."""
+    """Philox words consumed per trial (fixed per spec, never data-dependent)."""
     family, q = bind(spec)
     return family.budget(**q)
 
@@ -841,25 +867,28 @@ def trial_budget(spec: ModelSpec) -> int:
 def trial_uniforms(
     spec: ModelSpec, seed: int, start: int, count: int
 ) -> np.ndarray:
-    """Uniforms for trials [start, start+count), shape (count, budget).
+    """The raw uint64 Philox words of trials [start, start+count), shape
+    (count, budget), 8 bytes a slot.
 
     Trial i reads words [i*4*bpt, i*4*bpt + budget) of the Philox stream
     keyed by the seed, so any batching or parallel split reproduces the
-    per-trial values exactly.
+    per-trial values exactly.  Word w is the one numpy's ``Generator.random``
+    turns into the uniform double (w >> 11) * 2**-53; the samplers decide on
+    the words what they would decide on those doubles.
     """
     budget = trial_budget(spec)
-    # Philox emits 4 uint64 words per counter value; each uniform double
-    # consumes one word, so pad the per-trial budget to a whole block count.
+    # Philox emits 4 uint64 words per counter value; pad the per-trial budget
+    # to a whole block count.
     bpt = max(1, -(-budget // 4))
-    bg = np.random.Philox(key=seed, counter=start * bpt)
-    raw = np.random.Generator(bg).random(count * bpt * 4)
+    raw = np.random.Philox(key=seed, counter=start * bpt).random_raw(count * bpt * 4)
     return raw.reshape(count, bpt * 4)[:, :budget]
 
 
-def simulate_batch(spec: ModelSpec, uniforms: np.ndarray) -> np.ndarray:
-    """Map per-trial uniforms to the event {Z = 0}, vectorized over rows.
+def simulate_batch(spec: ModelSpec, words: np.ndarray) -> np.ndarray:
+    """Map per-trial Philox words (:func:`trial_uniforms`) to the event
+    {Z = 0}, vectorized over rows.
 
     For hypergraph-cover the event is full coverage of K_N.
     """
     family, q = bind(spec)
-    return family.sample(uniforms, **q)
+    return family.sample(words, **q)

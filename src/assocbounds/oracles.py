@@ -52,22 +52,29 @@ class EstimateWithCI:
 # Monte Carlo driver.
 # ---------------------------------------------------------------------------
 
-_BATCH_DOUBLES = 4_000_000
+# Philox words (32 MB) that one batch of trials holds, per worker.
+_BATCH_WORDS = 4_000_000
 # Checked before the pool starts, so an oversized request starts no threads.
 MAX_WORKERS = 64
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**128), the Philox key range, which every
+    command's --seed shares."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+
+
 def check_run(trials: int, level: float, seed: int, workers: int = 1) -> None:
     """Refuse, in this order, a trial count below 1, a worker count outside
-    [1, MAX_WORKERS], a level outside (0, 1) or a seed outside [0, 2**128),
-    the Philox key range; run before any trial."""
+    [1, MAX_WORKERS], a level outside (0, 1) or a seed outside [0, 2**128)
+    (:func:`check_seed`); run before any trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     check_level(level)
-    if not 0 <= seed < 2**128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    check_seed(seed)
 
 
 def monte_carlo(
@@ -87,10 +94,10 @@ def monte_carlo(
     """
     family, q = bind(spec)
     check_run(trials, level, seed, workers)
-    batch = max(1, _BATCH_DOUBLES // family.budget(**q))
+    batch = max(1, _BATCH_WORDS // family.budget(**q))
 
     def count(start: int, stop: int) -> int:
-        # no name holds a batch's uniforms, so each is freed before the next is drawn
+        # no name holds a batch's words, so each is freed before the next is drawn
         return sum(
             int(simulate_batch(spec, trial_uniforms(spec, seed, i, min(batch, stop - i))).sum())
             for i in range(start, stop, batch)

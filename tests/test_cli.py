@@ -386,6 +386,47 @@ class TestCompareCommand:
             assert fp["lambda"] == printed["lambda"]
             assert fp["delta"] != printed["delta"]
 
+    def test_integer_sweep_evaluates_each_rounded_value_once(self, capsys):
+        flags = ["compare", "--model", "runs", "--k", "2", "--p", "0.3",
+                 "--sweep", "n=10:11:4", "--variant", "both"]
+        want = [(n, v) for n in (10, 11) for v in ("first-principles", "paper-as-printed")]
+        code, out, _ = run_main(capsys, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sweep"]["grid"] == [10.0, 11.0]
+        assert [(r["n"], r["variant"]) for r in doc["rows"]] == want
+        code, out, _ = run_main(capsys, *flags, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(int(r["n"]), r["variant"]) for r in rows] == want
+
+    @pytest.mark.parametrize(
+        "flags,calls",
+        [
+            # hypergraph-cover's summary ignores the variant: one call a point
+            (["--model", "hypergraph-cover", "--N", "6", "--k", "3",
+              "--sweep", "n_draws=10:30:3"], 3),
+            (["--model", "runs", "--n", "20", "--k", "2", "--sweep", "p=0.1:0.3:3"], 6),
+        ],
+        ids=["hypergraph-cover", "runs"],
+    )
+    def test_one_evaluate_all_per_distinct_summary(self, capsys, monkeypatch, flags, calls):
+        seen = []
+        evaluate_all = bounds.evaluate_all
+
+        def counted(summary, **kwargs):
+            seen.append(summary)
+            return evaluate_all(summary, **kwargs)
+
+        monkeypatch.setattr(bounds, "evaluate_all", counted)
+        code, out, _ = run_main(capsys, "compare", *flags, "--variant", "both", "--oracle")
+        rows = json.loads(out)["rows"]
+        assert code == 0 and len(rows) == 6
+        assert len(seen) == calls
+        for fp, printed in zip(rows[::2], rows[1::2]):
+            differ = [c for c in CSV_COLUMNS if fp[c] != printed[c]]
+            assert (differ == ["variant"]) == (calls == 3)
+
     def test_mc_columns_attached(self, capsys):
         code, out, _ = run_main(
             capsys, "compare", "--model", "ustat", "--n", "8", "--k", "2",
@@ -734,6 +775,18 @@ class TestLemmaCheckCommand:
         code, out, err = run_main(capsys, "lemma-check", "--count", "0")
         assert code == 2 and out == ""
         assert err == "error: count must be >= 1, got 0\n"
+
+    # the seed rule of mc, compare and verify: the Philox key range
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_bad_seed_exits_two(self, capsys, seed):
+        code, out, err = run_main(capsys, "lemma-check", "--seed", str(seed), "--count", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: seed must lie in [0, 2**128), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_run(self, capsys, seed):
+        code, out, _ = run_main(capsys, "lemma-check", "--seed", str(seed), "--count", "3")
+        assert code == 0 and json.loads(out)["seed"] == seed
 
     # e^{m t} overflows past m t = ln(DBL_MAX), about 709.78: a usage error,
     # not a verification failure (exit 1) or 100 reported violations

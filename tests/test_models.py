@@ -555,7 +555,7 @@ class TestPhiloxContract:
         self, model, params, trials, successes, schedule, monkeypatch
     ):
         if schedule == "small batches":
-            monkeypatch.setattr(oracles, "_BATCH_DOUBLES", 5000)
+            monkeypatch.setattr(oracles, "_BATCH_WORDS", 5000)
         workers = int(schedule[-1]) if schedule.startswith("workers=") else 1
         est = monte_carlo(ModelSpec(model, params), trials, seed=DEFAULT_SEED, workers=workers)
         assert est.successes == successes
@@ -644,9 +644,14 @@ INDEX_SET_CASES = [
 ]
 
 
+def numpy_doubles(w):
+    """The uniform doubles numpy's ``Generator.random`` makes of Philox words w."""
+    return (w >> 11) * 2.0**-53
+
+
 class TestNoneAllOnes:
     """Runs and triangles, sampled as "no indicator's bit set is all ones",
-    against a per-row Python reference."""
+    against a per-row Python reference on numpy's doubles of the words."""
 
     @pytest.mark.parametrize("budget", ["default", "one set per step"])
     @pytest.mark.parametrize(
@@ -655,21 +660,22 @@ class TestNoneAllOnes:
     def test_matches_a_per_row_reference(self, spec, budget, monkeypatch):
         if budget == "one set per step":
             monkeypatch.setattr(models, "_GATHER_WORDS", 1)
-        u = trial_uniforms(spec, 2024, 0, 203)
-        expected = [not has_all_ones_set(spec, row) for row in (u < spec.params["p"]).tolist()]
+        w = trial_uniforms(spec, 2024, 0, 203)
+        bits = numpy_doubles(w) < spec.params["p"]
+        expected = [not has_all_ones_set(spec, row) for row in bits.tolist()]
         # batches that fill no whole last byte of eight trials, and one that does
         for rows in (1, 7, 9, 200, 203):
-            assert simulate_batch(spec, u[:rows]).tolist() == expected[:rows]
+            assert simulate_batch(spec, w[:rows]).tolist() == expected[:rows]
 
     @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 203])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_packing_round_trip(self, rows, p):
-        u = trial_uniforms(ModelSpec("runs", {"n": 13, "k": 2, "p": p}), 7, 0, rows)
-        packed = models._packed_bits(u, p)
+        w = trial_uniforms(ModelSpec("runs", {"n": 13, "k": 2, "p": p}), 7, 0, rows)
+        packed = models._packed_bits(w, p)
         assert packed.dtype == np.uint8 and packed.shape == (13, -(-rows // 8))
         assert packed.flags.c_contiguous
         unpacked = np.unpackbits(packed, axis=1, count=rows, bitorder="little")
-        assert np.array_equal(unpacked.T.astype(bool), u < p)
+        assert np.array_equal(unpacked.T.astype(bool), numpy_doubles(w) < p)
         # the padding bits of the last byte stay zero
         assert not np.unpackbits(packed, axis=1, bitorder="little")[:, rows:].any()
 
@@ -685,7 +691,7 @@ class TestNoneAllOnes:
     def test_full_batch_memory_does_not_grow(self, spec):
         # one full batch, packed and gathered in bounded steps: about 5 MiB
         family, q = models.bind(spec)
-        u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_DOUBLES // family.budget(**q))
+        u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_WORDS // family.budget(**q))
         simulate_batch(spec, u[:0])  # builds the cached index sets
         tracemalloc.start()
         try:
@@ -694,6 +700,75 @@ class TestNoneAllOnes:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestPhiloxWords:
+    """The samplers read raw Philox words and decide on them what numpy's
+    doubles (w >> 11) * 2**-53 would decide."""
+
+    def test_words_are_the_raw_stream_numpy_turns_into_doubles(self):
+        # budget 6 pads to two blocks, 8 words per trial; trials 3 to 7
+        spec = ModelSpec("runs", {"n": 6, "k": 2, "p": 0.5})
+        w = trial_uniforms(spec, 77, 3, 5)
+        assert w.dtype == np.uint64 and w.shape == (5, 6)
+        raw = np.random.Philox(key=77).random_raw(64).reshape(8, 8)
+        assert np.array_equal(w, raw[3:, :6])
+        doubles = np.random.Generator(np.random.Philox(key=77)).random(64).reshape(8, 8)
+        assert np.array_equal(numpy_doubles(w), doubles[3:, :6])
+
+    @given(
+        p=st.floats(0.0, 1.0),
+        words=st.lists(st.integers(0, 2**64 - 1), max_size=32),
+    )
+    # both ends of [0, 1], their neighbours, and the middle
+    @example(p=0.0, words=[])
+    @example(p=5e-324, words=[])
+    @example(p=2.0**-53, words=[])
+    @example(p=0.5, words=[])
+    @example(p=1.0 - 2.0**-53, words=[])
+    @example(p=1.0, words=[])
+    def test_limit_mask_equals_numpy_doubles(self, p, words):
+        limit = models._word_limit(p)
+        edges = [x for x in (0, limit, limit + 1, 2**64 - 1) if 0 <= x < 2**64]
+        w = np.array(words + edges, dtype=np.uint64)
+        assert np.array_equal(models._below(w, p), numpy_doubles(w) < p)
+
+    @pytest.mark.parametrize(
+        "p,limit", [(0.0, -1), (5e-324, 2**11 - 1), (0.5, 2**63 - 1), (1.0, 2**64 - 1)]
+    )
+    def test_limit_at_the_ends(self, p, limit):
+        assert models._word_limit(p) == limit
+
+    @pytest.mark.parametrize(
+        "n,k,p",
+        [
+            (255, 250, 0.98),  # uint8 counts, up to 255 hits
+            (300, 280, 0.93),  # uint16 counts past 255 hits
+            (24, 3, 0.05),
+            (8, 1, 0.0),
+            (8, 8, 1.0),
+        ],
+    )
+    def test_ustat_counts_match_the_doubles(self, n, k, p):
+        spec = ModelSpec("ustat", {"n": n, "k": k, "p": p})
+        w = trial_uniforms(spec, 31, 0, 2000)
+        expected = (numpy_doubles(w) < p).sum(axis=1) < k
+        got = simulate_batch(spec, w)
+        assert np.array_equal(got, expected)
+        assert 0 < got.sum() < len(got) or p in (0.0, 1.0)
+
+    @given(
+        N=st.integers(2, 400),
+        data=st.data(),
+        words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=24),
+    )
+    def test_choices_match_the_doubles(self, N, data, words):
+        k = data.draw(st.integers(2, N))
+        edges = [0, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11, 2**64 - 1]
+        w = np.array([words + edges], dtype=np.uint64)
+        radix = N - np.arange(w.shape[1]) % k
+        expected = np.minimum((numpy_doubles(w) * radix).astype(np.int32), radix - 1)
+        assert np.array_equal(models._choices(w, N, k), expected)
 
 
 class TestTriangleEdgeIndices:

@@ -495,8 +495,8 @@ class TestMonteCarlo:
     def test_one_batch_of_uniforms_alive_per_worker(self, spec, workers, monkeypatch):
         # three batches per worker: a batch held while the next is drawn
         # would peak at two batches per worker
-        monkeypatch.setattr(oracles, "_BATCH_DOUBLES", 400_000)
-        batch = oracles._BATCH_DOUBLES // trial_budget(spec)
+        monkeypatch.setattr(oracles, "_BATCH_WORDS", 400_000)
+        batch = oracles._BATCH_WORDS // trial_budget(spec)
         monte_carlo(spec, workers, workers=workers)
         tracemalloc.start()
         try:
@@ -504,7 +504,7 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * workers * 8 * oracles._BATCH_DOUBLES
+        assert peak < 1.5 * workers * 8 * oracles._BATCH_WORDS
 
     def test_estimate_within_interval_invariant(self):
         spec = ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5})
