@@ -144,8 +144,8 @@ def _tilted_product(s: FamilySummary) -> _Tilted:
     module docstring).  The summary's means and ln cov_sum are bound once:
     lv-optimal evaluates the function about 55 times per summary, so it
     returns a bare log value and builds no LogProb.  A shared mean is
-    evaluated in scalar ``math`` in one frame (numpy's cost per call would
-    exceed that of the one term), several means in one numpy pass.  On either
+    evaluated in scalar ``math`` (numpy's cost per call would exceed that of
+    the one term), several means in one numpy pass.  On either
     path each term ln(1 - p + p e^{-t}) is log1p(p expm1(-t)), exactly -t at
     p = 1 and log1p(-p) at t = inf, and the log product keeps a relative
     accuracy of 1e-14 wherever every p (1 - e^{-t}) <= 1/2.
@@ -158,14 +158,7 @@ def _tilted_product(s: FamilySummary) -> _Tilted:
             term = -t if p >= 1.0 else math.log1p(p * math.expm1(-t))
             # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
             # to 0) read ln 1 = +0.0, as a sum over several means does
-            la, lb = weight * (term + 0.0), log_w + log_cov
-            # log_add_floats(la, lb), written out: one frame fewer per probe
-            if la == NEG_INF:
-                return lb
-            if lb == NEG_INF:
-                return la
-            hi, lo = (la, lb) if la >= lb else (lb, la)
-            return hi + math.log1p(math.exp(lo - hi))
+            return log_add_floats(weight * (term + 0.0), log_w + log_cov)
 
         return value
 

@@ -243,9 +243,7 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         raise ValueError(f"sweep needs at least one grid point, got count={count}")
     if count > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep takes at most {MAX_SWEEP_POINTS} grid points, got count={count}")
-    if count == 1:
-        values = [start]
-    elif mode == "geom":
+    if mode == "geom":
         if start <= 0 or stop <= 0:
             raise ValueError("geometric sweeps require positive endpoints")
         values = list(np.geomspace(start, stop, count))
@@ -324,25 +322,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     summary = models.summary_for(spec, variant=variant)
     entries = bounds_mod.evaluate_all(summary, eq2_form=args.eq2_form)
 
+    # the reference as a log interval [low, high]: one point for an exact
+    # oracle, the interval's ends for Monte Carlo
     oracle = oracles.oracle_for(spec)
     if oracle is not None:
-        # log domain, so the check still separates values below 1e-9 or near 1
-        def above(b: LogProb) -> bool:
-            return log_exceeds(b.log_value, oracle.log_value)
-
-        def below(b: LogProb) -> bool:
-            return log_exceeds(oracle.log_value, b.log_value)
-
+        low = high = oracle.log_value
         reference = {"kind": "oracle", "value": oracle.linear}
     elif args.mc:
         mc = oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
-
-        def above(b: LogProb) -> bool:
-            return b.linear > mc.ci.upper
-
-        def below(b: LogProb) -> bool:
-            return b.linear < mc.ci.lower
-
+        low, high = (LogProb.from_linear(x).log_value for x in (mc.ci.lower, mc.ci.upper))
         reference = {"kind": "monte-carlo", "value": mc.estimate,
                      "ci_lower": mc.ci.lower, "ci_upper": mc.ci.upper}
     else:
@@ -357,13 +345,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 {"method": e.method, "status": "skipped", "reason": e.reason}
             )
             continue
-        lower = e.method not in bounds_mod.UPPER_METHODS
-        ok = not above(e.value) if lower else e.vacuous or not below(e.value)
+        # in log domain, so the check still separates values below 1e-9 or near 1
+        lower, v = e.method not in bounds_mod.UPPER_METHODS, e.value.log_value
+        ok = not log_exceeds(v, high) if lower else e.vacuous or not log_exceeds(low, v)
+        linear = e.value.linear
         check = {
             "method": e.method,
             "status": "pass" if ok else "fail",
             "direction": "lower" if lower else "upper",
-            "bound": e.value.linear,
+            "bound": None if linear == math.inf else linear,  # "vacuous" says >= 1
         }
         if not lower:
             check["vacuous"] = e.vacuous
@@ -431,7 +421,7 @@ def cmd_lemma_check(args: argparse.Namespace) -> int:
             "t": args.t,
             "count": args.count,
             "seed": args.seed,
-            "max_gap_over_bound": worst_ratio,
+            "max_gap_over_bound": None if worst_ratio == math.inf else worst_ratio,
             "violations": violations,
             "passed": violations == 0,
         }

@@ -106,10 +106,11 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
     one gate for a spec, which every function that reads one goes through.
 
     A ValueError refuses, in this order, a model not a ``str``, params not a
-    ``Mapping``, an unknown model, a missing parameter, a value the cast cannot
-    read (``int(inf)``, ``int([10])``, ``int("10.7")``; ``int("10")`` is 10),
-    a fractional value of an ``int`` parameter, which the cast would
-    truncate, and the family's range violations, joined by "; ".
+    ``Mapping``, an unknown model, a missing parameter, a parameter the family
+    does not take, a value the cast cannot read (``int(inf)``, ``int([10])``,
+    ``int("10.7")``; ``int("10")`` is 10), a fractional value of an ``int``
+    parameter, which the cast would truncate, and the family's range
+    violations, joined by "; ".
     """
     for field, value, want in (("model", spec.model, str), ("params", spec.params, Mapping)):
         if not isinstance(value, want):
@@ -121,6 +122,9 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
     missing = [x for x in family.params if params.get(x) is None]
     if missing:
         raise ValueError(f"{model} requires parameters {missing}")
+    foreign = [x for x in params if x not in family.params]
+    if foreign:
+        raise ValueError(f"{model} takes no parameters {foreign}")
     try:
         q = {name: to(params[name]) for name, to in family.params.items()}
     except (OverflowError, TypeError, ValueError) as exc:

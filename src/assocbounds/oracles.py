@@ -31,7 +31,7 @@ class EstimateWithCI:
     seed: int
 
     def __post_init__(self) -> None:
-        if not self.ci.lower <= self.estimate <= self.ci.upper:
+        if not self.ci.contains(self.estimate):
             raise ValueError("estimate must lie inside its confidence interval")
 
     def to_json_dict(self) -> dict[str, Any]:

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from assocbounds import bounds, cli
+from assocbounds import bounds, cli, oracles
 from assocbounds.bounds import BoundResult
 from assocbounds.cli import CSV_COLUMNS, build_parser, main
-from assocbounds.family import FamilySummary
+from assocbounds.family import FamilySummary, ModelSpec
 from assocbounds.models import FAMILIES, runs_zero_exact
 from assocbounds.numerics import LogProb
 
@@ -26,6 +26,15 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which RFC 8259
+    JSON does not have."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_proc(*argv):
@@ -104,6 +113,21 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert err == "error: inconsistent summary: cov_sum=0.5 exceeds delta=0.1; " \
             "covariances cannot exceed the joint expectations they come from\n"
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [({"count": 0, "lambda": 0.0, "delta": 0.0, "delta_bar": 0.0, "cov_sum": 0.0},
+          "count must be a positive integer, got 0"),
+         ({"delta": -0.1, "delta_bar": 0.8, "cov_sum": -0.2},
+          "delta must be nonnegative, got -0.1; cov_sum=-0.2 is negative: the family "
+          "is not positively associated (some pairwise covariance is below zero)")],
+        ids=["count<1", "delta<0"],
+    )
+    def test_summary_validate_refusals_exit_two(self, capsys, fields, message):
+        doc = {"count": 10, "means": 0.1, "lambda": 1.0, "max_mean": 0.1, **fields}
+        code, out, err = run_main(capsys, "bound", "--summary", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err == f"error: inconsistent summary: {message}\n"
 
     # a lambda mismatch is test_inconsistent_summary_exits_two
     @pytest.mark.parametrize("field,value", [("delta_bar", 1.5), ("max_mean", 0.2)])
@@ -217,6 +241,19 @@ class TestBoundCommand:
             capsys, "bound", "--model", "runs", "--n", "10", "--k", "0", "--p", "0.5"
         )
         assert code == 2 and "k" in err
+
+    # runs reads no N: every reader of a spec refuses it, through models.bind
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.3", "--N", "7"],
+         ["compare", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.3",
+          "--sweep", "N=1:5:3"]],
+        ids=["bound", "compare"],
+    )
+    def test_foreign_parameter_exits_two(self, capsys, argv):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: model 'runs' takes no parameters ['N']\n"
 
     def test_t_override_forms(self, capsys):
         code, out, _ = run_main(
@@ -443,7 +480,9 @@ class TestCompareCommand:
         "flags,reason",
         [(["--t", "log:800"], "overflow"), (["--level", "1.5"], "level must be in"),
          (["--seed", "-1"], "seed must lie in [0, 2**128), got -1"),
-         (["--seed", str(2**128)], f"seed must lie in [0, 2**128), got {2**128}")],
+         (["--seed", str(2**128)], f"seed must lie in [0, 2**128), got {2**128}"),
+         (["--t", "abc"], "error: bad t 'abc': could not convert"),
+         (["--t", "log:abc"], "error: bad log-form t 'log:abc': could not convert")],
     )
     def test_bad_option_exits_two_before_any_trial(self, capsys, flags, reason):
         code, out, err = run_main(
@@ -503,6 +542,7 @@ class TestCompareCommand:
             ("p=0.1:0.5:3:log", "sweep mode must be 'geom' or 'linear', got 'log'"),
             ("p=0.1:half:3", "bad sweep grid '0.1:half:3': could not convert"),
             ("p=0:0.5:3:geom", "geometric sweeps require positive endpoints"),
+            ("p=0:0.5:1:geom", "geometric sweeps require positive endpoints"),
             ("n=10:1e400:2", "bad sweep grid '10:1e400:2': endpoints must be finite"),
             ("p=nan:0.5:2", "bad sweep grid 'nan:0.5:2': endpoints must be finite"),
         ],
@@ -661,11 +701,88 @@ class TestVerifyCommand:
         )
         assert code == 2 and out == "" and err == f"error: {message}\n"
 
+    def test_vacuous_bound_beyond_the_double_range_prints_null(self, capsys):
+        # janson-basic's log is about 7.3e4, boppona-spencer's larger still:
+        # "vacuous" says each is >= 1
+        code, out, _ = run_main(
+            capsys, "verify", "--model", "ustat", "--n", "60", "--k", "2", "--p", "0.9"
+        )
+        assert code == 0
+        checks = strict_json(out)["checks"]
+        assert [c["method"] for c in checks if c["bound"] is None] == [
+            "janson-basic", "boppona-spencer"
+        ]
+        assert all(c["vacuous"] for c in checks if c["bound"] is None)
+
     def test_oracle_unavailable_without_mc_exits_two(self, capsys):
         code, _, err = run_main(
             capsys, "verify", "--model", "triangles", "--n", "9", "--p", "0.1"
         )
         assert code == 2 and "--mc" in err
+
+
+class TestVerifyMonteCarlo:
+    """The Monte Carlo verdict: triangles at n = 9 have no exact oracle, so
+    the reference is the interval's ends in log, judged with log_exceeds.
+    FLAGS take the standard ratio form, since the printed one fails here."""
+
+    FLAGS = ["--model", "triangles", "--n", "9", "--p", "0.1", "--mc",
+             "--trials", "2000", "--seed", "3", "--eq2-form", "standard"]
+
+    @pytest.fixture(scope="class")
+    def ends(self):
+        est = oracles.monte_carlo(
+            ModelSpec("triangles", {"n": 9, "p": 0.1}), 2000, seed=3, level=0.99
+        )
+        assert 0.0 < est.ci.lower < est.ci.upper < 1.0
+        return math.log(est.ci.lower), math.log(est.ci.upper)
+
+    def verdicts(self, capsys):
+        code, out, _ = run_main(capsys, "verify", *self.FLAGS)
+        doc = strict_json(out)
+        assert doc["reference"]["kind"] == "monte-carlo"
+        assert code == (0 if doc["passed"] else 1)
+        return {c["method"]: c["status"] for c in doc["checks"]}
+
+    # the lower end is negative in log: a factor above one moves it down
+    @pytest.mark.parametrize(
+        "scale,status", [(1.0, "pass"), (1.0 + 1e-13, "pass"), (1.0 + 1e-11, "fail")],
+        ids=["at-end", "within-tolerance", "below"],
+    )
+    def test_upper_bound_at_the_lower_end(self, capsys, monkeypatch, ends, scale, status):
+        value = LogProb(ends[0] * scale)
+        monkeypatch.setattr(bounds, "janson_basic", lambda s: BoundResult("janson-basic", value))
+        by = self.verdicts(capsys)
+        assert by.pop("janson-basic") == status
+        assert set(by.values()) == {"pass"}
+
+    @pytest.mark.parametrize(
+        "scale,status", [(1.0, "pass"), (1.0 - 1e-13, "pass"), (1.0 - 1e-11, "fail")],
+        ids=["at-end", "within-tolerance", "above"],
+    )
+    def test_lower_bound_at_the_upper_end(self, capsys, monkeypatch, ends, scale, status):
+        value = LogProb(ends[1] * scale)
+        monkeypatch.setattr(
+            bounds, "independent_lower",
+            lambda s, _tilted=None: BoundResult("independent-lower", value),
+        )
+        by = self.verdicts(capsys)
+        assert by.pop("independent-lower") == status
+        assert set(by.values()) == {"pass"}
+
+    def test_no_successes_pass_every_upper_bound(self, capsys, monkeypatch):
+        # at p = 0.9 no trial of 200 is triangle-free, so the interval's
+        # lower end is 0 and its log is -inf
+        monkeypatch.setattr(
+            bounds, "janson_basic", lambda s: BoundResult("janson-basic", LogProb(-1e6))
+        )
+        code, out, _ = run_main(
+            capsys, "verify", "--model", "triangles", "--n", "9", "--p", "0.9", "--mc",
+            "--trials", "200",
+        )
+        doc = strict_json(out)
+        assert code == 0 and doc["reference"]["ci_lower"] == 0.0
+        assert {c["status"] for c in doc["checks"]} == {"pass"}
 
 
 class TestMcCommand:
@@ -766,6 +883,14 @@ class TestLemmaCheckCommand:
         doc = json.loads(out)
         assert code == 0 and doc["violations"] == 0
         assert doc["max_gap_over_bound"] == 0.0
+
+    def test_violation_fails_and_prints_null(self, capsys, monkeypatch):
+        # a gap over a zero bound: the ratio is infinite, which JSON cannot hold
+        monkeypatch.setattr(oracles, "mgf_gap_check", lambda joint, t: (1e-3, 0.0, False))
+        code, out, _ = run_main(capsys, "lemma-check", "--m", "3", "--count", "4")
+        doc = strict_json(out)
+        assert code == 1 and doc["violations"] == 4 and doc["passed"] is False
+        assert doc["max_gap_over_bound"] is None
 
     def test_too_many_variables_exits_two(self, capsys):
         code, _, err = run_main(capsys, "lemma-check", "--m", "12")

@@ -108,6 +108,8 @@ COMMANDS: list[list[str]] = [
     ["compare", "--model", "runs", "--n", "12", "--k", "3", "--sweep", "p=0.05:0.3:3",
      "--level", "7", "--trials", "0"],
     ["verify", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1", "--level", "1.5"],
+    # bounds beyond the double range print null, not the non-JSON Infinity
+    ["verify", "--model", "ustat", "--n", "60", "--k", "2", "--p", "0.9"],
 ]
 
 

@@ -326,6 +326,12 @@ class TestModelSpec:
     def test_remaining_models(self):
         assert refusal("triangles", {"n": 3, "p": 0.0}) is None
         assert "triangles requires n >= 3" in refusal("triangles", {"n": 2, "p": 0.5})
+        assert refusal("triangles", {"n": 5, "p": -0.1}) == (
+            "triangles requires p in [0, 1], got p=-0.1"
+        )
+        assert refusal("ustat", {"n": 4, "k": 2, "p": 1.5}) == (
+            "ustat requires p in [0, 1], got p=1.5"
+        )
         assert "ustat requires 1 <= k <= n" in refusal("ustat", {"n": 4, "k": 5, "p": 0.5})
         assert refusal("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4}) is None
         assert "2 <= k <= N" in refusal("hypergraph-cover", {"N": 6, "k": 1, "n_draws": 4})
@@ -337,6 +343,11 @@ class TestModelSpec:
 
     def test_missing_parameters_reported(self):
         assert refusal("runs", {"n": 10}) == "model 'runs' requires parameters ['k', 'p']"
+
+    def test_foreign_parameters_reported(self):
+        assert refusal("runs", {"n": 10, "k": 2, "p": 0.3, "N": 7, "q": 1}) == (
+            "model 'runs' takes no parameters ['N', 'q']"
+        )
 
     def test_malformed_fields_refused_before_the_lookup(self):
         # these reached FAMILIES.get or params.get and raised TypeError or

@@ -398,6 +398,7 @@ INVALID_SPECS = [
     ModelSpec("runs", {"n": 10}),
     ModelSpec("runs", {"n": 10.5, "k": 2, "p": 1.5}),
     ModelSpec("lattice", {"n": 10}),
+    ModelSpec("runs", {"n": 10, "k": 2, "p": 0.3, "N": 7}),
 ]
 
 
@@ -414,7 +415,7 @@ INVALID_SPECS = [
     ],
     ids=["summary_for", "oracle_for", "trial_budget", "simulate_batch", "monte_carlo"],
 )
-@pytest.mark.parametrize("spec", INVALID_SPECS, ids=["n<k", "missing", "fractional", "unknown"])
+@pytest.mark.parametrize("spec", INVALID_SPECS, ids=["n<k", "missing", "fractional", "unknown", "foreign"])
 def test_invalid_spec_refused_with_its_violations(call, spec):
     with pytest.raises(ValueError) as gate:
         models.bind(spec)

@@ -197,6 +197,11 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             clopper_pearson(1, 10, 1.0)
 
+    @pytest.mark.parametrize("successes", [-1, 11])
+    def test_successes_outside_the_trials_rejected(self, successes):
+        with pytest.raises(ValueError, match=rf"need 0 <= successes <= trials, got {successes}/10"):
+            clopper_pearson(successes, 10, 0.95)
+
     def test_interval_invariant_enforced(self):
         with pytest.raises(ValueError):
             ConfidenceInterval(lower=0.7, upper=0.3, level=0.9)

@@ -116,6 +116,9 @@ class TestUstatZeroExact:
     def test_certain_success(self):
         assert ustat_zero_exact(6, 3, 1.0).linear == 0.0
 
+    def test_no_success_is_log_zero_exactly(self):
+        assert ustat_zero_exact(6, 3, 0.0).log_value == 0.0
+
     @pytest.mark.parametrize(
         "n,k,p",
         [
@@ -407,6 +410,11 @@ class TestMgfGapCheck:
         gap, bound, holds = mgf_gap_check(joint, 0.5)
         assert holds
         assert bound > gap >= 0.0
+
+    @pytest.mark.parametrize("n_vars,n_bits", [(17, 8), (4, 13), (0, 8), (4, 0)])
+    def test_random_law_size_outside_the_range_rejected(self, n_vars, n_bits):
+        with pytest.raises(ValueError, match="need 1 <= n_vars <= 16 and 1 <= n_bits <= 12"):
+            random_monotone_joint(n_vars, n_bits, np.random.default_rng(0))
 
     def test_non_normalized_law_rejected(self):
         with pytest.raises(ValueError, match="summing to 1"):
