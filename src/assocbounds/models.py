@@ -9,6 +9,12 @@ Each family ships in two formula variants:
                      counts in places and substitute delta for the covariance
                      sum; kept so published numbers are reproducible
 
+A summary states only the family's mean and its classes of correlated
+pairs, (multiplicity, joint expectation, covariance); :func:`_summary` forms
+delta and cov_sum from them for all four families, and
+:func:`_power_pairs` holds the covariance p^e - p^(2k) of two indicators of
+mean p^k, and the printed variant's rule, once.
+
 Samplers are pure functions of (seed, trial_index): every trial owns a fixed
 block range of a Philox counter-based stream, so scalar evaluation, batched
 evaluation, and any parallel split of the trial range produce bit-identical
@@ -56,20 +62,38 @@ def _refuse(violations: list[str]) -> None:
 
 
 def _summary(
-    variant: str, count: int, mean: float, sums: Callable[[], tuple[float, float]],
+    variant: str, count: int, mean: float,
+    pairs: Callable[[bool], tuple[float, list[tuple[float, float, float]]]],
 ) -> FamilySummary:
-    """The summary of ``count`` indicators of one mean; ``sums()`` gives
-    (delta, cov_sum) in the formula variant, and an OverflowError from it
-    reads as inf, which the FamilySummary constructor refuses.  A variant
-    outside VARIANTS is refused before ``sums`` runs.  delta_bar may round
-    to inf where delta does not: the ratio bound is then vacuous."""
+    """The summary of ``count`` indicators of one mean from its classes of
+    correlated pairs: ``pairs(printed)``, printed whether the variant is
+    paper-as-printed, gives (scale, classes), each class (multiplicity m,
+    joint expectation, covariance), and delta = scale * sum(m * joint),
+    cov_sum = scale * sum(m * covariance).  An OverflowError while they are
+    formed reads as inf, which the FamilySummary constructor refuses.  A
+    variant outside VARIANTS is refused first.  delta_bar may round to inf
+    where delta does not: the ratio bound is then vacuous."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     try:
-        delta, cov = sums()
+        scale, classes = pairs(variant == PAPER_AS_PRINTED)
+        delta = scale * _add([m * joint for m, joint, _ in classes])
+        cov = scale * _add([m * c for m, _, c in classes])
     except OverflowError:
         delta = cov = math.inf
     return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
+
+
+def _add(terms: list[float]) -> float:
+    """math.fsum, except that a sum of zeros keeps the sign IEEE addition gives
+    it: hypergraph's cov_sum is -0.0 where all its covariances underflow."""
+    return math.fsum(terms) if any(terms) or not terms else sum(terms[1:], terms[0])
+
+
+def _power_pairs(m: float, k: int, e: int, p: float, printed: bool) -> tuple[float, ...]:
+    """m pairs of indicators of mean p^k with joint expectation p^e; printed,
+    the covariance is taken to be the joint expectation."""
+    return m, p**e, p**e if printed else p**e - p ** (2 * k)
 
 
 def _log_sum_exp(terms: list[float]) -> float:
@@ -215,13 +239,9 @@ def runs_summary(
     if n < 2 * k:
         raise ValueError(f"circular runs requires n >= 2k, got n={n}, k={k}")
 
-    def sums() -> tuple[float, float]:
-        joint = math.fsum(n * p ** (k + d) for d in range(1, k))
-        if variant == PAPER_AS_PRINTED:
-            return 0.5 * joint, 0.5 * joint
-        return joint, math.fsum(n * (p ** (k + d) - p ** (2 * k)) for d in range(1, k))
-
-    return _summary(variant, n, p**k, sums)
+    return _summary(variant, n, p**k, lambda printed: (
+        0.5 if printed else 1.0, [_power_pairs(n, k, k + d, p, printed) for d in range(1, k)]
+    ))
 
 
 def runs_poisson_band(n: int, k: int, p: float) -> tuple[float, float]:
@@ -357,15 +377,9 @@ def triangles_summary(
     """
     _refuse(_triangles_violations(n, p))
     count = comb(n, 3)
-    partners = 3 * n if variant == PAPER_AS_PRINTED else 3 * (n - 3)
-
-    def sums() -> tuple[float, float]:
-        delta = 0.5 * count * partners * p**5
-        if variant == PAPER_AS_PRINTED:
-            return delta, delta
-        return delta, 0.5 * count * partners * (p**5 - p**6)
-
-    return _summary(variant, count, p**3, sums)
+    return _summary(variant, count, p**3, lambda printed: (
+        0.5 * count * (3 * n if printed else 3 * (n - 3)), [_power_pairs(1, 3, 5, p, printed)]
+    ))
 
 
 @lru_cache(maxsize=8)  # 16 MB each at N = 2,000
@@ -466,34 +480,20 @@ def ustat_summary(
 ) -> FamilySummary:
     """Summary for the complete U-statistic family over C(n,k) subsets.
 
-    Two k-subsets sharing exactly m indices have joint expectation p^(2k-m);
-    a fixed subset has C(k,m) C(n-k,k-m) partners with overlap m.  The
-    printed variant drops the overlap-choice factor, using C(n-k,j) p^(k+j),
-    and reuses delta as the covariance sum.
+    A fixed subset has C(k,j) C(n-k,j) partners that share all but j of its
+    indices, each with joint expectation p^(k+j), 0 < j < k.  The printed
+    variant drops the overlap-choice factor C(k,j) and reuses delta as the
+    covariance sum.
 
     Raises ValueError where C(n,k), delta or cov_sum exceeds the double
     range (about 1.8e308); ``ustat_zero_exact`` still covers such specs.
     """
     _refuse(_ustat_violations(n, k, p))
     count = comb(n, k)
-
-    def sums() -> tuple[float, float]:
-        if variant == PAPER_AS_PRINTED:
-            delta = 0.5 * count * math.fsum(
-                comb(n - k, j) * p ** (k + j) for j in range(1, k)
-            )
-            return delta, delta
-        delta = 0.5 * count * math.fsum(
-            comb(k, m) * comb(n - k, k - m) * p ** (2 * k - m)
-            for m in range(1, k)
-        )
-        cov = 0.5 * count * math.fsum(
-            comb(k, m) * comb(n - k, k - m) * (p ** (2 * k - m) - p ** (2 * k))
-            for m in range(1, k)
-        )
-        return delta, cov
-
-    return _summary(variant, count, p**k, sums)
+    return _summary(variant, count, p**k, lambda printed: (0.5 * count, [
+        _power_pairs((1 if printed else comb(k, j)) * comb(n - k, j), k, k + j, p, printed)
+        for j in range(1, k)
+    ]))
 
 
 def _ustat_sample(w: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
@@ -660,16 +660,10 @@ def hypergraph_summary(
     a, b_s, b_d = (_per_draw_avoid(N, k, *x) for x in (_EDGE, _SHARING, _DISJOINT))
     p, q_s, q_d = (LogProb(_log_uncovered(x, n_draws)).linear for x in (a, b_s, b_d))
 
-    def sums() -> tuple[float, float]:
-        share_pairs = count * (N - 2)
-        disjoint_pairs = count * comb(N - 2, 2) // 2
-        delta = share_pairs * q_s + disjoint_pairs * q_d
-        cov = share_pairs * _pair_cov(b_s, a, n_draws) + disjoint_pairs * _pair_cov(
-            b_d, a, n_draws
-        )
-        return delta, cov
-
-    return _summary(variant, count, p, sums)
+    return _summary(variant, count, p, lambda printed: (1.0, [
+        (count * (N - 2), q_s, _pair_cov(b_s, a, n_draws)),
+        (count * comb(N - 2, 2) // 2, q_d, _pair_cov(b_d, a, n_draws)),
+    ]))
 
 
 def _choices(w: np.ndarray, N: int, k: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from assocbounds import bounds
 from assocbounds.bounds import (
+    EQ2_FORMS,
     METHOD_ORDER,
     T_GRID_MAX,
     T_GRID_MIN,
@@ -37,6 +39,7 @@ from assocbounds.models import (
     hypergraph_summary,
     runs_summary,
     runs_zero_exact,
+    triangles_summary,
 )
 from assocbounds.numerics import log_exceeds
 
@@ -109,6 +112,22 @@ class TestJansonRatio:
     def test_zero_delta_bar_rejected(self):
         with pytest.raises(ValueError, match="delta_bar"):
             janson_ratio(homog(10, 0.0, 0.0, 0.0))
+
+    # lambda^2 overflows (runs and triangles, standard form), delta_bar^2
+    # overflows (both, printed form) or underflows to 0 (the last, printed)
+    @pytest.mark.parametrize(
+        "s,form",
+        [(runs_summary(10**160, 2, 0.5), form) for form in EQ2_FORMS]
+        + [(triangles_summary(10**52, 0.5), form) for form in EQ2_FORMS]
+        + [(homog(6, 1e-200, 0.0, 0.0), "printed")],
+        ids=["runs-printed", "runs-standard", "triangles-printed", "triangles-standard",
+             "tiny-printed"],
+    )
+    def test_square_beyond_the_double_range_matches_the_exact_ratio(self, s, form):
+        lam, delta_bar = Fraction(s.lambda_), Fraction(s.delta_bar)
+        exact = -lam / delta_bar**2 if form == "printed" else -lam * lam / delta_bar
+        log_value = janson_ratio(s, form=form).value.log_value
+        assert log_value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     def test_printed_form_is_not_an_upper_bound(self):
         # documents the defect in the printed exponent: at small lambda the

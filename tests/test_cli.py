@@ -138,6 +138,17 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert f"{field}={value} does" in err
 
+    @pytest.mark.parametrize("form", ["printed", "standard"])
+    def test_ratio_bound_over_an_infinite_delta_bar_is_vacuous(self, capsys, form):
+        # lambda^2 and delta_bar overflow: the ratio is 0, not inf / inf
+        doc = {"count": 2 * 10**160, "means": 0.5, "lambda": 1e160, "delta": 1e308,
+               "delta_bar": math.inf, "cov_sum": 0.0, "max_mean": 0.5}
+        code, out, _ = run_main(capsys, "bound", "--summary", json.dumps(doc),
+                                "--eq2-form", form)
+        assert code == 0
+        (ratio,) = [e for e in json.loads(out)["bounds"] if e["method"] == "janson-ratio"]
+        assert ratio["log_value"] == 0.0 and ratio["vacuous"] and ratio["skipped_reason"] is None
+
     def test_consistent_summary_accepted(self, capsys):
         good = json.dumps(
             {

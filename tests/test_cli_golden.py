@@ -110,6 +110,9 @@ COMMANDS: list[list[str]] = [
     ["verify", "--model", "ustat", "--n", "10", "--k", "2", "--p", "0.1", "--level", "1.5"],
     # bounds beyond the double range print null, not the non-JSON Infinity
     ["verify", "--model", "ustat", "--n", "60", "--k", "2", "--p", "0.9"],
+    # janson-ratio where lambda^2 overflows: a finite log, not an exact zero
+    ["verify", "--model", "runs", "--n", str(10**160), "--k", "2", "--p", "0.5",
+     "--eq2-form", "standard"],
 ]
 
 

@@ -201,6 +201,75 @@ def test_delta_bar_may_round_to_inf():
     assert s.delta == 1e308 and math.isinf(s.delta_bar)
 
 
+def _reference_pair_sums(family, shape, p, variant):
+    """(delta, cov_sum) at 100 digits, from the pair classes each summary
+    docstring states; near p = 1, 60 digits are too few for p^e - p^(2k)."""
+    printed = variant == PAPER_AS_PRINTED
+    with mpmath.workdps(100):
+        p = mpmath.mpf(p)  # exact: every double is a binary fraction
+        if family == "runs":  # n pairs at each offset d < k, n/2 as printed
+            n, k = shape
+            scale = mpmath.mpf(1) / 2 if printed else 1
+            classes = [(n, k + d) for d in range(1, k)]
+        elif family == "triangles":  # 3(n - 3) partners per triangle, 3n as printed
+            (n,), k = shape, 3
+            scale = mpmath.mpf(math.comb(n, 3)) * (3 * n if printed else 3 * (n - 3)) / 2
+            classes = [(1, 5)]
+        else:  # C(k, j) C(n - k, j) partners per subset, C(n - k, j) as printed
+            n, k = shape
+            scale = mpmath.mpf(math.comb(n, k)) / 2
+            classes = [((1 if printed else math.comb(k, j)) * math.comb(n - k, j), k + j)
+                       for j in range(1, k)]
+        delta = scale * mpmath.fsum(m * p**e for m, e in classes)
+        cov = delta if printed else scale * mpmath.fsum(
+            m * (p**e - p ** (2 * k)) for m, e in classes
+        )
+        return delta, cov
+
+
+_SUMMARIES = {"runs": runs_summary, "triangles": triangles_summary, "ustat": ustat_summary}
+# p = 10^-j and p <= 1/2, where no covariance p^e - p^(2k) cancels by more
+# than a factor 3; near p = 1 it does (the xfails below)
+_PAIR_SUM_POINTS = [10.0**-j for j in range(1, 13)] + [0.5, 0.45, 1 / 3, 0.2]
+# the largest relative errors read on these points were 2.9e-16 for both
+# delta (runs (1000, 3), p = 1e-3) and cov_sum (runs (20, 2), p = 1e-2)
+_DELTA_REL, _COV_REL = 4e-16, 4e-16
+
+
+def _relative_error(x, ref):
+    with mpmath.workdps(100):
+        return 0.0 if x == ref == 0 else float(abs((mpmath.mpf(x) - ref) / ref))
+
+
+@pytest.mark.parametrize("variant", [FIRST_PRINCIPLES, PAPER_AS_PRINTED])
+@pytest.mark.parametrize(
+    "family,shape",
+    [("runs", (20, 2)), ("runs", (1000, 3)), ("runs", (50, 5)),
+     ("triangles", (6,)), ("triangles", (30,)), ("triangles", (10**4,)),
+     ("ustat", (20, 3)), ("ustat", (60, 2)), ("ustat", (24, 4))],
+    ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x)),
+)
+def test_pair_sums_match_a_100_digit_reference(family, shape, variant):
+    for p in _PAIR_SUM_POINTS:
+        s = _SUMMARIES[family](*shape, p, variant)
+        delta, cov = _reference_pair_sums(family, shape, p, variant)
+        assert _relative_error(s.delta, delta) <= _DELTA_REL, p
+        assert _relative_error(s.cov_sum, cov) <= _COV_REL, p
+
+
+# p^e - p^(2k) cancels near p = 1: about 5e-9 relative at p = 1 - 1e-9
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="cov_sum writes each covariance as a difference of powers")
+@pytest.mark.parametrize("family,shape", [("runs", (1000, 3)), ("triangles", (30,)),
+                                          ("ustat", (20, 3))],
+                         ids=["runs-1000,3", "triangles-30", "ustat-20,3"])
+def test_cov_sum_near_one_matches_a_100_digit_reference(family, shape):
+    p = 1 - 1e-9
+    s = _SUMMARIES[family](*shape, p, FIRST_PRINCIPLES)
+    _, cov = _reference_pair_sums(family, shape, p, FIRST_PRINCIPLES)
+    assert _relative_error(s.cov_sum, cov) <= _COV_REL
+
+
 class TestHypergraphProbabilities:
     def test_full_clique_covers_everything(self):
         assert hypergraph_edge_prob(5, 5, 3).linear == 0.0

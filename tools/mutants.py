@@ -51,6 +51,9 @@ SPEC_READERS = (
     "tests/test_cli.py::TestBoundCommand::test_foreign_parameter_exits_two",
 )
 COVER_TABLE = "tests/test_models.py::TestCoverTable::test_table_equals_draw_by_draw"
+PAIR_SUMS = "tests/test_models.py::test_pair_sums_match_a_100_digit_reference"
+RATIO_SQUARE = ("tests/test_bounds.py::TestJansonRatio::"
+                "test_square_beyond_the_double_range_matches_the_exact_ratio")
 
 MUTANTS = [
     # verify: one verdict over the log interval [low, high], in both
@@ -139,6 +142,28 @@ MUTANTS = [
     Mutant("random_monotone_joint: 13 bits taken", "assocbounds/oracles.py",
            "not 1 <= n_bits <= 12", "not 1 <= n_bits <= 13",
            ("tests/test_oracles.py::TestMgfGapCheck::test_random_law_size_outside_the_range_rejected",)),
+    # the one rule that forms delta and cov_sum from a family's pair classes
+    Mutant("summary: printed covariance rule flipped", MODELS,
+           "p**e if printed else p**e - p ** (2 * k)", "p**e - p ** (2 * k) if printed else p**e",
+           (PAIR_SUMS,
+            "tests/test_models.py::TestRunsSummary::test_printed_formula_frozen_example")),
+    Mutant("summary: covariance exponent 2k - 1", MODELS,
+           "p**e - p ** (2 * k)", "p**e - p ** (2 * k - 1)", (PAIR_SUMS,)),
+    Mutant("summary: scale dropped from cov_sum", MODELS,
+           "cov = scale * _add(", "cov = _add(", (PAIR_SUMS,)),
+    Mutant("hypergraph: classes read the variant", MODELS,
+           "(count * (N - 2), q_s, _pair_cov(b_s, a, n_draws)),",
+           "(count * (N - 2), q_s, q_s if printed else _pair_cov(b_s, a, n_draws)),",
+           ("tests/test_models.py::test_hypergraph_summary_is_the_same_in_both_variants",)),
+    # janson-ratio divides first where a square leaves the double range
+    Mutant("janson-ratio: standard form squares lambda", "assocbounds/bounds.py",
+           "else -(lam / delta_bar) * lam", "else -(lam * lam) / delta_bar",
+           (RATIO_SQUARE,
+            "tests/test_cli.py::TestBoundCommand::"
+            "test_ratio_bound_over_an_infinite_delta_bar_is_vacuous",
+            "tests/test_cli_golden.py::test_output_matches_the_recorded_one[47-verify]")),
+    Mutant("janson-ratio: printed form squares delta_bar", "assocbounds/bounds.py",
+           "else -(lam / delta_bar) / delta_bar", "else -lam / square", (RATIO_SQUARE,)),
     # the samplers under the Philox stream contract
     Mutant("_word_limit: off by one", MODELS,
            "return (math.ceil(p * 2**53) << 11) - 1", "return math.ceil(p * 2**53) << 11",
