@@ -201,8 +201,9 @@ def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
     The default ``printed`` form reproduces the source exactly; it is
     dimensionally suspect and is demonstrably not a valid upper bound at
     small lambda (see the tests).  ``standard`` selects the literature form.
-    Where lambda^2 overflows, or delta_bar^2 leaves the normal range, the
-    ratio divides first; a delta_bar of inf gives -0.0, a vacuous bound.
+    Where the square (delta_bar^2 printed, lambda^2 standard) leaves the
+    normal double range, the ratio divides first; a delta_bar of inf gives
+    -0.0, a vacuous bound.
     """
     _check_form(form)
     lam, delta_bar = s.lambda_, s.delta_bar
@@ -211,12 +212,12 @@ def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
             f"janson-ratio requires delta_bar > 0, got {delta_bar} "
             f"(only happens when lambda = 0)"
         )
-    if form == "printed":
-        square = delta_bar * delta_bar
-        normal = sys.float_info.min <= square < math.inf
-        exponent = -lam / square if normal else -(lam / delta_bar) / delta_bar
+    printed = form == "printed"
+    square = delta_bar * delta_bar if printed else lam * lam
+    if sys.float_info.min <= square < math.inf:
+        exponent = -lam / square if printed else -square / delta_bar
     else:
-        exponent = -(lam * lam) / delta_bar if lam * lam < math.inf else -(lam / delta_bar) * lam
+        exponent = -(lam / delta_bar) / delta_bar if printed else -(lam / delta_bar) * lam
     return BoundResult("janson-ratio", LogProb(exponent))
 
 

@@ -77,17 +77,11 @@ def _summary(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     try:
         scale, classes = pairs(variant == PAPER_AS_PRINTED)
-        delta = scale * _add([m * joint for m, joint, _ in classes])
-        cov = scale * _add([m * c for m, _, c in classes])
+        delta = scale * math.fsum(m * joint for m, joint, _ in classes)
+        cov = scale * math.fsum(m * c for m, _, c in classes)
     except OverflowError:
         delta = cov = math.inf
     return FamilySummary(count=count, means=(mean,), delta=delta, cov_sum=cov)
-
-
-def _add(terms: list[float]) -> float:
-    """math.fsum, except that a sum of zeros keeps the sign IEEE addition gives
-    it: hypergraph's cov_sum is -0.0 where all its covariances underflow."""
-    return math.fsum(terms) if any(terms) or not terms else sum(terms[1:], terms[0])
 
 
 def _power_pairs(m: float, k: int, e: int, p: float, printed: bool) -> tuple[float, ...]:

@@ -114,14 +114,14 @@ class TestJansonRatio:
             janson_ratio(homog(10, 0.0, 0.0, 0.0))
 
     # lambda^2 overflows (runs and triangles, standard form), delta_bar^2
-    # overflows (both, printed form) or underflows to 0 (the last, printed)
+    # overflows (both, printed form); both squares underflow to 0 (the last)
     @pytest.mark.parametrize(
         "s,form",
         [(runs_summary(10**160, 2, 0.5), form) for form in EQ2_FORMS]
         + [(triangles_summary(10**52, 0.5), form) for form in EQ2_FORMS]
-        + [(homog(6, 1e-200, 0.0, 0.0), "printed")],
+        + [(homog(6, 1e-200, 0.0, 0.0), form) for form in EQ2_FORMS],
         ids=["runs-printed", "runs-standard", "triangles-printed", "triangles-standard",
-             "tiny-printed"],
+             "tiny-printed", "tiny-standard"],
     )
     def test_square_beyond_the_double_range_matches_the_exact_ratio(self, s, form):
         lam, delta_bar = Fraction(s.lambda_), Fraction(s.delta_bar)

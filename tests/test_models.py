@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -201,30 +203,48 @@ def test_delta_bar_may_round_to_inf():
     assert s.delta == 1e308 and math.isinf(s.delta_bar)
 
 
+@functools.lru_cache(maxsize=None)
+def _anchor_partners(family, shape):
+    """(count, k, partners) from the family's index sets themselves: partners
+    maps u to how many sets meet the first one and span u indices with it.
+    Every set is alike, so each has these partners; the summaries' pair
+    classes play no part."""
+    if family == "runs":  # n windows of k places on a cycle of n
+        n, k = shape
+        sets = [frozenset((i + t) % n for t in range(k)) for i in range(n)]
+    elif family == "triangles":  # the edge sets of the triangles of K_n
+        (n,), k = shape, 3
+        sets = [frozenset(combinations(t, 2)) for t in combinations(range(n), 3)]
+    else:  # the k-subsets of n indices
+        n, k = shape
+        sets = [frozenset(c) for c in combinations(range(n), k)]
+    first = sets[0]
+    return len(sets), k, Counter(len(first | b) for b in sets[1:] if first & b)
+
+
 def _reference_pair_sums(family, shape, p, variant):
-    """(delta, cov_sum) at 100 digits, from the pair classes each summary
-    docstring states; near p = 1, 60 digits are too few for p^e - p^(2k)."""
-    printed = variant == PAPER_AS_PRINTED
+    """(delta, cov_sum) at 100 digits; near p = 1, 60 digits are too few for
+    p^e - p^(2k).  First-principles sums over every unordered pair of sets
+    that meet, count/2 times the partners of one; the printed variant reads
+    the printed closed forms, which reuse delta as the covariance sum."""
+    count, k, partners = _anchor_partners(family, shape)
+    n = shape[0]
     with mpmath.workdps(100):
         p = mpmath.mpf(p)  # exact: every double is a binary fraction
-        if family == "runs":  # n pairs at each offset d < k, n/2 as printed
-            n, k = shape
-            scale = mpmath.mpf(1) / 2 if printed else 1
-            classes = [(n, k + d) for d in range(1, k)]
-        elif family == "triangles":  # 3(n - 3) partners per triangle, 3n as printed
-            (n,), k = shape, 3
-            scale = mpmath.mpf(math.comb(n, 3)) * (3 * n if printed else 3 * (n - 3)) / 2
-            classes = [(1, 5)]
-        else:  # C(k, j) C(n - k, j) partners per subset, C(n - k, j) as printed
-            n, k = shape
-            scale = mpmath.mpf(math.comb(n, k)) / 2
-            classes = [((1 if printed else math.comb(k, j)) * math.comb(n - k, j), k + j)
-                       for j in range(1, k)]
-        delta = scale * mpmath.fsum(m * p**e for m, e in classes)
-        cov = delta if printed else scale * mpmath.fsum(
-            m * (p**e - p ** (2 * k)) for m, e in classes
-        )
-        return delta, cov
+        if variant == FIRST_PRINCIPLES:
+            half = mpmath.mpf(count) / 2
+            delta = half * mpmath.fsum(m * p**u for u, m in partners.items())
+            cov = half * mpmath.fsum(m * (p**u - p ** (2 * k)) for u, m in partners.items())
+            return delta, cov
+        if family == "runs":  # n/2 pairs at each offset d < k
+            delta = mpmath.mpf(n) / 2 * mpmath.fsum(p ** (k + d) for d in range(1, k))
+        elif family == "triangles":  # 3n partners per triangle
+            delta = mpmath.mpf(count) * 3 * n / 2 * p**5
+        else:  # C(n - k, j) partners sharing all but j indices
+            delta = mpmath.mpf(count) / 2 * mpmath.fsum(
+                math.comb(n - k, j) * p ** (k + j) for j in range(1, k)
+            )
+        return delta, delta
 
 
 _SUMMARIES = {"runs": runs_summary, "triangles": triangles_summary, "ustat": ustat_summary}
@@ -245,7 +265,7 @@ def _relative_error(x, ref):
 @pytest.mark.parametrize(
     "family,shape",
     [("runs", (20, 2)), ("runs", (1000, 3)), ("runs", (50, 5)),
-     ("triangles", (6,)), ("triangles", (30,)), ("triangles", (10**4,)),
+     ("triangles", (6,)), ("triangles", (30,)), ("triangles", (40,)),
      ("ustat", (20, 3)), ("ustat", (60, 2)), ("ustat", (24, 4))],
     ids=lambda x: x if isinstance(x, str) else ",".join(map(str, x)),
 )
@@ -460,6 +480,12 @@ def test_hypergraph_summary_is_the_same_in_both_variants():
     assert models.FAMILIES["hypergraph-cover"].summary is hypergraph_summary
     first, printed = (models.summary_for(spec, variant=v) for v in models.VARIANTS)
     assert first == printed == hypergraph_summary(6, 3, 20)
+
+
+def test_hypergraph_cov_sum_of_underflowed_covariances_is_positive_zero():
+    # every pair covariance underflows to -0.0; their sum is 0.0, as math.fsum gives it
+    s = hypergraph_summary(4, 2, 3000)
+    assert s.cov_sum == 0.0 and math.copysign(1.0, s.cov_sum) == 1.0
 
 
 INVALID_SPECS = [

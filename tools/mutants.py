@@ -150,7 +150,9 @@ MUTANTS = [
     Mutant("summary: covariance exponent 2k - 1", MODELS,
            "p**e - p ** (2 * k)", "p**e - p ** (2 * k - 1)", (PAIR_SUMS,)),
     Mutant("summary: scale dropped from cov_sum", MODELS,
-           "cov = scale * _add(", "cov = _add(", (PAIR_SUMS,)),
+           "cov = scale * math.fsum(", "cov = math.fsum(", (PAIR_SUMS,)),
+    Mutant("ustat: overlap choice C(k, j - 1)", MODELS,
+           "(1 if printed else comb(k, j))", "(1 if printed else comb(k, j - 1))", (PAIR_SUMS,)),
     Mutant("hypergraph: classes read the variant", MODELS,
            "(count * (N - 2), q_s, _pair_cov(b_s, a, n_draws)),",
            "(count * (N - 2), q_s, q_s if printed else _pair_cov(b_s, a, n_draws)),",
@@ -163,7 +165,7 @@ MUTANTS = [
             "test_ratio_bound_over_an_infinite_delta_bar_is_vacuous",
             "tests/test_cli_golden.py::test_output_matches_the_recorded_one[47-verify]")),
     Mutant("janson-ratio: printed form squares delta_bar", "assocbounds/bounds.py",
-           "else -(lam / delta_bar) / delta_bar", "else -lam / square", (RATIO_SQUARE,)),
+           "-(lam / delta_bar) / delta_bar if printed", "-lam / square if printed", (RATIO_SQUARE,)),
     # the samplers under the Philox stream contract
     Mutant("_word_limit: off by one", MODELS,
            "return (math.ceil(p * 2**53) << 11) - 1", "return math.ceil(p * 2**53) << 11",
