@@ -11,8 +11,8 @@ Upper bounds implemented, all evaluated in log domain on a
   boutsikas-koutras  prod(1 - p_i) + cov_sum
   lv-general         exp(-t|I|) * (prod E[exp(t(1-X_i))] + t^2 e^{t|I|} cov_sum)
   lv-iid             homogeneous rearrangement of lv-general
-  lv-optimal         lv-general minimized over t in [1e-12, 50] by
-                     golden-section search in ln t
+  lv-optimal         lv-general minimized over t in [1e-12, 50] by a
+                     safeguarded Newton root of its slope's sign, in ln t
 
 plus the reference floor ``independent-lower`` = prod(1 - p_i), a *lower*
 bound on P(X=0) under positive association.
@@ -28,9 +28,12 @@ associated families; they refuse to evaluate when cov_sum < 0, which is the
 summary-level signal that positive association fails.
 
 lv-general needs no grid to minimize: each factor 1 - p_i + p_i e^{-t} is
-log-convex in t, so their product is convex, and so is t^2 cov_sum when
-cov_sum >= 0.  Their sum is convex on t > 0, hence its log is unimodal in
-ln t, and one golden-section search over the whole range finds the minimum.
+log-convex in t, so their product P is convex, and so is t^2 cov_sum when
+cov_sum >= 0.  Their sum g is convex on t > 0, so its slope P' + 2 t cov_sum
+increases, and the minimum is where it changes sign.  That sign is the sign
+of h = ln(2 t cov_sum) - ln(-P'), which increases with ln t; lv-optimal
+finds the root of h by Newton steps in ln t, and the sign of h at 1e-12 or
+50 certifies a minimum at that end.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ EQ2_FORMS = ("printed", "standard")
 # lv-optimal searches t in [T_GRID_MIN, T_GRID_MAX] (see minimize_scalar).
 # The cap at 50 makes the cov_sum=0 limit numerically exact:
 # exp(-50)*p/(1-p) is below double rounding for any p of interest.
-# T_GRID_POINTS counts the two ends the search evaluates first; only the
-# benchmark's tests read it.
+# T_GRID_POINTS counts the two ends the search evaluates first.  Only
+# perfbench/test_perfbench.py reads it, and it is kept for that test alone
+# until the next change to the benchmark (ROADMAP item 1).
 T_GRID_MIN = 1e-12
 T_GRID_MAX = 50.0
 T_GRID_POINTS = 2
@@ -127,8 +131,12 @@ class SkippedBound:
 
 BoundEntry = BoundResult | SkippedBound
 
-# _tilted_product's result: (t, log_w) -> a bare log value.
+# _tilted_product's results: (t, log_w) -> a bare log value, and
+# lv-optimal's objective t -> (log value, h, dh/du)
 _Tilted = Callable[[float, float], float]
+_Objective = Callable[[float], tuple[float, float, float]]
+
+_LN2 = math.log(2.0)
 
 
 def _log_cov(s: FamilySummary) -> float:
@@ -137,18 +145,28 @@ def _log_cov(s: FamilySummary) -> float:
     return math.log(s.cov_sum) if s.cov_sum > 0 else NEG_INF
 
 
-def _tilted_product(s: FamilySummary) -> _Tilted:
-    """(t, log_w) -> ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum).
+def _tilted_product(s: FamilySummary) -> tuple[_Tilted, _Objective]:
+    """(t, log_w) -> ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum),
+    and lv-optimal's objective, both bound to the summary once.
 
-    The bounds that read the means, lv-iid aside, are points of it (see the
-    module docstring).  The summary's means and ln cov_sum are bound once:
-    lv-optimal evaluates the function about 55 times per summary, so it
-    returns a bare log value and builds no LogProb.  A shared mean is
-    evaluated in scalar ``math`` (numpy's cost per call would exceed that of
-    the one term), several means in one numpy pass.  On either
-    path each term ln(1 - p + p e^{-t}) is log1p(p expm1(-t)), exactly -t at
-    p = 1 and log1p(-p) at t = inf, and the log product keeps a relative
-    accuracy of 1e-14 wherever every p (1 - e^{-t}) <= 1/2.
+    The bounds that read the means, lv-iid aside, are points of the first
+    (see the module docstring).  The summary's means and ln cov_sum are
+    bound once, and each function returns bare floats and builds no
+    LogProb.  A shared mean is evaluated in scalar ``math`` (numpy's cost
+    per call would exceed that of the one term), several means in one numpy
+    pass.  On either path each term ln(1 - p + p e^{-t}) is
+    log1p(p expm1(-t)), exactly -t at p = 1 and log1p(-p) at t = inf, and
+    the log product keeps a relative accuracy of 1e-14 wherever every
+    p (1 - e^{-t}) <= 1/2.
+
+    The objective maps t to (lv-general's log value, h, dh/du) for
+    :func:`~assocbounds.numerics.minimize_scalar`, where u = ln t and
+    h = ln(2 t cov_sum) - ln(-P'(t)) for the product P, so h has the sign
+    of the slope of P + t^2 cov_sum and increases with u.  With
+    q_i = p_i / (1 + p_i expm1(-t)), -P' = P e^{-t} sum q_i and
+    dh/du = 1 + t + t e^{-t} (sum q_i - sum q_i^2 / sum q_i).  h is +inf
+    when every mean is 0 (the product is 1) and -inf when cov_sum is 0.
+    The value is that of the first function at (t, 2 ln t), bit for bit.
     """
     log_cov = _log_cov(s)
     if len(s.means) == 1:
@@ -160,10 +178,27 @@ def _tilted_product(s: FamilySummary) -> _Tilted:
             # to 0) read ln 1 = +0.0, as a sum over several means does
             return log_add_floats(weight * (term + 0.0), log_w + log_cov)
 
-        return value
+        # with one shared mean, sum q_i = weight q and h is
+        # ln(2 cov_sum / (weight p)) + u + t - (weight - 1) ln(1 + p expm1(-t))
+        h_base = math.inf if p == 0.0 else _LN2 + log_cov - math.log(weight) - math.log(p)
+
+        def objective(t: float) -> tuple[float, float, float]:
+            u = math.log(t)
+            if p >= 1.0:
+                term, r = -t, 1.0
+            else:
+                x = p * math.expm1(-t)
+                term, r = math.log1p(x), p * math.exp(-t) / (1.0 + x)  # r = q e^{-t}
+            return (
+                log_add_floats(weight * (term + 0.0), 2.0 * u + log_cov),
+                h_base + u + t - (weight - 1) * term,
+                1.0 + t + (weight - 1) * t * r,
+            )
+
+        return value, objective
 
     # one indicator per mean; certain ones (p = 1) contribute -t each and
-    # stay out of log1p, which would warn on log1p(-1) at t = inf
+    # q = e^t, and stay out of log1p, which would warn on log1p(-1) at t = inf
     means = np.asarray(s.means, dtype=np.float64)
     uncertain = means[means < 1.0]
     n_certain = len(means) - len(uncertain)
@@ -174,7 +209,25 @@ def _tilted_product(s: FamilySummary) -> _Tilted:
             total -= n_certain * t
         return log_add_floats(total, log_w + log_cov)
 
-    return value
+    def objective(t: float) -> tuple[float, float, float]:
+        u = math.log(t)
+        x = uncertain * math.expm1(-t)
+        total = float(np.sum(np.log1p(x)))
+        x += 1.0
+        q = np.divide(uncertain, x, out=x)
+        q_sum, q_sq = float(q.sum()), float(q @ q)
+        if n_certain:
+            total -= n_certain * t
+            e_t = math.exp(t)
+            q_sum += n_certain * e_t
+            q_sq += n_certain * e_t * e_t
+        v = log_add_floats(total, 2.0 * u + log_cov)
+        if q_sum == 0.0:
+            return v, math.inf, 1.0
+        h = _LN2 + u + log_cov - total + t - math.log(q_sum)
+        return v, h, 1.0 + t + t * math.exp(-t) * (q_sum - q_sq / q_sum)
+
+    return value, objective
 
 
 def _require_nonneg_cov(s: FamilySummary, method: str) -> None:
@@ -227,14 +280,14 @@ def boppona_spencer(s: FamilySummary, *, _tilted: _Tilted | None = None) -> Boun
         raise ValueError(
             f"boppona-spencer requires max mean < 1, got {s.max_mean}"
         )
-    product = (_tilted or _tilted_product(s))(math.inf, NEG_INF)
+    product = (_tilted or _tilted_product(s)[0])(math.inf, NEG_INF)
     return BoundResult("boppona-spencer", LogProb(s.delta / (1.0 - s.max_mean) + product))
 
 
 def boutsikas_koutras(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """prod(1 - p_i) + cov_sum."""
     _require_nonneg_cov(s, "boutsikas-koutras")
-    value = (_tilted or _tilted_product(s))(math.inf, 0.0)
+    value = (_tilted or _tilted_product(s)[0])(math.inf, 0.0)
     return BoundResult("boutsikas-koutras", LogProb(value))
 
 
@@ -273,7 +326,7 @@ def lv_general(
     """
     _require_nonneg_cov(s, "lv-general")
     t_lin, lt = _resolve_t(t, log_t)
-    value = (_tilted or _tilted_product(s))(t_lin, 2.0 * lt)
+    value = (_tilted or _tilted_product(s)[0])(t_lin, 2.0 * lt)
     return BoundResult("lv-general", LogProb(value), t=t_lin, log_t=lt)
 
 
@@ -307,25 +360,25 @@ def lv_iid(
     return BoundResult("lv-iid", value, t=t_lin, log_t=lt)
 
 
-def lv_optimal(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
+def lv_optimal(s: FamilySummary, *, _objective: _Objective | None = None) -> BoundResult:
     """lv-general minimized over t in [T_GRID_MIN, T_GRID_MAX].
 
-    The objective is convex in t (see the module docstring), so its log is
-    unimodal in ln t and golden-section search in ln t from the two ends of
-    the range finds the minimum, in 55 evaluations.  The reported t is
-    exactly T_GRID_MIN or T_GRID_MAX when the minimum sits at that end.
+    The objective is convex in t (see the module docstring), so the sign of
+    its slope, h from :func:`_tilted_product`, locates the minimum, and
+    minimize_scalar finds the root of h by safeguarded Newton steps in ln t.
+    The reported t is exactly T_GRID_MIN when h >= 0 there and exactly
+    T_GRID_MAX when h <= 0 there: cov_sum = 0 gives T_GRID_MAX, and means
+    that are all 0 give T_GRID_MIN.
     """
     _require_nonneg_cov(s, "lv-optimal")
-    value = _tilted or _tilted_product(s)
-    t_star, f_star = minimize_scalar(
-        lambda t: value(t, 2.0 * math.log(t)), T_GRID_MIN, T_GRID_MAX
-    )
+    objective = _objective or _tilted_product(s)[1]
+    t_star, f_star = minimize_scalar(objective, T_GRID_MIN, T_GRID_MAX)
     return BoundResult("lv-optimal", f_star, t=t_star, log_t=math.log(t_star))
 
 
 def independent_lower(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """prod(1 - p_i): a lower bound on P(X=0) under positive association."""
-    value = (_tilted or _tilted_product(s))(math.inf, NEG_INF)
+    value = (_tilted or _tilted_product(s)[0])(math.inf, NEG_INF)
     return BoundResult("independent-lower", LogProb(value))
 
 
@@ -357,7 +410,7 @@ def evaluate_all(
             return SkippedBound(method, str(exc))
 
     # the five bounds that read the means share one bind of them
-    tilted = _tilted_product(s)
+    tilted, objective = _tilted_product(s)
     entries = [
         attempt("janson-basic", lambda: janson_basic(s)),
         attempt("janson-ratio", lambda: janson_ratio(s, form=eq2_form)),
@@ -365,7 +418,7 @@ def evaluate_all(
         attempt("boutsikas-koutras", lambda: boutsikas_koutras(s, _tilted=tilted)),
         attempt("independent-lower", lambda: independent_lower(s, _tilted=tilted)),
     ]
-    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _tilted=tilted))
+    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _objective=objective))
     entries.append(optimal)
     if explicit_t:
         entries.append(

@@ -13,7 +13,8 @@ A summary states only the family's mean and its classes of correlated
 pairs, (multiplicity, joint expectation, covariance); :func:`_summary` forms
 delta and cov_sum from them for all four families, and
 :func:`_power_pairs` holds the covariance p^e - p^(2k) of two indicators of
-mean p^k, and the printed variant's rule, once.
+mean p^k, written so that it does not cancel near p = 1, and the printed
+variant's rule, once.
 
 Samplers are pure functions of (seed, trial_index): every trial owns a fixed
 block range of a Philox counter-based stream, so scalar evaluation, batched
@@ -86,8 +87,14 @@ def _summary(
 
 def _power_pairs(m: float, k: int, e: int, p: float, printed: bool) -> tuple[float, ...]:
     """m pairs of indicators of mean p^k with joint expectation p^e; printed,
-    the covariance is taken to be the joint expectation."""
-    return m, p**e, p**e if printed else p**e - p ** (2 * k)
+    the covariance is taken to be the joint expectation.  Otherwise it is
+    p^e - p^(2k), written as p^e (1 - p^(2k - e)) = p^e (-expm1((2k - e) ln p))
+    so that it keeps its relative accuracy near p = 1, where the difference
+    cancels; it is 0 at p = 0."""
+    joint = p**e
+    if printed:
+        return m, joint, joint
+    return m, joint, joint * -math.expm1((2 * k - e) * math.log(p)) if p > 0.0 else 0.0
 
 
 def _log_sum_exp(terms: list[float]) -> float:

@@ -123,68 +123,97 @@ def log_add(a: LogProb, b: LogProb) -> LogProb:
     return LogProb(log_add_floats(a.log_value, b.log_value))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# minimize_scalar stops when its bracket is this wide in ln t.
+# minimize_scalar stops when its Newton or bisection step is this small in ln t.
 _LOG_T_TOLERANCE = 1e-9
+
+# f's result at t: (log value, h, dh/du) with u = ln t
+_Probe = tuple[float, float, float]
+_FAILED: _Probe = (math.inf, math.nan, math.nan)
 
 
 def minimize_scalar(
-    f: Callable[[float], float], t_min: float, t_max: float
+    f: Callable[[float], _Probe], t_min: float, t_max: float
 ) -> tuple[float, LogProb]:
-    """Golden-section minimization in ln t of an objective unimodal in ln t.
+    """Minimize over [t_min, t_max] a log value whose slope in u = ln t has
+    the sign of an increasing function h(u), by a safeguarded Newton root of h.
 
-    ``f`` returns a bare log value, so a search builds one LogProb, for the
-    minimum, and none per probe.
+    ``f(t)`` returns ``(log value, h, dh/du)`` as bare floats, so a search
+    builds one LogProb, for the minimum, and none per probe.  Both ends,
+    exactly ``t_min`` and ``t_max``, are evaluated first.  h >= 0 at
+    ``t_min`` certifies that the minimum is there and returns exactly
+    ``t_min``; otherwise h <= 0 at ``t_max`` returns exactly ``t_max``.
+    Otherwise the ends bracket the root of h, and Newton steps in u follow
+    it from the end whose Newton point is the lower.  A step that would
+    leave the bracket, or that is more than half the step before the last,
+    becomes a bisection (the ``rtsafe`` rule of Numerical Recipes); so does
+    a step from a point where dh/du is not positive.  The search stops once a step is under
+    ``_LOG_T_TOLERANCE`` in ln t, or h is exactly 0, and returns the last
+    point it evaluated, the one nearest the root.  It does not return the
+    point of smallest value: where the values round, that may lie further
+    from the root.
 
-    Both ends, exactly ``t_min`` and ``t_max``, are evaluated first; the
-    search then spans the whole range in ln t until the bracket is
-    ``_LOG_T_TOLERANCE`` wide, that is, that wide relative to t.  There is
-    no grid: a multimodal objective may be left in a local minimum.  The
-    returned t is a point the objective was evaluated at, so it lies in
-    ``[t_min, t_max]`` and is exactly an end when the minimum is there.  A
-    point where ``f`` returns NaN, or raises ValueError or ArithmeticError,
-    counts as +inf.
-
-    Raises ValueError if the objective fails at both ends.
+    A probe fails where ``f`` raises ValueError or ArithmeticError, or
+    returns a NaN value or h.  A failed end brackets nothing, and the search
+    returns the end of smaller value, a failed end counting as +inf; a
+    failed probe inside stops the search at the point before it.  Raises
+    ValueError if the objective fails at both ends.
     """
     if not (0 < t_min < t_max < math.inf):
         raise ValueError(f"need 0 < t_min < t_max < inf, got [{t_min}, {t_max}]")
 
-    def probe(t: float) -> float:
+    def probe(t: float) -> _Probe:
         try:
-            v = f(t)
+            v, h, dh = f(t)
         except (ValueError, ArithmeticError):
-            return math.inf
-        return math.inf if math.isnan(v) else v
+            return _FAILED
+        return _FAILED if math.isnan(v) or math.isnan(h) else (v, h, dh)
 
-    best_f, best_t = min((probe(t), t) for t in (t_min, t_max))
-    if best_f == math.inf:
+    v_lo, h_lo, dh_lo = probe(t_min)
+    v_hi, h_hi, dh_hi = probe(t_max)
+    if v_lo == v_hi == math.inf:
         raise ValueError(
             f"objective failed at both ends t={t_min} and t={t_max}; ill-posed objective"
         )
+    if h_lo >= 0.0:
+        return t_min, LogProb(v_lo)
+    if h_hi <= 0.0:
+        return t_max, LogProb(v_hi)
+    if math.isnan(h_lo) or math.isnan(h_hi):
+        v, t = min((v_lo, t_min), (v_hi, t_max))
+        return t, LogProb(v)
 
+    def newton(u: float, h: float, dh: float) -> float:
+        return u - h / dh if dh > 0.0 else math.nan
+
+    # the bracket [a, b] keeps h(a) < 0 < h(b).  Where h is convex, both
+    # ends' Newton points lie at or above the root; start from the end whose
+    # point is the lower.
     a, b = math.log(t_min), math.log(t_max)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    tc, td = math.exp(c), math.exp(d)
-    fc, fd = probe(tc), probe(td)
+    if newton(a, h_lo, dh_lo) < newton(b, h_hi, dh_hi):
+        t, v, h, dh, u = t_min, v_lo, h_lo, dh_lo, a
+    else:
+        t, v, h, dh, u = t_max, v_hi, h_hi, dh_hi, b
+    step = last = b - a
     while True:
-        for t, v in ((tc, fc), (td, fd)):
-            if v < best_f:
-                best_t, best_f = t, v
-        if b - a <= _LOG_T_TOLERANCE:
-            return best_t, LogProb(best_f)
-        if fc <= fd:
-            b, d, td, fd = d, c, tc, fc
-            c = b - _INV_PHI * (b - a)
-            tc = math.exp(c)
-            fc = probe(tc)
+        u_next = newton(u, h, dh)
+        if a <= u_next <= b and abs(2.0 * h) <= abs(last * dh):
+            last, step, u = step, u - u_next, u_next
         else:
-            a, c, tc, fc = c, d, td, fd
-            d = a + _INV_PHI * (b - a)
-            td = math.exp(d)
-            fd = probe(td)
+            last, step = step, 0.5 * (b - a)
+            u = a + step
+        if abs(step) < _LOG_T_TOLERANCE:
+            return t, LogProb(v)
+        t_u = math.exp(u)
+        v_u, h_u, dh_u = probe(t_u)
+        if math.isnan(h_u):
+            return t, LogProb(v)
+        t, v, h, dh = t_u, v_u, h_u, dh_u
+        if h < 0.0:
+            a = u
+        elif h > 0.0:
+            b = u
+        else:
+            return t, LogProb(v)
 
 
 def clopper_pearson(successes: int, trials: int, level: float) -> ConfidenceInterval:

@@ -248,11 +248,13 @@ def _reference_pair_sums(family, shape, p, variant):
 
 
 _SUMMARIES = {"runs": runs_summary, "triangles": triangles_summary, "ustat": ustat_summary}
-# p = 10^-j and p <= 1/2, where no covariance p^e - p^(2k) cancels by more
-# than a factor 3; near p = 1 it does (the xfails below)
-_PAIR_SUM_POINTS = [10.0**-j for j in range(1, 13)] + [0.5, 0.45, 1 / 3, 0.2]
+# p = 10^-j, p <= 1/2, and p = 1 - 10^-j, where p^e - p^(2k) cancels
+_PAIR_SUM_POINTS = ([10.0**-j for j in range(1, 13)] + [0.5, 0.45, 1 / 3, 0.2]
+                    + [1 - 10.0**-j for j in range(1, 13)])
 # the largest relative errors read on these points were 2.9e-16 for both
-# delta (runs (1000, 3), p = 1e-3) and cov_sum (runs (20, 2), p = 1e-2)
+# delta and cov_sum (runs (1000, 3), p = 1e-3); near p = 1, 2.3e-16 for
+# cov_sum (runs (50, 5), p = 1 - 1e-11), where the difference of powers
+# read 8e-9 (runs (50, 5), p = 1 - 1e-9)
 _DELTA_REL, _COV_REL = 4e-16, 4e-16
 
 
@@ -277,9 +279,8 @@ def test_pair_sums_match_a_100_digit_reference(family, shape, variant):
         assert _relative_error(s.cov_sum, cov) <= _COV_REL, p
 
 
-# p^e - p^(2k) cancels near p = 1: about 5e-9 relative at p = 1 - 1e-9
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="cov_sum writes each covariance as a difference of powers")
+# p^e - p^(2k) cancels near p = 1: written as a difference, it read about
+# 5e-9 relative at these points
 @pytest.mark.parametrize("family,shape", [("runs", (1000, 3)), ("triangles", (30,)),
                                           ("ustat", (20, 3))],
                          ids=["runs-1000,3", "triangles-30", "ustat-20,3"])

@@ -108,62 +108,100 @@ class TestLogExceeds:
         assert not log_exceeds(-85.0 * (1 - 1e-13), -85.0)
 
 
+def failing_between(lo, hi, failure):
+    """An objective for minimize_scalar with h = u - ln 2, whose root is at
+    t = 2, and the value (u - ln 2)^2, except that every probe strictly
+    between lo and hi fails: it raises ArithmeticError when ``failure`` is
+    None, and returns ``failure`` otherwise."""
+
+    def f(t):
+        if lo < t < hi:
+            if failure is None:
+                raise ArithmeticError("no value here")
+            return failure
+        u = math.log(t) - math.log(2.0)
+        return u * u, u, 1.0
+
+    return f
+
+
 class TestMinimizeScalar:
     def test_monotone_objective_returns_left_endpoint(self):
-        t, f = minimize_scalar(lambda t: t, 1.0, 2.0)
-        assert t == pytest.approx(1.0, rel=1e-6)
-        assert f.log_value == pytest.approx(1.0, rel=1e-6)
+        t, f = minimize_scalar(lambda t: (t, 1.0, 0.0), 1.0, 2.0)
+        assert t == 1.0 and f.log_value == 1.0
 
     def test_quadratic_minimum_located(self):
-        t, f = minimize_scalar(
-            lambda t: math.log((t - 3.0) ** 2 + 1.0), 0.1, 10.0
-        )
-        assert abs(t - 3.0) < 1e-6
-        assert f.log_value == pytest.approx(0.0, abs=1e-10)
+        # the slope of ln((t - 3)^2 + 1) in u = ln t has the sign of t - 3
+        t, f = minimize_scalar(lambda t: (math.log((t - 3.0) ** 2 + 1.0), t - 3.0, t), 0.1, 10.0)
+        assert abs(t - 3.0) < 1e-9
+        assert f.log_value == pytest.approx(0.0, abs=1e-15)
 
-    def test_searches_the_whole_range_in_55_evaluations(self):
-        # unimodal in ln t, minimum at t = 1e-3; the bracket starts as the
-        # whole range and shrinks to 1e-9 in ln t
+    @pytest.mark.parametrize("t_star,n_evals", [(1e-11, 9), (1e-3, 10), (1.0, 7), (40.0, 5)])
+    def test_searches_the_whole_range_by_newton_and_bisection(self, t_star, n_evals):
+        # h = tanh(u - u*) is flat far from its root: a Newton step from
+        # there leaves the bracket, and bisection takes over until Newton
+        # converges.  The former golden-section search took 55 evaluations.
         evals = []
 
         def f(t):
             evals.append(t)
-            return (math.log(t) - math.log(1e-3)) ** 2
+            x = math.log(t) - math.log(t_star)
+            return math.log(math.cosh(x)), math.tanh(x), 1.0 / math.cosh(x) ** 2
 
         t, v = minimize_scalar(f, 1e-12, 50.0)
         assert evals[:2] == [1e-12, 50.0]
-        assert abs(math.log(t) - math.log(1e-3)) < 1e-9
+        assert abs(math.log(t) - math.log(t_star)) < 1e-9
         assert v.log_value < 1e-18
-        assert len(evals) == 55
+        assert len(evals) == n_evals
+
+    @pytest.mark.parametrize("dh", [0.0, -1.0, math.nan])
+    def test_a_slope_of_h_that_is_not_positive_falls_back_to_bisection(self, dh):
+        # h = u - ln 3 with a useless dh/du: bisection alone reaches the root
+        t, _ = minimize_scalar(lambda t: (0.0, math.log(t) - math.log(3.0), dh), 1e-12, 50.0)
+        assert abs(math.log(t) - math.log(3.0)) < 2e-9
 
     @pytest.mark.parametrize("lo,hi", [(1e-12, 50.0), (0.1, 0.3), (1e-300, 1e300)])
     def test_minimum_at_an_end_is_that_end_exactly(self, lo, hi):
         # exp(ln 50) and exp(ln 1e-12) round off 50 and 1e-12: the ends must
-        # not come from exp
-        assert minimize_scalar(lambda t: t, lo, hi)[0] == lo
-        assert minimize_scalar(lambda t: -t, lo, hi)[0] == hi
+        # not come from exp.  h >= 0 at the left end, or h <= 0 at the right
+        # end, certifies that end, h = 0 included, before any other probe.
+        for h_lo, h_hi, end in ((1.0, 1.0, lo), (0.0, 1.0, lo), (-1.0, -1.0, hi), (-1.0, 0.0, hi)):
+            evals = []
+
+            def f(t, h_lo=h_lo, h_hi=h_hi):
+                evals.append(t)
+                return (0.0, h_lo, 1.0) if t == lo else (0.0, h_hi, 1.0)
+
+            assert minimize_scalar(f, lo, hi)[0] == end
+            assert evals == [lo, hi]
+
+    def test_infinite_h_certifies_an_end(self):
+        # lv-optimal's objective reads h = +inf where every mean is 0 and
+        # h = -inf where cov_sum is 0
+        assert minimize_scalar(lambda t: (0.0, math.inf, 1.0), 1e-12, 50.0)[0] == 1e-12
+        assert minimize_scalar(lambda t: (-t, -math.inf, 1.0), 1e-12, 50.0)[0] == 50.0
 
     def test_failing_probes_count_as_infinite(self):
-        # every interior probe fails and counts as +inf; the right end stands
-        def broken_below_five(t):
-            if t < 5.0:
-                raise ValueError("no value here")
-            return t
-
-        t, f = minimize_scalar(broken_below_five, 0.001, 10.0)
-        assert t == 10.0 and f.log_value == 10.0
+        # a failed end counts as +inf and brackets nothing: the right end
+        # stands.  With the ends bracketing the root, a failed probe inside
+        # stops the search at the point evaluated before it, the right end.
+        for lo in (0.0, 0.001):
+            t, f = minimize_scalar(failing_between(lo, 5.0, None), 0.001, 10.0)
+            assert t == 10.0 and f.log_value == (math.log(10.0) - math.log(2.0)) ** 2
 
     def test_nan_probes_count_as_infinite(self):
-        # as in test_failing_probes_count_as_infinite; a NaN left end kept
-        # as NaN would lose no comparison and be returned as the minimum
-        t, f = minimize_scalar(lambda t: t if t >= 5.0 else math.nan, 0.001, 10.0)
-        assert t == 10.0 and f.log_value == 10.0
+        # as in test_failing_probes_count_as_infinite, for a NaN value or h;
+        # a NaN left end kept as NaN would lose no comparison
+        for failure in ((math.nan, -1.0, 1.0), (0.0, math.nan, 1.0)):
+            for lo in (0.0, 0.001):
+                t, f = minimize_scalar(failing_between(lo, 5.0, failure), 0.001, 10.0)
+                assert t == 10.0 and f.log_value == (math.log(10.0) - math.log(2.0)) ** 2
 
     def test_ill_posed_objective_rejected(self):
         def broken_at_both_ends(t):
             if not 1.0 < t < 5.0:
                 raise ArithmeticError("no value here")
-            return t
+            return t, 1.0, 1.0
 
         with pytest.raises(ValueError, match="ill-posed"):
             minimize_scalar(broken_at_both_ends, 0.001, 10.0)
@@ -171,7 +209,7 @@ class TestMinimizeScalar:
     def test_bad_bracket_rejected(self):
         for lo, hi in [(2.0, 1.0), (0.0, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
             with pytest.raises(ValueError, match="t_min"):
-                minimize_scalar(lambda t: t, lo, hi)
+                minimize_scalar(lambda t: (t, 1.0, 1.0), lo, hi)
 
 
 class TestClopperPearson:

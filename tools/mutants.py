@@ -42,6 +42,7 @@ class Mutant:
 
 
 CLI, MODELS = "assocbounds/cli.py", "assocbounds/models.py"
+NUMERICS = "assocbounds/numerics.py"
 VERIFY = "tests/test_cli.py::TestVerifyCommand::"
 VERIFY_MC = "tests/test_cli.py::TestVerifyMonteCarlo::"
 LEMMA_NULL = "tests/test_cli.py::TestLemmaCheckCommand::test_violation_fails_and_prints_null"
@@ -52,6 +53,9 @@ SPEC_READERS = (
 )
 COVER_TABLE = "tests/test_models.py::TestCoverTable::test_table_equals_draw_by_draw"
 PAIR_SUMS = "tests/test_models.py::test_pair_sums_match_a_100_digit_reference"
+NEAR_ONE = "tests/test_models.py::test_cov_sum_near_one_matches_a_100_digit_reference"
+SEARCH = "tests/test_numerics.py::TestMinimizeScalar::"
+LV_OPTIMAL = "tests/test_bounds.py::TestLvOptimal::"
 RATIO_SQUARE = ("tests/test_bounds.py::TestJansonRatio::"
                 "test_square_beyond_the_double_range_matches_the_exact_ratio")
 
@@ -144,11 +148,18 @@ MUTANTS = [
            ("tests/test_oracles.py::TestMgfGapCheck::test_random_law_size_outside_the_range_rejected",)),
     # the one rule that forms delta and cov_sum from a family's pair classes
     Mutant("summary: printed covariance rule flipped", MODELS,
-           "p**e if printed else p**e - p ** (2 * k)", "p**e - p ** (2 * k) if printed else p**e",
+           "    if printed:\n        return m, joint, joint",
+           "    if not printed:\n        return m, joint, joint",
            (PAIR_SUMS,
             "tests/test_models.py::TestRunsSummary::test_printed_formula_frozen_example")),
     Mutant("summary: covariance exponent 2k - 1", MODELS,
-           "p**e - p ** (2 * k)", "p**e - p ** (2 * k - 1)", (PAIR_SUMS,)),
+           "-math.expm1((2 * k - e) * math.log(p))",
+           "-math.expm1((2 * k - 1 - e) * math.log(p))",
+           (PAIR_SUMS,)),
+    Mutant("summary: covariance written back as a difference", MODELS,
+           "joint * -math.expm1((2 * k - e) * math.log(p)) if p > 0.0 else 0.0",
+           "joint - p ** (2 * k)",
+           (NEAR_ONE,)),
     Mutant("summary: scale dropped from cov_sum", MODELS,
            "cov = scale * math.fsum(", "cov = math.fsum(", (PAIR_SUMS,)),
     Mutant("ustat: overlap choice C(k, j - 1)", MODELS,
@@ -166,6 +177,20 @@ MUTANTS = [
             "tests/test_cli_golden.py::test_output_matches_the_recorded_one[47-verify]")),
     Mutant("janson-ratio: printed form squares delta_bar", "assocbounds/bounds.py",
            "-(lam / delta_bar) / delta_bar if printed", "-lam / square if printed", (RATIO_SQUARE,)),
+    # lv-optimal's search: the sign of h certifies an end, and Newton steps
+    # in ln t stop at 1e-9
+    Mutant("minimize_scalar: left end certificate with its sign flipped", NUMERICS,
+           "if h_lo >= 0.0:", "if h_lo <= 0.0:",
+           (SEARCH + "test_minimum_at_an_end_is_that_end_exactly",
+            LV_OPTIMAL + "test_an_end_is_returned_exactly_when_the_sign_of_h_certifies_it")),
+    Mutant("minimize_scalar: right end certificate with its sign flipped", NUMERICS,
+           "if h_hi <= 0.0:", "if h_hi >= 0.0:",
+           (SEARCH + "test_minimum_at_an_end_is_that_end_exactly",
+            LV_OPTIMAL + "test_an_end_is_returned_exactly_when_the_sign_of_h_certifies_it")),
+    Mutant("minimize_scalar: Newton tolerance 1e-3", NUMERICS,
+           "_LOG_T_TOLERANCE = 1e-9", "_LOG_T_TOLERANCE = 1e-3",
+           (SEARCH + "test_searches_the_whole_range_by_newton_and_bisection",
+            LV_OPTIMAL + "test_at_or_below_a_golden_section_search")),
     # the samplers under the Philox stream contract
     Mutant("_word_limit: off by one", MODELS,
            "return (math.ceil(p * 2**53) << 11) - 1", "return math.ceil(p * 2**53) << 11",
