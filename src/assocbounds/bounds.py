@@ -17,11 +17,12 @@ Upper bounds implemented, all evaluated in log domain on a
 plus the reference floor ``independent-lower`` = prod(1 - p_i), a *lower*
 bound on P(X=0) under positive association.
 
-The five that read the means are points (t, log_w) of one function,
-ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum): independent-lower is
-(inf, -inf), boppona-spencer adds delta / (1 - max_mean) to it,
-boutsikas-koutras is (inf, 0), lv-general is (t, 2 ln t), and lv-optimal
-minimizes that over t.  lv-iid forms its product apart (see lv_iid).
+The five that read the means read one tilted product,
+P(t) = prod_i(1 - p_i + p_i e^{-t}), bound once per summary by
+_tilted_product: independent-lower is P(inf), boppona-spencer multiplies it
+by exp(delta / (1 - max_mean)), boutsikas-koutras is P(inf) + cov_sum,
+lv-general is P(t) + t^2 cov_sum, and lv-optimal minimizes that over t.
+lv-iid forms its product apart (see lv_iid).
 
 The additive bounds (boutsikas-koutras, lv-*) are only valid for positively
 associated families; they refuse to evaluate when cov_sum < 0, which is the
@@ -31,9 +32,9 @@ lv-general needs no grid to minimize: each factor 1 - p_i + p_i e^{-t} is
 log-convex in t, so their product P is convex, and so is t^2 cov_sum when
 cov_sum >= 0.  Their sum g is convex on t > 0, so its slope P' + 2 t cov_sum
 increases, and the minimum is where it changes sign.  That sign is the sign
-of h = ln(2 t cov_sum) - ln(-P'), which increases with ln t; lv-optimal
-finds the root of h by Newton steps in ln t, and the sign of h at 1e-12 or
-50 certifies a minimum at that end.
+of h = ln(2 t cov_sum) - ln(-P'), which increases with ln t (_lv_probe);
+lv-optimal finds the root of h by Newton steps in ln t, and the sign of h
+at 1e-12 or 50 certifies a minimum at that end.
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ class SkippedBound:
 
 BoundEntry = BoundResult | SkippedBound
 
-# _tilted_product's results: (t, log_w) -> a bare log value, and
-# lv-optimal's objective t -> (log value, h, dh/du)
-_Tilted = Callable[[float, float], float]
-_Objective = Callable[[float], tuple[float, float, float]]
+# _tilted_product's bind of the means: (ln P(inf), t -> (ln P(t), R1, R2))
+_Terms = Callable[[float], tuple[float, float, float]]
+_Tilted = tuple[float, _Terms]
 
 _LN2 = math.log(2.0)
 
@@ -145,89 +145,79 @@ def _log_cov(s: FamilySummary) -> float:
     return math.log(s.cov_sum) if s.cov_sum > 0 else NEG_INF
 
 
-def _tilted_product(s: FamilySummary) -> tuple[_Tilted, _Objective]:
-    """(t, log_w) -> ln(prod_i(1 - p_i + p_i e^{-t}) + e^{log_w} cov_sum),
-    and lv-optimal's objective, both bound to the summary once.
+def _tilted_product(s: FamilySummary) -> _Tilted:
+    """(ln P(inf), terms) for the tilted product P(t) = prod_i(1 - p_i + p_i e^{-t})
+    of the summary's means, bound once; every bound that reads the means,
+    lv-iid aside, is written over these (see the module docstring).
 
-    The bounds that read the means, lv-iid aside, are points of the first
-    (see the module docstring).  The summary's means and ln cov_sum are
-    bound once, and each function returns bare floats and builds no
-    LogProb.  A shared mean is evaluated in scalar ``math`` (numpy's cost
-    per call would exceed that of the one term), several means in one numpy
-    pass.  On either path each term ln(1 - p + p e^{-t}) is
-    log1p(p expm1(-t)), exactly -t at p = 1 and log1p(-p) at t = inf, and
-    the log product keeps a relative accuracy of 1e-14 wherever every
-    p (1 - e^{-t}) <= 1/2.
-
-    The objective maps t to (lv-general's log value, h, dh/du) for
-    :func:`~assocbounds.numerics.minimize_scalar`, where u = ln t and
-    h = ln(2 t cov_sum) - ln(-P'(t)) for the product P, so h has the sign
-    of the slope of P + t^2 cov_sum and increases with u.  With
-    q_i = p_i / (1 + p_i expm1(-t)), -P' = P e^{-t} sum q_i and
-    dh/du = 1 + t + t e^{-t} (sum q_i - sum q_i^2 / sum q_i).  h is +inf
-    when every mean is 0 (the product is 1) and -inf when cov_sum is 0.
-    The value is that of the first function at (t, 2 ln t), bit for bit.
+    ``terms(t)`` returns (ln P(t), R1, R2) as bare floats: with
+    r_i = p_i e^{-t} / (1 - p_i + p_i e^{-t}) in [0, 1], R1 = sum r_i (so
+    -P' = P R1) and R2 = sum r_i^2.  A shared mean is one scalar ``math``
+    term times the count (numpy's cost per call would exceed that of the
+    term), several means one numpy pass.  Each term is log1p(p expm1(-t)),
+    or ln((1 - p) + p e^{-t}) where p (1 - e^{-t}) > 1/2, since there
+    1 + p expm1(-t) keeps only its absolute accuracy; so ln P keeps a
+    relative accuracy of 1e-14 unless a term p (1 - e^{-t}) is subnormal.
+    A mean of 1 adds exactly -t to ln P and 1 to R1 and R2; no e^t is formed.
     """
-    log_cov = _log_cov(s)
     if len(s.means) == 1:
         weight, (p,) = s.count, s.means
 
-        def value(t: float, log_w: float) -> float:
-            term = -t if p >= 1.0 else math.log1p(p * math.expm1(-t))
+        def terms(t: float) -> tuple[float, float, float]:
             # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
             # to 0) read ln 1 = +0.0, as a sum over several means does
-            return log_add_floats(weight * (term + 0.0), log_w + log_cov)
-
-        # with one shared mean, sum q_i = weight q and h is
-        # ln(2 cov_sum / (weight p)) + u + t - (weight - 1) ln(1 + p expm1(-t))
-        h_base = math.inf if p == 0.0 else _LN2 + log_cov - math.log(weight) - math.log(p)
-
-        def objective(t: float) -> tuple[float, float, float]:
-            u = math.log(t)
             if p >= 1.0:
-                term, r = -t, 1.0
-            else:
-                x = p * math.expm1(-t)
-                term, r = math.log1p(x), p * math.exp(-t) / (1.0 + x)  # r = q e^{-t}
-            return (
-                log_add_floats(weight * (term + 0.0), 2.0 * u + log_cov),
-                h_base + u + t - (weight - 1) * term,
-                1.0 + t + (weight - 1) * t * r,
-            )
+                return weight * (-t + 0.0), weight, weight
+            e, x = math.exp(-t), p * math.expm1(-t)
+            near_one = x < -0.5
+            f = (1.0 - p) + p * e if near_one else 1.0 + x
+            term, r = math.log(f) if near_one else math.log1p(x), p * e / f
+            return weight * (term + 0.0), weight * r, weight * r * r
 
-        return value, objective
+        return weight * ((math.log1p(-p) if p < 1.0 else NEG_INF) + 0.0), terms
 
-    # one indicator per mean; certain ones (p = 1) contribute -t each and
-    # q = e^t, and stay out of log1p, which would warn on log1p(-1) at t = inf
+    # one indicator per mean; certain ones (p = 1) stay out of log1p, which
+    # would warn on log1p(-1) at t = inf
     means = np.asarray(s.means, dtype=np.float64)
     uncertain = means[means < 1.0]
     n_certain = len(means) - len(uncertain)
+    any_near_one = bool(uncertain.max(initial=0.0) > 0.5)  # p (1 - e^{-t}) > 1/2 reachable
 
-    def value(t: float, log_w: float) -> float:
-        total = float(np.sum(np.log1p(uncertain * math.expm1(-t))))
-        if n_certain:  # 0 * inf is NaN
-            total -= n_certain * t
-        return log_add_floats(total, log_w + log_cov)
+    def terms(t: float) -> tuple[float, float, float]:
+        e, x = math.exp(-t), uncertain * math.expm1(-t)
+        logs, f = np.log1p(x), x + 1.0
+        if any_near_one:
+            near_one = x < -0.5
+            p = uncertain[near_one]
+            f[near_one] = (1.0 - p) + p * e
+            logs[near_one] = np.log(f[near_one])
+        log_p = float(logs.sum()) - n_certain * t
+        q = np.divide(uncertain, f, out=f)  # r_i = q_i e^{-t}
+        return log_p, e * float(q.sum()) + n_certain, e * e * float(q @ q) + n_certain
 
-    def objective(t: float) -> tuple[float, float, float]:
+    return (NEG_INF if n_certain else float(np.sum(np.log1p(-uncertain)))), terms
+
+
+def _lv_probe(terms: _Terms, log_cov: float) -> Callable[[float], tuple[float, float, float]]:
+    """lv-optimal's objective for :func:`~assocbounds.numerics.minimize_scalar`:
+    t -> (lv-general's log value, h, dh/du) with u = ln t.
+
+    h = ln(2 t cov_sum) - ln(-P') = ln 2 + u + ln cov_sum - ln P - ln R1 has
+    the sign of the slope of P + t^2 cov_sum and increases with u;
+    dh/du = 1 + t + t (R1 - R2 / R1), as dR1/dt = R2 - R1.  h is +inf when
+    R1 = 0 (every mean 0) and -inf when cov_sum = 0."""
+
+    log_2c = _LN2 + log_cov
+
+    def probe(t: float) -> tuple[float, float, float]:
         u = math.log(t)
-        x = uncertain * math.expm1(-t)
-        total = float(np.sum(np.log1p(x)))
-        x += 1.0
-        q = np.divide(uncertain, x, out=x)
-        q_sum, q_sq = float(q.sum()), float(q @ q)
-        if n_certain:
-            total -= n_certain * t
-            e_t = math.exp(t)
-            q_sum += n_certain * e_t
-            q_sq += n_certain * e_t * e_t
-        v = log_add_floats(total, 2.0 * u + log_cov)
-        if q_sum == 0.0:
-            return v, math.inf, 1.0
-        h = _LN2 + u + log_cov - total + t - math.log(q_sum)
-        return v, h, 1.0 + t + t * math.exp(-t) * (q_sum - q_sq / q_sum)
+        log_p, r1, r2 = terms(t)
+        value = log_add_floats(log_p, 2.0 * u + log_cov)
+        if r1 == 0.0:
+            return value, math.inf, 1.0
+        return value, log_2c + u - log_p - math.log(r1), 1.0 + t + t * (r1 - r2 / r1)
 
-    return value, objective
+    return probe
 
 
 def _require_nonneg_cov(s: FamilySummary, method: str) -> None:
@@ -280,15 +270,15 @@ def boppona_spencer(s: FamilySummary, *, _tilted: _Tilted | None = None) -> Boun
         raise ValueError(
             f"boppona-spencer requires max mean < 1, got {s.max_mean}"
         )
-    product = (_tilted or _tilted_product(s)[0])(math.inf, NEG_INF)
-    return BoundResult("boppona-spencer", LogProb(s.delta / (1.0 - s.max_mean) + product))
+    log_p_inf = (_tilted or _tilted_product(s))[0]
+    return BoundResult("boppona-spencer", LogProb(s.delta / (1.0 - s.max_mean) + log_p_inf))
 
 
 def boutsikas_koutras(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """prod(1 - p_i) + cov_sum."""
     _require_nonneg_cov(s, "boutsikas-koutras")
-    value = (_tilted or _tilted_product(s)[0])(math.inf, 0.0)
-    return BoundResult("boutsikas-koutras", LogProb(value))
+    log_p_inf = (_tilted or _tilted_product(s))[0]
+    return BoundResult("boutsikas-koutras", LogProb(log_add_floats(log_p_inf, _log_cov(s))))
 
 
 def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
@@ -326,8 +316,9 @@ def lv_general(
     """
     _require_nonneg_cov(s, "lv-general")
     t_lin, lt = _resolve_t(t, log_t)
-    value = (_tilted or _tilted_product(s)[0])(t_lin, 2.0 * lt)
-    return BoundResult("lv-general", LogProb(value), t=t_lin, log_t=lt)
+    log_p = (_tilted or _tilted_product(s))[1](t_lin)[0]
+    value = LogProb(log_add_floats(log_p, 2.0 * lt + _log_cov(s)))
+    return BoundResult("lv-general", value, t=t_lin, log_t=lt)
 
 
 def lv_iid(
@@ -340,7 +331,8 @@ def lv_iid(
     |I| ln(1-p) and |I| log1p(e^{-t} p/(1-p)), cancel to about -|I| p t: in
     doubles their sum loses log10(1/(p t)) digits (a relative error of 5e-10
     at t = 1e-6).  So the product of the factors is formed in decimal, with
-    that many digits and 20 more, and only its log is taken in doubles.
+    that many digits and 20 more, and only its log is taken in doubles: as
+    ln factor below 1/2, where factor - 1 would keep only absolute accuracy.
     """
     if not s.is_homogeneous:
         raise ValueError("lv-iid requires a homogeneous summary")
@@ -355,31 +347,31 @@ def lv_iid(
         ctx.prec = _IID_SPARE_DIGITS + math.ceil(lost)
         q = Decimal(p)
         factor = (1 - q) * (1 + (-Decimal(t_lin)).exp() * q / (1 - q))
-        product_term = s.count * math.log1p(float(factor - 1))
+        log_factor = math.log(float(factor)) if factor < 0.5 else math.log1p(float(factor - 1))
+        product_term = s.count * log_factor
     value = LogProb(log_add_floats(product_term, 2.0 * lt + _log_cov(s)))
     return BoundResult("lv-iid", value, t=t_lin, log_t=lt)
 
 
-def lv_optimal(s: FamilySummary, *, _objective: _Objective | None = None) -> BoundResult:
+def lv_optimal(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """lv-general minimized over t in [T_GRID_MIN, T_GRID_MAX].
 
     The objective is convex in t (see the module docstring), so the sign of
-    its slope, h from :func:`_tilted_product`, locates the minimum, and
+    its slope, h from :func:`_lv_probe`, locates the minimum, and
     minimize_scalar finds the root of h by safeguarded Newton steps in ln t.
     The reported t is exactly T_GRID_MIN when h >= 0 there and exactly
     T_GRID_MAX when h <= 0 there: cov_sum = 0 gives T_GRID_MAX, and means
     that are all 0 give T_GRID_MIN.
     """
     _require_nonneg_cov(s, "lv-optimal")
-    objective = _objective or _tilted_product(s)[1]
-    t_star, f_star = minimize_scalar(objective, T_GRID_MIN, T_GRID_MAX)
+    probe = _lv_probe((_tilted or _tilted_product(s))[1], _log_cov(s))
+    t_star, f_star = minimize_scalar(probe, T_GRID_MIN, T_GRID_MAX)
     return BoundResult("lv-optimal", f_star, t=t_star, log_t=math.log(t_star))
 
 
 def independent_lower(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
     """prod(1 - p_i): a lower bound on P(X=0) under positive association."""
-    value = (_tilted or _tilted_product(s)[0])(math.inf, NEG_INF)
-    return BoundResult("independent-lower", LogProb(value))
+    return BoundResult("independent-lower", LogProb((_tilted or _tilted_product(s))[0]))
 
 
 def evaluate_all(
@@ -410,7 +402,7 @@ def evaluate_all(
             return SkippedBound(method, str(exc))
 
     # the five bounds that read the means share one bind of them
-    tilted, objective = _tilted_product(s)
+    tilted = _tilted_product(s)
     entries = [
         attempt("janson-basic", lambda: janson_basic(s)),
         attempt("janson-ratio", lambda: janson_ratio(s, form=eq2_form)),
@@ -418,7 +410,7 @@ def evaluate_all(
         attempt("boutsikas-koutras", lambda: boutsikas_koutras(s, _tilted=tilted)),
         attempt("independent-lower", lambda: independent_lower(s, _tilted=tilted)),
     ]
-    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _objective=objective))
+    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _tilted=tilted))
     entries.append(optimal)
     if explicit_t:
         entries.append(

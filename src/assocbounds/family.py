@@ -52,7 +52,8 @@ class FamilySummary:
             raise ValueError(f"count={raw} exceeds the double range (about 1.8e308)") from None
         except TypeError:  # None, a list, an object
             count = None
-        if count is None or isinstance(raw, Real) and count != raw:  # int() truncates
+        # int() truncates, and reads True as 1
+        if count is None or isinstance(raw, bool) or isinstance(raw, Real) and count != raw:
             raise ValueError(f"count must be an integer, got {raw}")
         if count > sys.float_info.max:
             raise ValueError(
@@ -110,9 +111,12 @@ class FamilySummary:
         if missing:
             raise ValueError(f"summary JSON missing fields: {sorted(missing)}")
         listed = isinstance(d["means"], list)
+        raw = d["means"] if listed else [d["means"]]  # one entry: the shared mean
         try:
-            means = tuple(map(float, d["means"])) if listed else float(d["means"])
-        except TypeError:  # null, a list or an object where a number belongs
+            if bool in set(map(type, raw)):  # float() reads true as 1.0
+                raise TypeError
+            means = tuple(map(float, raw))
+        except TypeError:  # null, a boolean, a list or an object where a number belongs
             raise ValueError("means must be a number or a list of numbers") from None
         lam, delta, delta_bar, cov_sum, max_mean = (
             _number(d, k) for k in ("lambda", "delta", "delta_bar", "cov_sum", "max_mean")
@@ -139,10 +143,12 @@ class FamilySummary:
 
 
 def _number(d: dict[str, Any], name: str) -> float:
-    try:
-        return float(d[name])
-    except TypeError:  # null, a list or an object
-        raise ValueError(f"{name} must be a number, got {d[name]!r}") from None
+    if not isinstance(d[name], bool):  # float() reads true as 1.0
+        try:
+            return float(d[name])
+        except TypeError:  # null, a list or an object
+            pass
+    raise ValueError(f"{name} must be a number, got {d[name]!r}")
 
 
 def _rel_close(a: float, b: float, rel: float) -> bool:

@@ -217,6 +217,26 @@ class TestBoundCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: bad summary JSON: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"count": true, "means": false, "lambda": 0, "delta": false, "delta_bar": 0, '
+             '"cov_sum": false, "max_mean": 0}', "means must be a number or a list of numbers"),
+            ('{"count": true, "means": 1.0, "lambda": 1, "delta": 0, "delta_bar": 1, '
+             '"cov_sum": 0, "max_mean": 1}', "count must be an integer, got True"),
+            ('{"count": 2, "means": [0.1, true], "lambda": 1.1, "delta": 0, "delta_bar": 1.1, '
+             '"cov_sum": 0, "max_mean": 1}', "means must be a number or a list of numbers"),
+            ('{"count": 1, "means": 0.5, "lambda": 0.5, "delta": 0, "delta_bar": 0.5, '
+             '"cov_sum": false, "max_mean": 0.5}', "cov_sum must be a number, got False"),
+        ],
+        ids=["all-booleans", "true-count", "true-mean", "false-cov-sum"],
+    )
+    def test_boolean_field_exits_two_naming_it(self, capsys, text, message):
+        # JSON true and false are not the numbers 1 and 0
+        code, out, err = run_main(capsys, "bound", "--summary", text)
+        assert code == 2 and out == ""
+        assert err == f"error: bad summary JSON: {message}\n"
+
     @pytest.mark.parametrize("count,means", [(10, [0.1]), (4, [0.1, 0.2, 0.3])])
     def test_list_summary_length_must_match_count(self, capsys, count, means):
         # a one-entry list is still one indicator's mean, not a shared one

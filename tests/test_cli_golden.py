@@ -41,6 +41,10 @@ _SUMMARY_NO_COV = json.dumps(
     {"count": 50, "means": 0.3, "lambda": 15.0, "delta": 0.0,
      "delta_bar": 15.0, "cov_sum": 0.0, "max_mean": 0.3}
 )
+_SUMMARY_NEAR_ONE = json.dumps(
+    {"count": 1, "means": 1 - 1e-12, "lambda": 1 - 1e-12, "delta": 0.0,
+     "delta_bar": 1 - 1e-12, "cov_sum": 0.0, "max_mean": 1 - 1e-12}
+)
 
 COMMANDS: list[list[str]] = [
     # bound: every family, both variants, both eq2 forms, t overrides
@@ -113,6 +117,9 @@ COMMANDS: list[list[str]] = [
     # janson-ratio where lambda^2 overflows: a finite log, not an exact zero
     ["verify", "--model", "runs", "--n", str(10**160), "--k", "2", "--p", "0.5",
      "--eq2-form", "standard"],
+    # a mean near 1 at large t, where p (1 - e^{-t}) > 1/2: the tilted
+    # product's term is ln((1 - p) + p e^{-t})
+    ["bound", "--summary", _SUMMARY_NEAR_ONE, "--t", "31.6"],
 ]
 
 

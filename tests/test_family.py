@@ -105,6 +105,11 @@ class TestConstructorGate:
         s = consistent_summary(count=10.0)
         assert s.count == 10 and isinstance(s.count, int)
 
+    @pytest.mark.parametrize("count", [True, False])
+    def test_boolean_count_refused(self, count):
+        with pytest.raises(ValueError, match=f"count must be an integer, got {count}"):
+            consistent_summary(count=count)
+
     @pytest.mark.parametrize("field", ["delta", "cov_sum"])
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_sum_refused_naming_the_field(self, field, x):
@@ -199,6 +204,15 @@ class TestJsonInterchange:
             ("lambda", None, "lambda must be a number, got None"),
             ("means", None, "means must be a number or a list of numbers"),
             ("means", [0.1] * 9 + [None], "means must be a number or a list of numbers"),
+            # float() reads a JSON boolean as 1.0 or 0.0, and int() true as 1
+            ("count", True, "count must be an integer, got True"),
+            ("delta", False, "delta must be a number, got False"),
+            ("cov_sum", True, "cov_sum must be a number, got True"),
+            ("lambda", True, "lambda must be a number, got True"),
+            ("delta_bar", False, "delta_bar must be a number, got False"),
+            ("max_mean", True, "max_mean must be a number, got True"),
+            ("means", True, "means must be a number or a list of numbers"),
+            ("means", [0.1] * 9 + [True], "means must be a number or a list of numbers"),
         ],
     )
     def test_non_number_field_refused(self, field, value, message):

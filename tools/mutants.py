@@ -58,6 +58,12 @@ SEARCH = "tests/test_numerics.py::TestMinimizeScalar::"
 LV_OPTIMAL = "tests/test_bounds.py::TestLvOptimal::"
 RATIO_SQUARE = ("tests/test_bounds.py::TestJansonRatio::"
                 "test_square_beyond_the_double_range_matches_the_exact_ratio")
+BOUNDS, FAMILY = "assocbounds/bounds.py", "assocbounds/family.py"
+TILTED = "tests/test_bounds.py::TestTiltedProductPrecision::"
+SLOPE_SUMS = TILTED + "test_slope_sums_match_a_60_digit_reference"
+SLOPE_REF = LV_OPTIMAL + "test_h_and_its_slope_match_a_50_digit_reference"
+AT_INFINITY = ("tests/test_bounds.py::TestIndependentLower::"
+               "test_the_product_is_taken_at_infinite_t")
 
 MUTANTS = [
     # verify: one verdict over the log interval [low, high], in both
@@ -191,6 +197,42 @@ MUTANTS = [
            "_LOG_T_TOLERANCE = 1e-9", "_LOG_T_TOLERANCE = 1e-3",
            (SEARCH + "test_searches_the_whole_range_by_newton_and_bisection",
             LV_OPTIMAL + "test_at_or_below_a_golden_section_search")),
+    # the tilted product's terms, and lv-optimal's objective over them
+    Mutant("lv objective: sign of ln R1 flipped", BOUNDS,
+           "- log_p - math.log(r1),", "- log_p + math.log(r1),",
+           (SLOPE_REF, LV_OPTIMAL + "test_at_or_below_a_golden_section_search")),
+    Mutant("lv objective: R2 dropped from dh/du", BOUNDS,
+           "t * (r1 - r2 / r1)", "t * r1", (SLOPE_REF,)),
+    Mutant("tilted product: certain means left out of R1", BOUNDS,
+           "e * float(q.sum()) + n_certain,", "e * float(q.sum()),", (SLOPE_SUMS,)),
+    Mutant("tilted product: near-one threshold -1 (shared mean)", BOUNDS,
+           "near_one = x < -0.5\n            f = ", "near_one = x < -1.0\n            f = ",
+           (TILTED + "test_near_one_means_at_large_t",
+            "tests/test_cli_golden.py::test_output_matches_the_recorded_one[48-bound]")),
+    Mutant("tilted product: near-one threshold -1 (several means)", BOUNDS,
+           "near_one = x < -0.5\n            p = ", "near_one = x < -1.0\n            p = ",
+           (SLOPE_SUMS,)),
+    Mutant("tilted product: P(inf) taken at t = 50 (shared mean)", BOUNDS,
+           "return weight * ((math.log1p(-p) if p < 1.0 else NEG_INF) + 0.0), terms",
+           "return terms(50.0)[0], terms", (AT_INFINITY,)),
+    Mutant("tilted product: P(inf) taken at t = 50 (several means)", BOUNDS,
+           "return (NEG_INF if n_certain else float(np.sum(np.log1p(-uncertain)))), terms",
+           "return terms(50.0)[0], terms", (AT_INFINITY,)),
+    Mutant("lv-iid: the factor's log through log1p near one", BOUNDS,
+           "if factor < 0.5 else", "if factor < 0.0 else",
+           ("tests/test_bounds.py::TestLvBounds::test_iid_matches_general_near_one_at_large_t",)),
+    # a JSON boolean is not a number
+    Mutant("from_json_dict: boolean means read as numbers", FAMILY,
+           "if bool in set(map(type, raw)):", "if False:",
+           ("tests/test_family.py::TestJsonInterchange::test_non_number_field_refused",
+            "tests/test_cli.py::TestBoundCommand::test_boolean_field_exits_two_naming_it")),
+    Mutant("from_json_dict: boolean sums read as numbers", FAMILY,
+           "if not isinstance(d[name], bool):", "if True:",
+           ("tests/test_family.py::TestJsonInterchange::test_non_number_field_refused",
+            "tests/test_cli.py::TestBoundCommand::test_boolean_field_exits_two_naming_it")),
+    Mutant("constructor: a boolean count taken", FAMILY,
+           "count is None or isinstance(raw, bool) or", "count is None or",
+           ("tests/test_family.py::TestConstructorGate::test_boolean_count_refused",)),
     # the samplers under the Philox stream contract
     Mutant("_word_limit: off by one", MODELS,
            "return (math.ceil(p * 2**53) << 11) - 1", "return math.ceil(p * 2**53) << 11",
