@@ -18,9 +18,9 @@ plus the reference floor ``independent-lower`` = prod(1 - p_i), a *lower*
 bound on P(X=0) under positive association.
 
 The five that read the means read one tilted product,
-P(t) = prod_i(1 - p_i + p_i e^{-t}), bound once per summary by
-_tilted_product: independent-lower is P(inf), boppona-spencer multiplies it
-by exp(delta / (1 - max_mean)), boutsikas-koutras is P(inf) + cov_sum,
+P(t) = prod_i(1 - p_i + p_i e^{-t}), the summary's ``tilted_product``:
+independent-lower is P(inf), boppona-spencer multiplies it by
+exp(delta / (1 - max_mean)), boutsikas-koutras is P(inf) + cov_sum,
 lv-general is P(t) + t^2 cov_sum, and lv-optimal minimizes that over t.
 lv-iid forms its product apart (see lv_iid).
 
@@ -44,8 +44,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Any, Callable
-
-import numpy as np
 
 from .family import FamilySummary
 from .numerics import NEG_INF, LogProb, json_log_linear, log_add_floats, minimize_scalar
@@ -132,10 +130,6 @@ class SkippedBound:
 
 BoundEntry = BoundResult | SkippedBound
 
-# _tilted_product's bind of the means: (ln P(inf), t -> (ln P(t), R1, R2))
-_Terms = Callable[[float], tuple[float, float, float]]
-_Tilted = tuple[float, _Terms]
-
 _LN2 = math.log(2.0)
 
 
@@ -145,68 +139,16 @@ def _log_cov(s: FamilySummary) -> float:
     return math.log(s.cov_sum) if s.cov_sum > 0 else NEG_INF
 
 
-def _tilted_product(s: FamilySummary) -> _Tilted:
-    """(ln P(inf), terms) for the tilted product P(t) = prod_i(1 - p_i + p_i e^{-t})
-    of the summary's means, bound once; every bound that reads the means,
-    lv-iid aside, is written over these (see the module docstring).
-
-    ``terms(t)`` returns (ln P(t), R1, R2) as bare floats: with
-    r_i = p_i e^{-t} / (1 - p_i + p_i e^{-t}) in [0, 1], R1 = sum r_i (so
-    -P' = P R1) and R2 = sum r_i^2.  A shared mean is one scalar ``math``
-    term times the count (numpy's cost per call would exceed that of the
-    term), several means one numpy pass.  Each term is log1p(p expm1(-t)),
-    or ln((1 - p) + p e^{-t}) where p (1 - e^{-t}) > 1/2, since there
-    1 + p expm1(-t) keeps only its absolute accuracy; so ln P keeps a
-    relative accuracy of 1e-14 unless a term p (1 - e^{-t}) is subnormal.
-    A mean of 1 adds exactly -t to ln P and 1 to R1 and R2; no e^t is formed.
-    """
-    if len(s.means) == 1:
-        weight, (p,) = s.count, s.means
-
-        def terms(t: float) -> tuple[float, float, float]:
-            # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
-            # to 0) read ln 1 = +0.0, as a sum over several means does
-            if p >= 1.0:
-                return weight * (-t + 0.0), weight, weight
-            e, x = math.exp(-t), p * math.expm1(-t)
-            near_one = x < -0.5
-            f = (1.0 - p) + p * e if near_one else 1.0 + x
-            term, r = math.log(f) if near_one else math.log1p(x), p * e / f
-            return weight * (term + 0.0), weight * r, weight * r * r
-
-        return weight * ((math.log1p(-p) if p < 1.0 else NEG_INF) + 0.0), terms
-
-    # one indicator per mean; certain ones (p = 1) stay out of log1p, which
-    # would warn on log1p(-1) at t = inf
-    means = np.asarray(s.means, dtype=np.float64)
-    uncertain = means[means < 1.0]
-    n_certain = len(means) - len(uncertain)
-    any_near_one = bool(uncertain.max(initial=0.0) > 0.5)  # p (1 - e^{-t}) > 1/2 reachable
-
-    def terms(t: float) -> tuple[float, float, float]:
-        e, x = math.exp(-t), uncertain * math.expm1(-t)
-        logs, f = np.log1p(x), x + 1.0
-        if any_near_one:
-            near_one = x < -0.5
-            p = uncertain[near_one]
-            f[near_one] = (1.0 - p) + p * e
-            logs[near_one] = np.log(f[near_one])
-        log_p = float(logs.sum()) - n_certain * t
-        q = np.divide(uncertain, f, out=f)  # r_i = q_i e^{-t}
-        return log_p, e * float(q.sum()) + n_certain, e * e * float(q @ q) + n_certain
-
-    return (NEG_INF if n_certain else float(np.sum(np.log1p(-uncertain)))), terms
-
-
-def _lv_probe(terms: _Terms, log_cov: float) -> Callable[[float], tuple[float, float, float]]:
-    """lv-optimal's objective for :func:`~assocbounds.numerics.minimize_scalar`:
-    t -> (lv-general's log value, h, dh/du) with u = ln t.
+def _lv_probe(s: FamilySummary) -> Callable[[float], tuple[float, float, float]]:
+    """lv-optimal's objective over the summary's tilted product, for
+    minimize_scalar: t -> (lv-general's log value, h, dh/du) with u = ln t.
 
     h = ln(2 t cov_sum) - ln(-P') = ln 2 + u + ln cov_sum - ln P - ln R1 has
     the sign of the slope of P + t^2 cov_sum and increases with u;
     dh/du = 1 + t + t (R1 - R2 / R1), as dR1/dt = R2 - R1.  h is +inf when
     R1 = 0 (every mean 0) and -inf when cov_sum = 0."""
 
+    terms, log_cov = s.tilted_product[1], _log_cov(s)
     log_2c = _LN2 + log_cov
 
     def probe(t: float) -> tuple[float, float, float]:
@@ -264,20 +206,20 @@ def janson_ratio(s: FamilySummary, form: str = "printed") -> BoundResult:
     return BoundResult("janson-ratio", LogProb(exponent))
 
 
-def boppona_spencer(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
+def boppona_spencer(s: FamilySummary) -> BoundResult:
     """exp(delta / (1 - max_mean)) * prod(1 - p_i)."""
     if s.max_mean >= 1.0:
         raise ValueError(
             f"boppona-spencer requires max mean < 1, got {s.max_mean}"
         )
-    log_p_inf = (_tilted or _tilted_product(s))[0]
+    log_p_inf = s.tilted_product[0]
     return BoundResult("boppona-spencer", LogProb(s.delta / (1.0 - s.max_mean) + log_p_inf))
 
 
-def boutsikas_koutras(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
+def boutsikas_koutras(s: FamilySummary) -> BoundResult:
     """prod(1 - p_i) + cov_sum."""
     _require_nonneg_cov(s, "boutsikas-koutras")
-    log_p_inf = (_tilted or _tilted_product(s))[0]
+    log_p_inf = s.tilted_product[0]
     return BoundResult("boutsikas-koutras", LogProb(log_add_floats(log_p_inf, _log_cov(s))))
 
 
@@ -303,11 +245,7 @@ def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
 
 
 def lv_general(
-    s: FamilySummary,
-    t: float | None = None,
-    *,
-    log_t: float | None = None,
-    _tilted: _Tilted | None = None,
+    s: FamilySummary, t: float | None = None, *, log_t: float | None = None
 ) -> BoundResult:
     """exp(-t|I|) * (prod E[e^{t(1-X_i)}] + t^2 e^{t|I|} cov_sum).
 
@@ -316,8 +254,7 @@ def lv_general(
     """
     _require_nonneg_cov(s, "lv-general")
     t_lin, lt = _resolve_t(t, log_t)
-    log_p = (_tilted or _tilted_product(s))[1](t_lin)[0]
-    value = LogProb(log_add_floats(log_p, 2.0 * lt + _log_cov(s)))
+    value = LogProb(log_add_floats(s.tilted_product[1](t_lin)[0], 2.0 * lt + _log_cov(s)))
     return BoundResult("lv-general", value, t=t_lin, log_t=lt)
 
 
@@ -353,7 +290,7 @@ def lv_iid(
     return BoundResult("lv-iid", value, t=t_lin, log_t=lt)
 
 
-def lv_optimal(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
+def lv_optimal(s: FamilySummary) -> BoundResult:
     """lv-general minimized over t in [T_GRID_MIN, T_GRID_MAX].
 
     The objective is convex in t (see the module docstring), so the sign of
@@ -364,14 +301,13 @@ def lv_optimal(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResu
     that are all 0 give T_GRID_MIN.
     """
     _require_nonneg_cov(s, "lv-optimal")
-    probe = _lv_probe((_tilted or _tilted_product(s))[1], _log_cov(s))
-    t_star, f_star = minimize_scalar(probe, T_GRID_MIN, T_GRID_MAX)
+    t_star, f_star = minimize_scalar(_lv_probe(s), T_GRID_MIN, T_GRID_MAX)
     return BoundResult("lv-optimal", f_star, t=t_star, log_t=math.log(t_star))
 
 
-def independent_lower(s: FamilySummary, *, _tilted: _Tilted | None = None) -> BoundResult:
+def independent_lower(s: FamilySummary) -> BoundResult:
     """prod(1 - p_i): a lower bound on P(X=0) under positive association."""
-    return BoundResult("independent-lower", LogProb((_tilted or _tilted_product(s))[0]))
+    return BoundResult("independent-lower", LogProb(s.tilted_product[0]))
 
 
 def evaluate_all(
@@ -401,21 +337,17 @@ def evaluate_all(
         except ValueError as exc:
             return SkippedBound(method, str(exc))
 
-    # the five bounds that read the means share one bind of them
-    tilted = _tilted_product(s)
     entries = [
         attempt("janson-basic", lambda: janson_basic(s)),
         attempt("janson-ratio", lambda: janson_ratio(s, form=eq2_form)),
-        attempt("boppona-spencer", lambda: boppona_spencer(s, _tilted=tilted)),
-        attempt("boutsikas-koutras", lambda: boutsikas_koutras(s, _tilted=tilted)),
-        attempt("independent-lower", lambda: independent_lower(s, _tilted=tilted)),
+        attempt("boppona-spencer", lambda: boppona_spencer(s)),
+        attempt("boutsikas-koutras", lambda: boutsikas_koutras(s)),
+        attempt("independent-lower", lambda: independent_lower(s)),
     ]
-    optimal = attempt("lv-optimal", lambda: lv_optimal(s, _tilted=tilted))
+    optimal = attempt("lv-optimal", lambda: lv_optimal(s))
     entries.append(optimal)
     if explicit_t:
-        entries.append(
-            attempt("lv-general", lambda: lv_general(s, t, log_t=log_t, _tilted=tilted))
-        )
+        entries.append(attempt("lv-general", lambda: lv_general(s, t, log_t=log_t)))
         entries.append(attempt("lv-iid", lambda: lv_iid(s, t, log_t=log_t)))
     elif isinstance(optimal, BoundResult):
         entries.append(attempt("lv-iid", lambda: lv_iid(s, optimal.t)))

@@ -16,11 +16,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
-from typing import Any
+from typing import Any, Callable
+
+import numpy as np
 
 _REL_TOL_LAMBDA = 1e-10
 _REL_TOL_DERIVED = 1e-12
+_Terms = Callable[[float], tuple[float, float, float]]  # t -> (ln P(t), R1, R2)
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,11 @@ class FamilySummary:
             count = int(raw)
         except OverflowError:  # int(inf); JSON reads 1e400 as inf
             raise ValueError(f"count={raw} exceeds the double range (about 1.8e308)") from None
-        except TypeError:  # None, a list, an object
+        except (TypeError, ValueError):  # None, a list, an object; NaN, a string such as "ten"
             count = None
         # int() truncates, and reads True as 1
         if count is None or isinstance(raw, bool) or isinstance(raw, Real) and count != raw:
-            raise ValueError(f"count must be an integer, got {raw}")
+            raise ValueError(f"count must be an integer, got {raw!r}")
         if count > sys.float_info.max:
             raise ValueError(
                 f"the number of indicators is about 10^{math.log10(count):.1f}, "
@@ -83,9 +87,18 @@ class FamilySummary:
         object.__setattr__(self, "delta_bar", lam + 2.0 * self.delta)
         object.__setattr__(self, "max_mean", max(means))
 
+    def __reduce__(self) -> tuple[type, tuple]:
+        # by the given fields, as it compares and hashes: pickle cannot carry the bind
+        return type(self), (self.count, self.means, self.delta, self.cov_sum)
+
     @property
     def is_homogeneous(self) -> bool:
         return len(self.means) == 1
+
+    @cached_property
+    def tilted_product(self) -> tuple[float, _Terms]:
+        """The tilted product, bound on first read and kept: see _bind_means."""
+        return _bind_means(self.count, self.means)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -116,7 +129,7 @@ class FamilySummary:
             if bool in set(map(type, raw)):  # float() reads true as 1.0
                 raise TypeError
             means = tuple(map(float, raw))
-        except TypeError:  # null, a boolean, a list or an object where a number belongs
+        except (TypeError, ValueError):  # null, a boolean, a list, an object or "x"
             raise ValueError("means must be a number or a list of numbers") from None
         lam, delta, delta_bar, cov_sum, max_mean = (
             _number(d, k) for k in ("lambda", "delta", "delta_bar", "cov_sum", "max_mean")
@@ -146,7 +159,7 @@ def _number(d: dict[str, Any], name: str) -> float:
     if not isinstance(d[name], bool):  # float() reads true as 1.0
         try:
             return float(d[name])
-        except TypeError:  # null, a list or an object
+        except (TypeError, ValueError):  # null, a list, an object or "abc"
             pass
     raise ValueError(f"{name} must be a number, got {d[name]!r}")
 
@@ -154,6 +167,59 @@ def _number(d: dict[str, Any], name: str) -> float:
 def _rel_close(a: float, b: float, rel: float) -> bool:
     # an infinite value is close only to itself: inf - b is not finite
     return a == b or math.isfinite(a - b) and abs(a - b) <= rel * max(abs(a), abs(b), 1.0)
+
+
+def _bind_means(count: int, means: tuple[float, ...]) -> tuple[float, _Terms]:
+    """(ln P(inf), terms) for the tilted product P(t) = prod_i(1 - p_i + p_i e^{-t})
+    of ``means``, each ``count // len(means)`` indicators; every bound that
+    reads the means, lv-iid aside, is written over these (see ``bounds``).
+
+    ``terms(t)`` returns (ln P(t), R1, R2) as bare floats: with
+    r_i = p_i e^{-t} / (1 - p_i + p_i e^{-t}) in [0, 1], R1 = sum r_i (so
+    -P' = P R1) and R2 = sum r_i^2.  A shared mean is one scalar ``math``
+    term times the count (numpy's cost per call would exceed that of the
+    term), several means one numpy pass.  Each term is log1p(p expm1(-t)),
+    or ln((1 - p) + p e^{-t}) where p (1 - e^{-t}) > 1/2, since there
+    1 + p expm1(-t) keeps only its absolute accuracy; so ln P keeps a
+    relative accuracy of 1e-14 unless a term p (1 - e^{-t}) is subnormal.
+    A mean of 1 adds exactly -t to ln P and 1 to R1 and R2; no e^t is formed.
+    """
+    if len(means) == 1:
+        weight, (p,) = count, means
+
+        def terms(t: float) -> tuple[float, float, float]:
+            # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
+            # to 0) read ln 1 = +0.0, as a sum over several means does
+            if p >= 1.0:
+                return weight * (-t + 0.0), weight, weight
+            e, x = math.exp(-t), p * math.expm1(-t)
+            near_one = x < -0.5
+            f = (1.0 - p) + p * e if near_one else 1.0 + x
+            term, r = math.log(f) if near_one else math.log1p(x), p * e / f
+            return weight * (term + 0.0), weight * r, weight * r * r
+
+        return weight * ((math.log1p(-p) if p < 1.0 else -math.inf) + 0.0), terms
+
+    # one indicator per mean; certain ones (p = 1) stay out of log1p, which
+    # would warn on log1p(-1) at t = inf
+    listed = np.asarray(means, dtype=np.float64)
+    uncertain = listed[listed < 1.0]
+    n_certain = len(listed) - len(uncertain)
+    any_near_one = bool(uncertain.max(initial=0.0) > 0.5)  # p (1 - e^{-t}) > 1/2 reachable
+
+    def terms(t: float) -> tuple[float, float, float]:
+        e, x = math.exp(-t), uncertain * math.expm1(-t)
+        logs, f = np.log1p(x), x + 1.0
+        if any_near_one:
+            near_one = x < -0.5
+            p = uncertain[near_one]
+            f[near_one] = (1.0 - p) + p * e
+            logs[near_one] = np.log(f[near_one])
+        log_p = float(logs.sum()) - n_certain * t
+        q = np.divide(uncertain, f, out=f)  # r_i = q_i e^{-t}
+        return log_p, e * float(q.sum()) + n_certain, e * e * float(q @ q) + n_certain
+
+    return (-math.inf if n_certain else float(np.sum(np.log1p(-uncertain)))), terms
 
 
 def validate(summary: FamilySummary) -> list[str]:

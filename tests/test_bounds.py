@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from assocbounds import bounds
+from assocbounds import bounds, family
 from assocbounds.bounds import (
     EQ2_FORMS,
     METHOD_ORDER,
@@ -136,13 +136,13 @@ def golden_section_lv_optimal(s):
 
 def probe(s, t):
     """lv-optimal's objective at t: (log value, h, dh/du)."""
-    return bounds._lv_probe(bounds._tilted_product(s)[1], bounds._log_cov(s))(t)
+    return bounds._lv_probe(s)(t)
 
 
 def tilted(s, t, log_w):
     """The tilted product's log at t, t = inf included, and
-    ln(product + e^log_w cov_sum), both formed from _tilted_product's bind."""
-    log_p_inf, terms = bounds._tilted_product(s)
+    ln(product + e^log_w cov_sum), both formed from the summary's bind."""
+    log_p_inf, terms = s.tilted_product
     log_product = log_p_inf if t == math.inf else terms(t)[0]
     return log_product, log_add_floats(log_product, log_w + bounds._log_cov(s))
 
@@ -535,7 +535,7 @@ class TestLvOptimal:
         assert min(where[T_GRID_MIN], where[T_GRID_MAX], where[None]) >= 20, where
 
     def test_a_shared_mean_and_its_list_find_the_same_t(self):
-        # the two paths of _tilted_product form the same h to rounding
+        # the two paths of the tilted product form the same h to rounding
         rng = np.random.default_rng(28)
         inside = 0
         for j in range(60):
@@ -668,7 +668,7 @@ class TestTiltedProductPrecision:
             r = [mpmath.mpf(p) * e / (1 - mpmath.mpf(p) + mpmath.mpf(p) * e) for p in means]
             ref = [weight * mpmath.fsum(mpmath.log(1 - mpmath.mpf(p) + p * e) for p in means),
                    weight * mpmath.fsum(r), weight * mpmath.fsum(x * x for x in r)]
-        got = bounds._tilted_product(s)[1](t)
+        got = s.tilted_product[1](t)
         assert got == pytest.approx([float(x) for x in ref], rel=1e-14, abs=0.0)
 
     # ln 1 prints as 0.0, not -0.0: p = 0, or p = 1 at a log-form t that
@@ -807,16 +807,17 @@ class TestEvaluateAll:
         with pytest.raises(ValueError, match=reason):
             evaluate_all(runs_summary(10, 2, 0.5), **kwargs)
 
-    @pytest.mark.parametrize(
-        "s", [homog(12, 0.1, 0.02, 0.01), hetero([0.1, 0.3, 1.0], 0.02, 0.01)]
-    )
+    @pytest.mark.parametrize("means", [(0.1,), (0.1, 0.3, 1.0)], ids=["shared", "listed"])
     @pytest.mark.parametrize("t", [None, 0.7])
-    def test_binds_the_tilted_product_once(self, s, t, monkeypatch):
-        # the five bounds that read the means share one bind
-        bind, binds = bounds._tilted_product, []
-        monkeypatch.setattr(bounds, "_tilted_product", lambda s: binds.append(s) or bind(s))
+    def test_a_summary_binds_its_means_once(self, means, t, monkeypatch):
+        # built in the case: a summary shared between cases would keep its bind
+        s = homog(12, means[0], 0.02, 0.01) if len(means) == 1 else hetero(means, 0.02, 0.01)
+        bind, binds = family._bind_means, []
+        monkeypatch.setattr(family, "_bind_means", lambda *a: binds.append(a) or bind(*a))
         evaluate_all(s, t=t)
-        assert len(binds) == 1 and binds[0] is s
+        lv_general(s, 0.3)
+        lv_general(s, log_t=-2.0)
+        assert binds == [(s.count, s.means)]
 
     def test_janson_ratio_refuses_an_unknown_form(self):
         with pytest.raises(ValueError, match="form must be one of"):

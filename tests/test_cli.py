@@ -228,11 +228,18 @@ class TestBoundCommand:
              '"cov_sum": 0, "max_mean": 1}', "means must be a number or a list of numbers"),
             ('{"count": 1, "means": 0.5, "lambda": 0.5, "delta": 0, "delta_bar": 0.5, '
              '"cov_sum": false, "max_mean": 0.5}', "cov_sum must be a number, got False"),
+            ('{"count": 10, "means": 0.1, "lambda": 1.0, "delta": "abc", "delta_bar": 1.4, '
+             '"cov_sum": 0.05, "max_mean": 0.1}', "delta must be a number, got 'abc'"),
+            ('{"count": 2, "means": [0.1, "x"], "lambda": 0.2, "delta": 0, "delta_bar": 0.2, '
+             '"cov_sum": 0, "max_mean": 0.1}', "means must be a number or a list of numbers"),
+            ('{"count": "ten", "means": 0.1, "lambda": 1.0, "delta": 0, "delta_bar": 1.0, '
+             '"cov_sum": 0, "max_mean": 0.1}', "count must be an integer, got 'ten'"),
         ],
-        ids=["all-booleans", "true-count", "true-mean", "false-cov-sum"],
+        ids=["all-booleans", "true-count", "true-mean", "false-cov-sum",
+             "string-delta", "string-mean", "string-count"],
     )
-    def test_boolean_field_exits_two_naming_it(self, capsys, text, message):
-        # JSON true and false are not the numbers 1 and 0
+    def test_non_number_field_exits_two_naming_it(self, capsys, text, message):
+        # JSON true and false are not the numbers 1 and 0, nor is "abc" a number
         code, out, err = run_main(capsys, "bound", "--summary", text)
         assert code == 2 and out == ""
         assert err == f"error: bad summary JSON: {message}\n"
@@ -794,8 +801,7 @@ class TestVerifyMonteCarlo:
     def test_lower_bound_at_the_upper_end(self, capsys, monkeypatch, ends, scale, status):
         value = LogProb(ends[1] * scale)
         monkeypatch.setattr(
-            bounds, "independent_lower",
-            lambda s, _tilted=None: BoundResult("independent-lower", value),
+            bounds, "independent_lower", lambda s: BoundResult("independent-lower", value)
         )
         by = self.verdicts(capsys)
         assert by.pop("independent-lower") == status

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import copy
 import dataclasses
 import json
 import math
+import pickle
 from pathlib import Path
 from types import MappingProxyType
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assocbounds import family
+from assocbounds.bounds import evaluate_all
 from assocbounds.family import FamilySummary, ModelSpec, validate
 from assocbounds.models import (
     FIRST_PRINCIPLES,
@@ -213,6 +216,10 @@ class TestJsonInterchange:
             ("max_mean", True, "max_mean must be a number, got True"),
             ("means", True, "means must be a number or a list of numbers"),
             ("means", [0.1] * 9 + [True], "means must be a number or a list of numbers"),
+            # a string float() or int() cannot read is refused under the field's name
+            ("delta", "abc", "delta must be a number, got 'abc'"),
+            ("means", [0.1] * 9 + ["x"], "means must be a number or a list of numbers"),
+            ("count", "ten", "count must be an integer, got 'ten'"),
         ],
     )
     def test_non_number_field_refused(self, field, value, message):
@@ -279,6 +286,19 @@ class TestDerivedFields:
         r = dataclasses.replace(s, delta=x)
         assert r.delta_bar == s.lambda_ + 2.0 * x
         assert r.lambda_ == s.lambda_ and r.max_mean == s.max_mean
+
+    @pytest.mark.parametrize("means", [(0.1,), (0.1, 0.3, 0.2)], ids=["shared", "listed"])
+    def test_an_evaluated_summary_copies_as_a_fresh_one(self, means):
+        # the bound tilted product is a closure, which pickle cannot carry
+        def fresh():
+            return FamilySummary(count=3, means=means, delta=0.02, cov_sum=0.01)
+
+        s = fresh()
+        entries = evaluate_all(s)
+        for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert back == fresh() and hash(back) == hash(fresh())
+            assert repr(back) == repr(fresh())
+            assert evaluate_all(back) == entries
 
     def test_replace_keeps_no_stale_delta_bar(self):
         s = dataclasses.replace(runs_summary(10, 2, 0.5), delta=5.0)

@@ -64,6 +64,11 @@ SLOPE_SUMS = TILTED + "test_slope_sums_match_a_60_digit_reference"
 SLOPE_REF = LV_OPTIMAL + "test_h_and_its_slope_match_a_50_digit_reference"
 AT_INFINITY = ("tests/test_bounds.py::TestIndependentLower::"
                "test_the_product_is_taken_at_infinite_t")
+ONE_BIND = "tests/test_bounds.py::TestEvaluateAll::test_a_summary_binds_its_means_once"
+COPIES = ("tests/test_family.py::TestDerivedFields::"
+          "test_an_evaluated_summary_copies_as_a_fresh_one")
+NON_NUMBER = ("tests/test_family.py::TestJsonInterchange::test_non_number_field_refused",
+              "tests/test_cli.py::TestBoundCommand::test_non_number_field_exits_two_naming_it")
 
 MUTANTS = [
     # verify: one verdict over the log interval [low, high], in both
@@ -197,39 +202,48 @@ MUTANTS = [
            "_LOG_T_TOLERANCE = 1e-9", "_LOG_T_TOLERANCE = 1e-3",
            (SEARCH + "test_searches_the_whole_range_by_newton_and_bisection",
             LV_OPTIMAL + "test_at_or_below_a_golden_section_search")),
-    # the tilted product's terms, and lv-optimal's objective over them
+    # the tilted product's bind and terms, and lv-optimal's objective over them
     Mutant("lv objective: sign of ln R1 flipped", BOUNDS,
            "- log_p - math.log(r1),", "- log_p + math.log(r1),",
            (SLOPE_REF, LV_OPTIMAL + "test_at_or_below_a_golden_section_search")),
     Mutant("lv objective: R2 dropped from dh/du", BOUNDS,
            "t * (r1 - r2 / r1)", "t * r1", (SLOPE_REF,)),
-    Mutant("tilted product: certain means left out of R1", BOUNDS,
+    Mutant("tilted product: certain means left out of R1", FAMILY,
            "e * float(q.sum()) + n_certain,", "e * float(q.sum()),", (SLOPE_SUMS,)),
-    Mutant("tilted product: near-one threshold -1 (shared mean)", BOUNDS,
+    Mutant("tilted product: near-one threshold -1 (shared mean)", FAMILY,
            "near_one = x < -0.5\n            f = ", "near_one = x < -1.0\n            f = ",
            (TILTED + "test_near_one_means_at_large_t",
             "tests/test_cli_golden.py::test_output_matches_the_recorded_one[48-bound]")),
-    Mutant("tilted product: near-one threshold -1 (several means)", BOUNDS,
+    Mutant("tilted product: near-one threshold -1 (several means)", FAMILY,
            "near_one = x < -0.5\n            p = ", "near_one = x < -1.0\n            p = ",
            (SLOPE_SUMS,)),
-    Mutant("tilted product: P(inf) taken at t = 50 (shared mean)", BOUNDS,
-           "return weight * ((math.log1p(-p) if p < 1.0 else NEG_INF) + 0.0), terms",
+    Mutant("tilted product: P(inf) taken at t = 50 (shared mean)", FAMILY,
+           "return weight * ((math.log1p(-p) if p < 1.0 else -math.inf) + 0.0), terms",
            "return terms(50.0)[0], terms", (AT_INFINITY,)),
-    Mutant("tilted product: P(inf) taken at t = 50 (several means)", BOUNDS,
-           "return (NEG_INF if n_certain else float(np.sum(np.log1p(-uncertain)))), terms",
+    Mutant("tilted product: P(inf) taken at t = 50 (several means)", FAMILY,
+           "return (-math.inf if n_certain else float(np.sum(np.log1p(-uncertain)))), terms",
            "return terms(50.0)[0], terms", (AT_INFINITY,)),
+    Mutant("tilted product: bound on every read", FAMILY,
+           "    @cached_property\n", "    @property\n", (ONE_BIND,)),
+    Mutant("__reduce__: cov_sum lost", FAMILY,
+           "self.delta, self.cov_sum)", "self.delta, 0.0)", (COPIES,)),
     Mutant("lv-iid: the factor's log through log1p near one", BOUNDS,
            "if factor < 0.5 else", "if factor < 0.0 else",
            ("tests/test_bounds.py::TestLvBounds::test_iid_matches_general_near_one_at_large_t",)),
     # a JSON boolean is not a number
     Mutant("from_json_dict: boolean means read as numbers", FAMILY,
-           "if bool in set(map(type, raw)):", "if False:",
-           ("tests/test_family.py::TestJsonInterchange::test_non_number_field_refused",
-            "tests/test_cli.py::TestBoundCommand::test_boolean_field_exits_two_naming_it")),
+           "if bool in set(map(type, raw)):", "if False:", NON_NUMBER),
     Mutant("from_json_dict: boolean sums read as numbers", FAMILY,
-           "if not isinstance(d[name], bool):", "if True:",
-           ("tests/test_family.py::TestJsonInterchange::test_non_number_field_refused",
-            "tests/test_cli.py::TestBoundCommand::test_boolean_field_exits_two_naming_it")),
+           "if not isinstance(d[name], bool):", "if True:", NON_NUMBER),
+    # and a string that is not one is refused under the field's name
+    Mutant("from_json_dict: a string mean refused by float's message", FAMILY,
+           'except (TypeError, ValueError):  # null, a boolean', "except TypeError:  #",
+           NON_NUMBER),
+    Mutant("from_json_dict: a string sum refused by float's message", FAMILY,
+           'except (TypeError, ValueError):  # null, a list', "except TypeError:  #",
+           NON_NUMBER),
+    Mutant("constructor: a string count refused by int's message", FAMILY,
+           'except (TypeError, ValueError):  # None', "except TypeError:  #", NON_NUMBER),
     Mutant("constructor: a boolean count taken", FAMILY,
            "count is None or isinstance(raw, bool) or", "count is None or",
            ("tests/test_family.py::TestConstructorGate::test_boolean_count_refused",)),
