@@ -46,7 +46,7 @@ from decimal import Decimal, localcontext
 from typing import Any, Callable
 
 from .family import FamilySummary
-from .numerics import NEG_INF, LogProb, json_log_linear, log_add_floats, minimize_scalar
+from .numerics import NEG_INF, LogProb, as_float, json_log_linear, log_add_floats, minimize_scalar
 
 # The method order of evaluate_all's entries and of compare's bound columns.
 METHOD_ORDER = (
@@ -224,7 +224,8 @@ def boutsikas_koutras(s: FamilySummary) -> BoundResult:
 
 
 def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
-    """Return (t_linear, log_t); exactly one of the inputs must be given.
+    """Return (t_linear, log_t); exactly one of the inputs must be given,
+    and it is read by ``numerics.as_float``.
 
     A log-form override reaches exponents far below the double range (the
     linear t then underflows to 0.0 but the covariance term stays exact).
@@ -232,9 +233,11 @@ def _resolve_t(t: float | None, log_t: float | None) -> tuple[float, float]:
     if (t is None) == (log_t is None):
         raise ValueError("exactly one of t / log_t must be provided")
     if t is not None:
+        t = as_float("t", t)
         if not (t > 0) or math.isinf(t):
             raise ValueError(f"t must be a positive finite real, got {t}")
         return t, math.log(t)
+    log_t = as_float("log_t", log_t)
     if not math.isfinite(log_t):
         raise ValueError(f"log_t must be finite, got {log_t}")
     if log_t >= 700.0:

@@ -17,10 +17,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Real
 from typing import Any, Callable
 
 import numpy as np
+
+from .numerics import as_float, as_int
 
 _REL_TOL_LAMBDA = 1e-10
 _REL_TOL_DERIVED = 1e-12
@@ -48,31 +49,32 @@ class FamilySummary:
     max_mean: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # the one gate for every summary: built by a model, read from JSON or given
-        raw = self.count
+        # the one gate for every summary: built by a model, read from JSON or
+        # given; each field goes through numerics' readers, the means in bulk
+        raw = self.means
+        try:  # a string is one number, as in JSON, not one mean per character
+            raw = (raw,) if isinstance(raw, str) else tuple(raw)
+        except TypeError:  # a bare number, shared by every indicator
+            raw = (raw,)
         try:
-            count = int(raw)
-        except OverflowError:  # int(inf); JSON reads 1e400 as inf
-            raise ValueError(f"count={raw} exceeds the double range (about 1.8e308)") from None
-        except (TypeError, ValueError):  # None, a list, an object; NaN, a string such as "ten"
-            count = None
-        # int() truncates, and reads True as 1
-        if count is None or isinstance(raw, bool) or isinstance(raw, Real) and count != raw:
-            raise ValueError(f"count must be an integer, got {raw!r}")
+            if bool in set(map(type, raw)):  # float() reads True as 1.0
+                raise TypeError
+            means = tuple(map(float, raw))
+        except (TypeError, ValueError, OverflowError):  # None, a list, "x"
+            raise ValueError("means must be a number or a list of numbers") from None
+        count = as_int("count", self.count)
         if count > sys.float_info.max:
             raise ValueError(
                 f"the number of indicators is about 10^{math.log10(count):.1f}, "
                 f"beyond the double range (about 1.8e308)"
             )
-        for name, x in (("delta", self.delta), ("cov_sum", self.cov_sum)):
+        for name in ("delta", "cov_sum"):
+            x = as_float(name, getattr(self, name))
             if not math.isfinite(x):  # NaN too, as 0 * inf gives it
                 raise ValueError(
                     f"{name}={x} is not a number inside the double range (about 1.8e308)"
                 )
-        try:  # a string is one number, as in JSON, not one mean per character
-            means = (float(self.means),) if isinstance(self.means, str) else tuple(self.means)
-        except TypeError:  # a bare number, shared by every indicator
-            means = (self.means,)
+            object.__setattr__(self, name, x)
         if not means:
             raise ValueError("means must hold at least one entry")
         if len(means) not in (1, count):
@@ -123,20 +125,12 @@ class FamilySummary:
         missing = required - set(d)
         if missing:
             raise ValueError(f"summary JSON missing fields: {sorted(missing)}")
-        listed = isinstance(d["means"], list)
-        raw = d["means"] if listed else [d["means"]]  # one entry: the shared mean
-        try:
-            if bool in set(map(type, raw)):  # float() reads true as 1.0
-                raise TypeError
-            means = tuple(map(float, raw))
-        except (TypeError, ValueError):  # null, a boolean, a list, an object or "x"
-            raise ValueError("means must be a number or a list of numbers") from None
-        lam, delta, delta_bar, cov_sum, max_mean = (
-            _number(d, k) for k in ("lambda", "delta", "delta_bar", "cov_sum", "max_mean")
-        )
-        s = cls(count=d["count"], means=means, delta=delta, cov_sum=cov_sum)
-        if listed and len(means) != s.count:
-            raise ValueError(f"means has {len(means)} entries but count is {s.count}")
+        listed = isinstance(d["means"], list)  # else the one shared mean
+        s = cls(count=d["count"], means=d["means"] if listed else (d["means"],),
+                delta=d["delta"], cov_sum=d["cov_sum"])
+        if listed and len(s.means) != s.count:
+            raise ValueError(f"means has {len(s.means)} entries but count is {s.count}")
+        lam, delta_bar, max_mean = (as_float(k, d[k]) for k in ("lambda", "delta_bar", "max_mean"))
         if not _rel_close(lam, s.lambda_, _REL_TOL_LAMBDA):
             raise ValueError(f"lambda={lam} does not match the sum of means {s.lambda_}")
         if not _rel_close(delta_bar, lam + 2.0 * s.delta, _REL_TOL_DERIVED):
@@ -153,15 +147,6 @@ class FamilySummary:
     @classmethod
     def from_json(cls, text: str) -> "FamilySummary":
         return cls.from_json_dict(json.loads(text))
-
-
-def _number(d: dict[str, Any], name: str) -> float:
-    if not isinstance(d[name], bool):  # float() reads true as 1.0
-        try:
-            return float(d[name])
-        except (TypeError, ValueError):  # null, a list, an object or "abc"
-            pass
-    raise ValueError(f"{name} must be a number, got {d[name]!r}")
 
 
 def _rel_close(a: float, b: float, rel: float) -> bool:

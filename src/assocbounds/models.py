@@ -41,13 +41,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from numbers import Real
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from .family import FamilySummary, ModelSpec
-from .numerics import NEG_INF, LogProb
+from .numerics import NEG_INF, LogProb, as_float, as_int
 
 FIRST_PRINCIPLES = "first-principles"
 PAPER_AS_PRINTED = "paper-as-printed"
@@ -132,10 +131,9 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 
     A ValueError refuses, in this order, a model not a ``str``, params not a
     ``Mapping``, an unknown model, a missing parameter, a parameter the family
-    does not take, a value the cast cannot read (``int(inf)``, ``int([10])``,
-    ``int("10.7")``; ``int("10")`` is 10), a fractional value of an ``int``
-    parameter, which the cast would truncate, and the family's range
-    violations, joined by "; ".
+    does not take, a value that ``numerics.as_int`` or ``as_float`` refuses
+    (a boolean, a fraction of an ``int`` parameter, what the cast cannot
+    read), and the family's range violations, joined by "; ".
     """
     for field, value, want in (("model", spec.model, str), ("params", spec.params, Mapping)):
         if not isinstance(value, want):
@@ -150,18 +148,11 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
     foreign = [x for x in params if x not in family.params]
     if foreign:
         raise ValueError(f"{model} takes no parameters {foreign}")
+    read = {int: as_int, float: as_float}
     try:
-        q = {name: to(params[name]) for name, to in family.params.items()}
-    except (OverflowError, TypeError, ValueError) as exc:
+        q = {x: read[to](x, params[x]) for x, to in family.params.items()}
+    except ValueError as exc:
         raise ValueError(f"{model}: {exc}") from None
-    fractional = [
-        f"{x}={params[x]}" for x in q
-        if family.params[x] is int and isinstance(params[x], Real) and q[x] != params[x]
-    ]
-    if fractional:
-        raise ValueError(
-            f"{model}: integer parameters got fractional values: {', '.join(fractional)}"
-        )
     _refuse(family.check(**q))
     return family, q
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 NEG_INF = float("-inf")
 
@@ -82,10 +82,43 @@ def json_log_linear(lp: LogProb | None) -> tuple[float | None, float | None]:
     return (None if lv == NEG_INF else lv), linear
 
 
-def check_level(level: float) -> None:
-    """Refuse a confidence level outside (0, 1), NaN included."""
+def as_int(name: str, x: Any) -> int:
+    """The one reader of an integer a caller passes: ``int(x)``, or a
+    ValueError naming ``name`` for a boolean, for what int() cannot read
+    ("ten", None, NaN, inf) and for a fraction, which int() would truncate.
+    An integral float or string reads (``10.0`` and ``"10"`` are 10)."""
+    try:
+        n = int(x)
+    except OverflowError:  # int(inf); JSON reads 1e400 as inf
+        raise ValueError(f"{name}={x} lies beyond the double range (about 1.8e308)") from None
+    except (TypeError, ValueError):
+        n = None
+    if n is None or isinstance(x, bool) or not isinstance(x, str) and n != x:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return n
+
+
+def as_float(name: str, x: Any) -> float:
+    """The one reader of a real number a caller passes: ``float(x)``, or a
+    ValueError naming ``name`` for a boolean and for what float() cannot
+    read ("abc", None, a list, an int beyond the double range).  A string
+    that reads as a number is that number; inf and NaN read."""
+    if not isinstance(x, bool):  # float() reads True as 1.0
+        try:
+            return float(x)
+        except OverflowError:  # an int such as 10**400
+            raise ValueError(f"{name} lies beyond the double range (about 1.8e308)") from None
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {x!r}")
+
+
+def check_level(level: float) -> float:
+    """The confidence level read as a float, refused outside (0, 1), NaN included."""
+    level = as_float("level", level)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
+    return level
 
 
 @dataclass(frozen=True)

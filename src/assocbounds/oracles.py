@@ -15,7 +15,7 @@ import numpy as np
 
 from .family import ModelSpec
 from .models import bind, simulate_batch, trial_uniforms
-from .numerics import ConfidenceInterval, LogProb, check_level, clopper_pearson
+from .numerics import ConfidenceInterval, LogProb, as_int, check_level, clopper_pearson
 
 DEFAULT_SEED = 0xA55C1A7E  # documented constant so bare runs are reproducible
 
@@ -58,23 +58,29 @@ _BATCH_WORDS = 4_000_000
 MAX_WORKERS = 64
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a seed outside [0, 2**128), the Philox key range, which every
-    command's --seed shares."""
+def check_seed(seed: int) -> int:
+    """The seed read as an int, refused outside [0, 2**128), the Philox key
+    range, which every command's --seed shares."""
+    seed = as_int("seed", seed)
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
 
 
-def check_run(trials: int, level: float, seed: int, workers: int = 1) -> None:
-    """Refuse, in this order, a trial count below 1, a worker count outside
-    [1, MAX_WORKERS], a level outside (0, 1) or a seed outside [0, 2**128)
-    (:func:`check_seed`); run before any trial."""
+def check_run(
+    trials: int, level: float, seed: int, workers: int = 1
+) -> tuple[int, float, int, int]:
+    """(trials, level, seed, workers) as ``numerics.as_int`` and ``as_float``
+    read them, refusing, in this order, a trial count below 1, a worker count
+    outside [1, MAX_WORKERS], a level outside (0, 1) or a seed outside
+    [0, 2**128) (:func:`check_seed`), each after its read; run before any trial."""
+    trials = as_int("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    workers = as_int("workers", workers)
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    check_level(level)
-    check_seed(seed)
+    return trials, check_level(level), check_seed(seed), workers
 
 
 def monte_carlo(
@@ -93,7 +99,7 @@ def monte_carlo(
     trial count, worker count, level or seed is refused before any trial.
     """
     family, q = bind(spec)
-    check_run(trials, level, seed, workers)
+    trials, level, seed, workers = check_run(trials, level, seed, workers)
     batch = max(1, _BATCH_WORDS // family.budget(**q))
 
     def count(start: int, stop: int) -> int:

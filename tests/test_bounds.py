@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import collections
 import math
+import re
 import statistics
 import sys
 from fractions import Fraction
@@ -369,6 +370,32 @@ class TestLvBounds:
                 lv_general(s, bad)
         with pytest.raises(ValueError):
             lv_general(s)  # neither t nor log_t
+
+    @pytest.mark.parametrize("bound", [lv_general, lv_iid])
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            # float() reads True as 1.0, which was reported as "t": true
+            ({"t": True}, "t must be a number, got True"),
+            ({"log_t": True}, "log_t must be a number, got True"),
+            # these raised a bare TypeError
+            ({"t": [0.5]}, "t must be a number, got [0.5]"),
+            ({"log_t": "abc"}, "log_t must be a number, got 'abc'"),
+        ],
+    )
+    def test_non_number_t_refused_by_name(self, bound, override, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bound(homog(3, 0.1, 0.0, 0.0), **override)
+
+    @pytest.mark.parametrize("bound", [lv_general, lv_iid])
+    def test_t_read_as_a_float(self, bound):
+        # as the readers read every number a caller passes
+        s = homog(3, 0.1, 0.02, 0.01)
+        for override, read in (({"t": "0.5"}, {"t": 0.5}), ({"log_t": "-2"}, {"log_t": -2.0}),
+                               ({"t": np.float32(0.5)}, {"t": 0.5})):
+            got = bound(s, **override)
+            assert got == bound(s, **read)
+            assert type(got.t) is float and type(got.log_t) is float
 
     @pytest.mark.parametrize(
         "log_t,reason", [(math.nan, "must be finite"), (800.0, "t would overflow")]

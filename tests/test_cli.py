@@ -234,9 +234,13 @@ class TestBoundCommand:
              '"cov_sum": 0, "max_mean": 0.1}', "means must be a number or a list of numbers"),
             ('{"count": "ten", "means": 0.1, "lambda": 1.0, "delta": 0, "delta_bar": 1.0, '
              '"cov_sum": 0, "max_mean": 0.1}', "count must be an integer, got 'ten'"),
+            # an integer literal float() cannot hold: it raised OverflowError
+            ('{"count": 10, "means": 0.1, "lambda": 1.0, "delta": 1%s, "delta_bar": 1.4, '
+             '"cov_sum": 0.05, "max_mean": 0.1}' % ("0" * 400),
+             "delta lies beyond the double range (about 1.8e308)"),
         ],
         ids=["all-booleans", "true-count", "true-mean", "false-cov-sum",
-             "string-delta", "string-mean", "string-count"],
+             "string-delta", "string-mean", "string-count", "10^400-delta"],
     )
     def test_non_number_field_exits_two_naming_it(self, capsys, text, message):
         # JSON true and false are not the numbers 1 and 0, nor is "abc" a number

@@ -8,9 +8,11 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +114,32 @@ class TestConstructorGate:
     def test_boolean_count_refused(self, count):
         with pytest.raises(ValueError, match=f"count must be an integer, got {count}"):
             consistent_summary(count=count)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            # float() reads True as 1.0
+            ("means", (True, 0.2, 0.3), "means must be a number or a list of numbers"),
+            ("means", True, "means must be a number or a list of numbers"),
+            ("delta", True, "delta must be a number, got True"),
+            ("cov_sum", False, "cov_sum must be a number, got False"),
+            # these raised a bare TypeError, or float's own ValueError
+            ("means", ("x",), "means must be a number or a list of numbers"),
+            ("means", None, "means must be a number or a list of numbers"),
+            ("delta", "abc", "delta must be a number, got 'abc'"),
+            ("cov_sum", None, "cov_sum must be a number, got None"),
+            # float(10**400) raises OverflowError
+            ("delta", 10**400, "delta lies beyond the double range (about 1.8e308)"),
+        ],
+    )
+    def test_non_number_field_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            consistent_summary(**{field: value})
+
+    def test_fields_are_stored_as_read(self):
+        s = FamilySummary(count="3", means=[1, "0.5", np.float64(0.25)], delta=1, cov_sum="0")
+        assert (s.count, s.means, s.delta, s.cov_sum) == (3, (1.0, 0.5, 0.25), 1.0, 0.0)
+        assert {type(x) for x in (s.delta, s.cov_sum, *s.means)} == {float}
 
     @pytest.mark.parametrize("field", ["delta", "cov_sum"])
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -338,24 +366,42 @@ class TestModelSpec:
         assert refusal("runs", {"n": 1, "k": 0, "p": 2.0}) == (
             "runs requires k >= 1, got k=0; runs requires p in [0, 1], got p=2.0"
         )
-        # the int cast would truncate these to n=10, k=2; integral floats,
-        # as JSON may carry them, still cast
+        # int() would truncate these to n=10, k=2; the first refused is named,
+        # and integral floats, as JSON may carry them, still read
         assert refusal("runs", {"n": 10.7, "k": 2.9, "p": 0.5}) == (
-            "model 'runs': integer parameters got fractional values: n=10.7, k=2.9"
+            "model 'runs': n must be an integer, got 10.7"
+        )
+        assert refusal("runs", {"n": 10, "k": 2.9, "p": 0.5}) == (
+            "model 'runs': k must be an integer, got 2.9"
         )
         assert refusal("runs", {"n": 10.0, "k": 2.0, "p": 0.5}) is None
-        # a string is left to the cast, which reads an integral one
-        assert refusal("runs", {"n": "10", "k": "2", "p": 0.5}) is None
-        out = refusal("runs", {"n": "10.7", "k": 2, "p": 0.5})
-        assert out.startswith("model 'runs': invalid literal") and "fractional" not in out
+        # a string reads as int() and float() read it
+        assert refusal("runs", {"n": "10", "k": "2", "p": "0.5"}) is None
+        assert refusal("runs", {"n": "10.7", "k": 2, "p": 0.5}) == (
+            "model 'runs': n must be an integer, got '10.7'"
+        )
+        # int() and float() read a boolean as 1 or 0
+        assert refusal("runs", {"n": 10, "k": True, "p": 0.5}) == (
+            "model 'runs': k must be an integer, got True"
+        )
+        assert refusal("runs", {"n": 10, "k": 2, "p": True}) == (
+            "model 'runs': p must be a number, got True"
+        )
         # a library caller can pass these; int() raises OverflowError at inf
-        for bad in (math.nan, math.inf, -math.inf):
-            out = refusal("runs", {"n": bad, "k": 2, "p": 0.5})
-            assert out.startswith("model 'runs': cannot convert float")
+        assert refusal("runs", {"n": math.nan, "k": 2, "p": 0.5}) == (
+            "model 'runs': n must be an integer, got nan"
+        )
+        for bad in (math.inf, -math.inf):
+            assert refusal("runs", {"n": bad, "k": 2, "p": 0.5}) == (
+                f"model 'runs': n={bad} lies beyond the double range (about 1.8e308)"
+            )
         # and a non-number, which the cast refuses with a TypeError
-        for params in ({"n": [10], "k": 2, "p": 0.5}, {"n": 10, "k": 2, "p": [0.5]}):
-            out = refusal("runs", params)
-            assert out.startswith("model 'runs': ") and "not 'list'" in out
+        assert refusal("runs", {"n": [10], "k": 2, "p": 0.5}) == (
+            "model 'runs': n must be an integer, got [10]"
+        )
+        assert refusal("runs", {"n": 10, "k": 2, "p": [0.5]}) == (
+            "model 'runs': p must be a number, got [0.5]"
+        )
 
     def test_remaining_models(self):
         assert refusal("triangles", {"n": 3, "p": 0.0}) is None
@@ -369,7 +415,9 @@ class TestModelSpec:
         assert "ustat requires 1 <= k <= n" in refusal("ustat", {"n": 4, "k": 5, "p": 0.5})
         assert refusal("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4}) is None
         assert "2 <= k <= N" in refusal("hypergraph-cover", {"N": 6, "k": 1, "n_draws": 4})
-        assert "n_draws=4.5" in refusal("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4.5})
+        assert refusal("hypergraph-cover", {"N": 6, "k": 3, "n_draws": 4.5}) == (
+            "model 'hypergraph-cover': n_draws must be an integer, got 4.5"
+        )
         assert refusal("nope", {}) == (
             "unknown model 'nope'; expected one of "
             "('runs', 'triangles', 'ustat', 'hypergraph-cover')"

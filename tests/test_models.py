@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import functools
+import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -608,6 +610,37 @@ class TestSampling:
         spec = ModelSpec("runs", {"n": 30, "k": 3, "p": 0.3})
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
             monte_carlo(spec, 3_000_000, seed=seed, workers=2)
+
+    @pytest.mark.usefixtures("no_trials")
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            # these ran seed 1's stream and reported the seed given
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", 1.9, "seed must be an integer, got 1.9"),
+            ("seed", True, "seed must be an integer, got True"),
+            # reported as "trials": true
+            ("trials", True, "trials must be an integer, got True"),
+            ("trials", 100.5, "trials must be an integer, got 100.5"),
+            ("workers", 2.5, "workers must be an integer, got 2.5"),
+            ("level", True, "level must be a number, got True"),
+            ("level", "high", "level must be a number, got 'high'"),
+        ],
+    )
+    def test_fraction_or_boolean_option_refused_before_any_trial(self, option, value, message):
+        spec = ModelSpec("runs", {"n": 20, "k": 2, "p": 0.3})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            monte_carlo(spec, **{"trials": 20_000, option: value})
+
+    def test_integral_options_run_as_their_ints(self):
+        # 100.0 trials and 2.0 workers crashed with TypeError, "7" as a seed too
+        spec = ModelSpec("runs", {"n": 20, "k": 2, "p": 0.3})
+        want = monte_carlo(spec, 20_000, seed=7, workers=2)
+        for got in (monte_carlo(spec, 20_000.0, seed=7.0, workers=2.0),
+                    monte_carlo(spec, 20_000, seed="7", workers=2, level="0.95")):
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+            assert (type(got.trials), type(got.seed)) == (int, int)
+        assert monte_carlo(spec, 20_000, seed=1).successes == 4466
 
     @pytest.mark.parametrize("seed", [0, 2**128 - 1])
     def test_seed_range_ends_accepted(self, seed):

@@ -67,6 +67,12 @@ AT_INFINITY = ("tests/test_bounds.py::TestIndependentLower::"
 ONE_BIND = "tests/test_bounds.py::TestEvaluateAll::test_a_summary_binds_its_means_once"
 COPIES = ("tests/test_family.py::TestDerivedFields::"
           "test_an_evaluated_summary_copies_as_a_fresh_one")
+GATE_FIELDS = "tests/test_family.py::TestConstructorGate::test_non_number_field_refused"
+RUNS_REGION = "tests/test_family.py::TestModelSpec::test_runs_parameter_region"
+T_NAMED = "tests/test_bounds.py::TestLvBounds::test_non_number_t_refused_by_name"
+RUN_OPTIONS = ("tests/test_models.py::TestSampling::"
+               "test_fraction_or_boolean_option_refused_before_any_trial")
+RUN_OPTIONS_READ = "tests/test_models.py::TestSampling::test_integral_options_run_as_their_ints"
 NON_NUMBER = ("tests/test_family.py::TestJsonInterchange::test_non_number_field_refused",
               "tests/test_cli.py::TestBoundCommand::test_non_number_field_exits_two_naming_it")
 
@@ -230,23 +236,37 @@ MUTANTS = [
     Mutant("lv-iid: the factor's log through log1p near one", BOUNDS,
            "if factor < 0.5 else", "if factor < 0.0 else",
            ("tests/test_bounds.py::TestLvBounds::test_iid_matches_general_near_one_at_large_t",)),
-    # a JSON boolean is not a number
-    Mutant("from_json_dict: boolean means read as numbers", FAMILY,
-           "if bool in set(map(type, raw)):", "if False:", NON_NUMBER),
-    Mutant("from_json_dict: boolean sums read as numbers", FAMILY,
-           "if not isinstance(d[name], bool):", "if True:", NON_NUMBER),
+    # a boolean is not a number, in JSON or from a library caller
+    Mutant("constructor: boolean means read as numbers", FAMILY,
+           "if bool in set(map(type, raw)):", "if False:", NON_NUMBER + (GATE_FIELDS,)),
+    Mutant("from_json_dict: boolean restated sums read as numbers", FAMILY,
+           "(as_float(k, d[k]) for k in", "(float(d[k]) for k in", NON_NUMBER),
+    Mutant("as_float: a boolean read as a number", NUMERICS,
+           "if not isinstance(x, bool):  # float() reads True as 1.0", "if True:  #",
+           NON_NUMBER + (GATE_FIELDS, RUNS_REGION, T_NAMED)),
+    Mutant("as_int: a boolean read as a number", NUMERICS,
+           "n is None or isinstance(x, bool) or", "n is None or",
+           ("tests/test_family.py::TestConstructorGate::test_boolean_count_refused",
+            RUNS_REGION, RUN_OPTIONS)),
+    # a fraction is not an integer
+    Mutant("as_int: a fraction truncated", NUMERICS,
+           " or not isinstance(x, str) and n != x:", ":",
+           ("tests/test_family.py::TestConstructorGate::test_fractional_count_refused",
+            RUNS_REGION, RUN_OPTIONS)),
     # and a string that is not one is refused under the field's name
-    Mutant("from_json_dict: a string mean refused by float's message", FAMILY,
-           'except (TypeError, ValueError):  # null, a boolean', "except TypeError:  #",
-           NON_NUMBER),
-    Mutant("from_json_dict: a string sum refused by float's message", FAMILY,
-           'except (TypeError, ValueError):  # null, a list', "except TypeError:  #",
-           NON_NUMBER),
-    Mutant("constructor: a string count refused by int's message", FAMILY,
-           'except (TypeError, ValueError):  # None', "except TypeError:  #", NON_NUMBER),
-    Mutant("constructor: a boolean count taken", FAMILY,
-           "count is None or isinstance(raw, bool) or", "count is None or",
-           ("tests/test_family.py::TestConstructorGate::test_boolean_count_refused",)),
+    Mutant("constructor: a string mean refused by float's message", FAMILY,
+           'except (TypeError, ValueError, OverflowError):  # None, a list, "x"',
+           "except (TypeError, OverflowError):  #", NON_NUMBER + (GATE_FIELDS,)),
+    Mutant("as_float: a string refused by float's message", NUMERICS,
+           "        except (TypeError, ValueError):\n            pass",
+           "        except TypeError:\n            pass", NON_NUMBER + (GATE_FIELDS,)),
+    Mutant("as_int: a string refused by int's message", NUMERICS,
+           "    except (TypeError, ValueError):\n        n = None",
+           "    except TypeError:\n        n = None", NON_NUMBER),
+    # the run options and t are used as read
+    Mutant("monte_carlo: the unread seed used", "assocbounds/oracles.py",
+           "trials, level, seed, workers = check_run(", "trials, level, _, workers = check_run(",
+           (RUN_OPTIONS_READ,)),
     # the samplers under the Philox stream contract
     Mutant("_word_limit: off by one", MODELS,
            "return (math.ceil(p * 2**53) << 11) - 1", "return math.ceil(p * 2**53) << 11",
