@@ -158,7 +158,7 @@ def bind(spec: ModelSpec) -> tuple[Family, dict[str, Any]]:
 
 
 # Words (512 KB) that one gather step reads: the cover sampler's mask words
-# (trials x draws x words), and _none_all_ones's packed bytes per set member.
+# (live trials x draws x words), and _none_all_ones's packed bytes per set member.
 _GATHER_WORDS = 1 << 16
 
 
@@ -725,26 +725,40 @@ def _hyper_sample(w: np.ndarray, N: int, k: int, n_draws: int) -> np.ndarray:
     words w (rows, n_draws * k), k per draw.
 
     Each step converts only its own draws' words (:func:`_choices`), so the
-    batch is never held as doubles.  The batch stops early once every trial
-    is covered, which cannot change any trial's outcome.
+    batch is never held as doubles.  Only the live rows, the trials not yet
+    covered, take part: once a step covers at least an eighth of them, the
+    covered ones are recorded and drop out, and the next steps, sized to
+    _GATHER_WORDS over the rows left, grow longer.  The batch stops once no
+    row is live.  A trial still reads the same words until it is covered,
+    so no outcome changes.
     """
-    batch = w.shape[0]
     table = _cover_table(N, k)
     if table is None:
         return _hyper_sample_by_draw(w, N, k, n_draws)
     full = np.bitwise_or.reduce(table)  # every edge lies in some draw
-    step = max(1, min(n_draws, _GATHER_WORDS // (max(batch, 1) * table.shape[1])))
-    covered = np.zeros((batch, table.shape[1]), dtype=np.uint64)
-    for r in range(0, n_draws, step):
-        draws = min(step, n_draws - r)
-        choice = _choices(w[:, r * k : (r + draws) * k], N, k).reshape(batch, draws, k)
+    out = np.zeros(w.shape[0], dtype=bool)
+    live = np.arange(w.shape[0])
+    covered = np.zeros((len(live), table.shape[1]), dtype=np.uint64)
+    done = np.zeros(len(live), dtype=bool)
+    r = 0
+    while r < n_draws and len(live):
+        draws = max(1, min(n_draws - r, _GATHER_WORDS // (len(live) * table.shape[1])))
+        # until a row drops out, a view: strided words convert faster than a gather
+        rows = live if len(live) < len(out) else slice(None)
+        choice = _choices(w[rows, r * k : (r + draws) * k], N, k).reshape(len(live), draws, k)
         code = choice[..., 0]
         for j in range(1, k):
             code = code * (N - j) + choice[..., j]
         covered |= np.bitwise_or.reduce(table[code], axis=1)
-        if (covered == full).all():
-            break
-    return (covered == full).all(axis=1)
+        r += draws
+        done = covered[:, 0] == full[0]  # faster than all(axis=1) over a few words
+        for j in range(1, len(full)):
+            done &= covered[:, j] == full[j]
+        if 8 * np.count_nonzero(done) >= len(live):
+            out[live[done]] = True
+            live, covered, done = live[~done], covered[~done], done[~done]
+    out[live] = done
+    return out
 
 
 def _hyper_sample_by_draw(w: np.ndarray, N: int, k: int, n_draws: int) -> np.ndarray:

@@ -135,7 +135,7 @@ class ConfidenceInterval:
                 f"interval must satisfy 0 <= lower <= upper <= 1, "
                 f"got [{self.lower}, {self.upper}]"
             )
-        check_level(self.level)
+        object.__setattr__(self, "level", check_level(self.level))
 
     def contains(self, x: float) -> bool:
         return self.lower <= x <= self.upper

@@ -15,7 +15,9 @@ import numpy as np
 
 from .family import ModelSpec
 from .models import bind, simulate_batch, trial_uniforms
-from .numerics import ConfidenceInterval, LogProb, as_int, check_level, clopper_pearson
+from .numerics import (
+    ConfidenceInterval, LogProb, as_float, as_int, check_level, clopper_pearson,
+)
 
 DEFAULT_SEED = 0xA55C1A7E  # documented constant so bare runs are reproducible
 
@@ -158,6 +160,7 @@ def mgf_gap_check(
         )
     if abs(float(probs.sum()) - 1.0) > 1e-9 or (probs < -1e-12).any():
         raise ValueError("joint law must be a probability vector summing to 1")
+    t = as_float("t", t)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if not m * t <= math.log(sys.float_info.max):  # an infinite t too

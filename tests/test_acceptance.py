@@ -47,6 +47,7 @@ from assocbounds.models import (
     triangle_free_exact,
     ustat_zero_exact,
 )
+from assocbounds.numerics import LOG_RTOL, NEG_INF, log_exceeds
 from assocbounds.oracles import (
     DEFAULT_SEED,
     mgf_gap_check,
@@ -57,30 +58,14 @@ from assocbounds.oracles import (
 
 TOL = 1e-9
 P_GRID = (0.05, 0.1, 0.3, 0.5)
-# Relative tolerance on log values.  Float noise in the log-domain bounds
-# and oracles stays near 1e-15 here; (5,3,64) is the tightest true gap in
-# the coverage matrix, with a product below the truth by a relative 7.8e-10.
-LOG_RTOL = 1e-12
-NEG_INF = float("-inf")
+# Log values compare by numerics.log_exceeds, at a relative LOG_RTOL of
+# 1e-12.  Float noise in the log-domain bounds and oracles stays near 1e-15
+# here; (5,3,64) is the tightest true gap in the coverage matrix, with a
+# product below the truth by a relative 7.8e-10.
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def log_exceeds(a: float, b: float) -> bool:
-    """True iff log value ``a`` lies above ``b`` by more than LOG_RTOL of the
-    larger magnitude.
-
-    Unlike an absolute linear tolerance, this still separates values far
-    below the tolerance.  -inf (exactly zero) lies below every finite value
-    rather than widening the tolerance to infinity.
-    """
-    if a == NEG_INF:
-        return False
-    if b == NEG_INF:
-        return True
-    return a - b > LOG_RTOL * max(abs(a), abs(b))
 
 
 def domination_failures(spec: ModelSpec, truth: float, check_lower: bool) -> list[str]:

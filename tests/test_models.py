@@ -668,6 +668,8 @@ class TestPhiloxContract:
         [
             ("hypergraph-cover", {"N": 10, "k": 3, "n_draws": 60}, 20_000, 9509),
             ("hypergraph-cover", {"N": 12, "k": 4, "n_draws": 30}, 20_000, 324),
+            # the mc-cover shape: every trial covers, most well before draw 200
+            ("hypergraph-cover", {"N": 10, "k": 3, "n_draws": 200}, 20_000, 20_000),
             # over the table cap: sampled draw by draw
             ("hypergraph-cover", {"N": 16, "k": 6, "n_draws": 25}, 5_000, 92),
             ("runs", {"n": 100, "k": 3, "p": 0.3}, 100_000, 13013),
@@ -701,20 +703,32 @@ def fresh_cover_tables():
 @pytest.mark.usefixtures("fresh_cover_tables")
 class TestCoverTable:
     @pytest.mark.parametrize(
-        "N,k,n_draws",
+        "N,k,n_draws,rows,gather_words",
         [
-            (6, 2, 20),  # k = 2
-            (5, 5, 3),  # k = N
-            (7, 3, 1),  # one draw
-            (10, 3, 60),
-            (12, 4, 30),  # 66 edges: two mask words
-            (20, 3, 150),  # 190 edges: three mask words
-            (6, 3, 200),  # every trial covers within a few table steps
+            pytest.param(6, 2, 20, 3000, None, id="6-2-20"),  # k = 2
+            pytest.param(5, 5, 3, 3000, None, id="5-5-3"),  # k = N
+            pytest.param(7, 3, 1, 3000, None, id="7-3-1"),  # one draw
+            pytest.param(10, 3, 60, 3000, None, id="10-3-60"),
+            # 66 edges: two mask words; few trials cover, so none drops out
+            pytest.param(12, 4, 30, 3000, None, id="12-4-30"),
+            pytest.param(20, 3, 150, 3000, None, id="20-3-150"),  # 190 edges: three words
+            # every trial covers within a few table steps
+            pytest.param(6, 3, 200, 3000, None, id="6-3-200"),
+            # the mc-cover shape: most trials drop out long before draw 200
+            pytest.param(10, 3, 200, 3000, None, id="10-3-200"),
+            # steps lengthen as trials drop out
+            pytest.param(10, 3, 400, 3000, None, id="10-3-400"),
+            # one row: one step of all its draws
+            pytest.param(10, 3, 200, 1, None, id="10-3-200-one-row"),
+            # every step one draw, so trials drop out after any draw
+            pytest.param(10, 3, 60, 3000, 1, id="10-3-60-one-draw-steps"),
         ],
     )
-    def test_table_equals_draw_by_draw(self, N, k, n_draws, monkeypatch):
+    def test_table_equals_draw_by_draw(self, N, k, n_draws, rows, gather_words, monkeypatch):
         spec = ModelSpec("hypergraph-cover", {"N": N, "k": k, "n_draws": n_draws})
-        u = trial_uniforms(spec, 4242, 0, 3000)
+        u = trial_uniforms(spec, 4242, 0, rows)
+        if gather_words is not None:
+            monkeypatch.setattr(models, "_GATHER_WORDS", gather_words)
         by_table = simulate_batch(spec, u)
         assert models._cover_table(N, k) is not None
         monkeypatch.setattr(models, "_TABLE_WORDS", 0)

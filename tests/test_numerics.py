@@ -244,6 +244,11 @@ class TestClopperPearson:
         with pytest.raises(ValueError):
             ConfidenceInterval(lower=0.7, upper=0.3, level=0.9)
 
+    def test_level_stored_as_read(self):
+        # it stored the string it was given
+        ci = ConfidenceInterval(0.1, 0.2, "0.95")
+        assert ci.level == 0.95 and type(ci.level) is float
+
     def test_empirical_coverage(self):
         # 10^4 simulated binomials; exact CIs must cover at >= 0.94
         rng = np.random.default_rng(20240817)

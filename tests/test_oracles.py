@@ -431,6 +431,14 @@ class TestMgfGapCheck:
         with pytest.raises(ValueError, match=r"m\*t must be at most ln\(DBL_MAX\)"):
             mgf_gap_check(joint, t)
 
+    def test_t_read_as_a_float(self):
+        # as the readers read every number a caller passes: True ran as
+        # t = 1, and "0.5" raised a bare TypeError
+        joint = np.array([0.6, 0.1, 0.1, 0.2])
+        assert mgf_gap_check(joint, "0.5") == mgf_gap_check(joint, 0.5)
+        with pytest.raises(ValueError, match=r"^t must be a number, got True$"):
+            mgf_gap_check(joint, True)
+
     def test_t_just_inside_the_double_range_computes(self):
         gap, bound, holds = mgf_gap_check(np.array([0.7, 0.0, 0.0, 0.3]), 354.0)
         assert math.isfinite(gap) and holds and bound == math.inf

@@ -274,8 +274,15 @@ MUTANTS = [
     Mutant("_choices: reads w >> 12", MODELS,
            "scaled = (w >> 11).view(np.int64)", "scaled = (w >> 12).view(np.int64)",
            ("tests/test_models.py::TestPhiloxWords::test_choices_match_the_doubles",)),
-    Mutant("_hyper_sample: stops once any trial is covered", MODELS,
-           "if (covered == full).all():", "if (covered == full).any():", (COVER_TABLE,)),
+    # covered trials drop out of the table sampler's later steps
+    Mutant("_hyper_sample: marks the uncovered rows done", MODELS,
+           "out[live[done]] = True", "out[live[~done]] = True", (COVER_TABLE,)),
+    Mutant("_hyper_sample: compacts covered but not live", MODELS,
+           "live, covered, done = live[~done],", "live, covered, done = live,", (COVER_TABLE,)),
+    Mutant("_hyper_sample: drops the rows still live at the end", MODELS,
+           "    out[live] = done\n", "", (COVER_TABLE,)),
+    Mutant("_hyper_sample: done skips the second mask word", MODELS,
+           "for j in range(1, len(full)):", "for j in range(2, len(full)):", (COVER_TABLE,)),
     Mutant("_hyper_sample: Horner radix N - j - 1", MODELS,
            "code = code * (N - j) + choice[..., j]",
            "code = code * (N - j - 1) + choice[..., j]", (COVER_TABLE,)),
