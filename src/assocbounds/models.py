@@ -490,8 +490,9 @@ def ustat_summary(
 
 def _ustat_sample(w: np.ndarray, n: int, k: int, p: float) -> np.ndarray:
     """Per row of n words, whether fewer than k of the n variables succeed;
-    the hits are counted in the smallest unsigned dtype that holds n."""
-    ones = _below(w, p).sum(axis=1, dtype=np.min_scalar_type(n))
+    the hits are counted in the smallest unsigned dtype that holds n, by
+    einsum over the mask's bytes, which sums short rows faster than sum."""
+    ones = np.einsum("ij->i", _below(w, p).view(np.uint8), dtype=np.min_scalar_type(n))
     return ones < k
 
 

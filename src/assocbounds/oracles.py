@@ -54,10 +54,24 @@ class EstimateWithCI:
 # Monte Carlo driver.
 # ---------------------------------------------------------------------------
 
-# Philox words (32 MB) that one batch of trials holds, per worker.
-_BATCH_WORDS = 4_000_000
+# Philox words (4 MiB) that one batch of trials holds, per worker.  Each
+# pool thread's malloc arena keeps the high-water mark of the batches it
+# served, so this sets the memory Monte Carlo adds to the process.
+_BATCH_WORDS = 1 << 19
+# Trials a batch holds at least, where that stays within _MAX_BATCH_WORDS:
+# the bit-sliced and draw-by-draw samplers pay a fixed cost per step, which
+# a few hundred rows of a wide trial do not cover.
+_MIN_ROWS = 2048
+_MAX_BATCH_WORDS = 4_000_000
 # Checked before the pool starts, so an oversized request starts no threads.
 MAX_WORKERS = 64
+
+
+def _batch_rows(budget: int) -> int:
+    """Trials a batch of :func:`monte_carlo` draws at `budget` words a
+    trial: _BATCH_WORDS words, or _MIN_ROWS trials where those fit in
+    _MAX_BATCH_WORDS words, and at least one trial."""
+    return max(_BATCH_WORDS // budget, min(_MIN_ROWS, _MAX_BATCH_WORDS // budget), 1)
 
 
 def check_seed(seed: int) -> int:
@@ -102,7 +116,7 @@ def monte_carlo(
     """
     family, q = bind(spec)
     trials, level, seed, workers = check_run(trials, level, seed, workers)
-    batch = max(1, _BATCH_WORDS // family.budget(**q))
+    batch = _batch_rows(family.budget(**q))
 
     def count(start: int, stop: int) -> int:
         # no name holds a batch's words, so each is freed before the next is drawn

@@ -688,6 +688,7 @@ class TestPhiloxContract:
     ):
         if schedule == "small batches":
             monkeypatch.setattr(oracles, "_BATCH_WORDS", 5000)
+            monkeypatch.setattr(oracles, "_MIN_ROWS", 1)
         workers = int(schedule[-1]) if schedule.startswith("workers=") else 1
         est = monte_carlo(ModelSpec(model, params), trials, seed=DEFAULT_SEED, workers=workers)
         assert est.successes == successes
@@ -833,9 +834,9 @@ class TestNoneAllOnes:
         ],
     )
     def test_full_batch_memory_does_not_grow(self, spec):
-        # one full batch, packed and gathered in bounded steps: about 5 MiB
+        # 32 MB of words, packed and gathered in bounded steps: about 5 MiB
         family, q = models.bind(spec)
-        u = trial_uniforms(spec, DEFAULT_SEED, 0, oracles._BATCH_WORDS // family.budget(**q))
+        u = trial_uniforms(spec, DEFAULT_SEED, 0, 4_000_000 // family.budget(**q))
         simulate_batch(spec, u[:0])  # builds the cached index sets
         tracemalloc.start()
         try:

@@ -19,6 +19,7 @@ from assocbounds.models import (
     runs_zero_exact,
     triangle_free_exact,
     trial_budget,
+    trial_uniforms,
     ustat_zero_exact,
 )
 from assocbounds.numerics import clopper_pearson
@@ -512,7 +513,7 @@ class TestMonteCarlo:
         # three batches per worker: a batch held while the next is drawn
         # would peak at two batches per worker
         monkeypatch.setattr(oracles, "_BATCH_WORDS", 400_000)
-        batch = oracles._BATCH_WORDS // trial_budget(spec)
+        batch = oracles._batch_rows(trial_budget(spec))
         monte_carlo(spec, workers, workers=workers)
         tracemalloc.start()
         try:
@@ -520,7 +521,46 @@ class TestMonteCarlo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * workers * 8 * oracles._BATCH_WORDS
+        assert peak < 1.5 * workers * 8 * batch * trial_budget(spec)
+
+    @pytest.mark.parametrize(
+        "spec,rows",
+        [
+            # 4 MiB of words
+            pytest.param(ModelSpec("runs", {"n": 100, "k": 3, "p": 0.3}), 2**19 // 100, id="runs"),
+            # 4 MiB would be 291 trials: the row floor holds
+            pytest.param(
+                ModelSpec("hypergraph-cover", {"N": 40, "k": 3, "n_draws": 600}), 2048,
+                id="hypergraph-cover",
+            ),
+            # 2048 trials would exceed 4,000,000 words: the floor stops there
+            pytest.param(
+                ModelSpec("triangles", {"n": 100, "p": 0.05}), 4_000_000 // 4950, id="triangles"
+            ),
+        ],
+    )
+    def test_batch_rows(self, spec, rows, monkeypatch):
+        counts = []
+
+        def recording(spec, seed, start, count):
+            counts.append(count)
+            return trial_uniforms(spec, seed, start, count)
+
+        monkeypatch.setattr(oracles, "trial_uniforms", recording)
+        monte_carlo(spec, rows + 1)
+        assert counts == [rows, 1]
+
+    def test_batches_stay_cache_sized(self):
+        # 50,000 trials a worker: one 4,000,000-word batch each would peak at 64 MB
+        spec = ModelSpec("runs", {"n": 100, "k": 3, "p": 0.3})
+        monte_carlo(spec, 2, workers=2)
+        tracemalloc.start()
+        try:
+            monte_carlo(spec, 100_000, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_estimate_within_interval_invariant(self):
         spec = ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5})

@@ -291,6 +291,16 @@ MUTANTS = [
     Mutant("_run_halves: wraps modulo len(i) - 1", MODELS,
            "(i + k - m) % len(i)])", "(i + k - m) % (len(i) - 1)])",
            ("tests/test_models.py::TestNoneAllOnes::test_matches_a_per_row_reference",)),
+    Mutant("_ustat_sample: counts hits in uint8", MODELS,
+           "dtype=np.min_scalar_type(n))", "dtype=np.uint8)",
+           ("tests/test_models.py::TestPhiloxWords::test_ustat_counts_match_the_doubles[300-280-0.93]",)),
+    # cache-sized Monte Carlo batches
+    Mutant("_batch_rows: no row floor", "assocbounds/oracles.py",
+           "min(_MIN_ROWS, _MAX_BATCH_WORDS // budget), 1)", "1)",
+           ("tests/test_oracles.py::TestMonteCarlo::test_batch_rows",)),
+    Mutant("_BATCH_WORDS: 4,000,000 words again", "assocbounds/oracles.py",
+           "_BATCH_WORDS = 1 << 19", "_BATCH_WORDS = 4_000_000",
+           ("tests/test_oracles.py::TestMonteCarlo::test_batches_stay_cache_sized",)),
 ]
 
 
