@@ -322,21 +322,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     summary = models.summary_for(spec, variant=variant)
     entries = bounds_mod.evaluate_all(summary, eq2_form=args.eq2_form)
 
-    # the reference as a log interval [low, high]: one point for an exact
-    # oracle, the interval's ends for Monte Carlo
-    oracle = oracles.oracle_for(spec)
-    if oracle is not None:
-        low = high = oracle.log_value
-        reference = {"kind": "oracle", "value": oracle.linear}
-    elif args.mc:
-        mc = oracles.monte_carlo(spec, args.trials, seed=args.seed, level=args.level)
-        low, high = (LogProb.from_linear(x).log_value for x in (mc.ci.lower, mc.ci.upper))
-        reference = {"kind": "monte-carlo", "value": mc.estimate,
-                     "ci_lower": mc.ci.lower, "ci_upper": mc.ci.upper}
-    else:
-        raise ValueError(
-            "exact oracle unavailable at this size; rerun with --mc and --trials"
-        )
+    low, high, reference = oracles.reference_for(
+        spec, args.trials if args.mc else None, seed=args.seed, level=args.level
+    )
 
     checks = []
     for e in entries:

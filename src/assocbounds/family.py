@@ -165,12 +165,15 @@ def _bind_means(count: int, means: tuple[float, ...]) -> tuple[float, _Terms]:
     term times the count (numpy's cost per call would exceed that of the
     term), several means one numpy pass.  Each term is log1p(p expm1(-t)),
     or ln((1 - p) + p e^{-t}) where p (1 - e^{-t}) > 1/2, since there
-    1 + p expm1(-t) keeps only its absolute accuracy; so ln P keeps a
-    relative accuracy of 1e-14 unless a term p (1 - e^{-t}) is subnormal.
+    1 + p expm1(-t) keeps only its absolute accuracy.  Where a shared mean's
+    p expm1(-t) is subnormal, log1p would return it with few digits; the term
+    is then (weight p) expm1(-t), and R1 is (weight p) e^{-t}.  So ln P keeps a
+    relative accuracy of 1e-14 unless it is itself below the normal range.
     A mean of 1 adds exactly -t to ln P and 1 to R1 and R2; no e^t is formed.
     """
     if len(means) == 1:
         weight, (p,) = count, means
+        tiny = sys.float_info.min
 
         def terms(t: float) -> tuple[float, float, float]:
             # + 0.0 makes a -0.0 term (p = 0, or a log-form t that underflows
@@ -178,6 +181,9 @@ def _bind_means(count: int, means: tuple[float, ...]) -> tuple[float, _Terms]:
             if p >= 1.0:
                 return weight * (-t + 0.0), weight, weight
             e, x = math.exp(-t), p * math.expm1(-t)
+            if -x < tiny:  # log1p(x) = x, which weight * p keeps in range
+                r1 = weight * p * e
+                return weight * p * math.expm1(-t) + 0.0, r1, r1 * p * e
             near_one = x < -0.5
             f = (1.0 - p) + p * e if near_one else 1.0 + x
             term, r = math.log(f) if near_one else math.log1p(x), p * e / f

@@ -1,6 +1,6 @@
 """Ground truth for P(Z=0): a Monte Carlo driver, :func:`oracle_for`, which
-looks up the exact oracle defined with each family in :mod:`models`, and the
-moment-generating-function gap verifier.
+looks up each family's exact oracle in :mod:`models`, :func:`reference_for`,
+the truth a bound is judged by, and the moment-generating-function gap verifier.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -140,6 +140,30 @@ def oracle_for(spec: ModelSpec) -> LogProb | None:
     """Exact P(Z=0) for the given model spec, or None outside the exact range."""
     family, q = bind(spec)
     return family.exact(**q)
+
+
+class Reference(NamedTuple):
+    """P(Z=0) as the log interval [low, high], and the fields verify prints."""
+
+    low: float
+    high: float
+    fields: dict[str, Any]
+
+
+def reference_for(spec: ModelSpec, trials: int | None = None, seed: int = DEFAULT_SEED,
+                  level: float = 0.95) -> Reference:
+    """[o, o] for an exact value o of :func:`oracle_for`; else, given `trials`, the
+    logs of :func:`monte_carlo`'s interval ends (0 reads -inf); else a ValueError."""
+    oracle = oracle_for(spec)
+    if oracle is not None:
+        return Reference(oracle.log_value, oracle.log_value,
+                         {"kind": "oracle", "value": oracle.linear})
+    if trials is None:
+        raise ValueError("exact oracle unavailable at this size; rerun with --mc and --trials")
+    mc = monte_carlo(spec, trials, seed=seed, level=level)
+    low, high = (LogProb.from_linear(x).log_value for x in (mc.ci.lower, mc.ci.upper))
+    return Reference(low, high, {"kind": "monte-carlo", "value": mc.estimate,
+                                 "ci_lower": mc.ci.lower, "ci_upper": mc.ci.upper})
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from assocbounds.bounds import (
+    UPPER_METHODS,
     BoundResult,
     SkippedBound,
     boppona_spencer,
@@ -50,10 +51,11 @@ from assocbounds.models import (
 from assocbounds.numerics import LOG_RTOL, NEG_INF, log_exceeds
 from assocbounds.oracles import (
     DEFAULT_SEED,
+    Reference,
     mgf_gap_check,
     monte_carlo,
-    oracle_for,
     random_monotone_joint,
+    reference_for,
 )
 
 TOL = 1e-9
@@ -68,8 +70,10 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def domination_failures(spec: ModelSpec, truth: float, check_lower: bool) -> list[str]:
-    """Bounds on the wrong side of ``truth``, the exact log P(Z=0)."""
+def domination_failures(spec: ModelSpec, truth: Reference, check_lower: bool) -> list[str]:
+    """Bounds on the wrong side of ``truth``, the log interval of P(Z=0), by
+    verify's rule: a lower bound above its high end, or a non-vacuous upper
+    bound below its low end."""
     summary = summary_for(spec, FIRST_PRINCIPLES)
     entries = evaluate_all(summary, eq2_form="standard")
     failures = []
@@ -77,16 +81,16 @@ def domination_failures(spec: ModelSpec, truth: float, check_lower: bool) -> lis
         if isinstance(e, SkippedBound):
             continue
         value = e.value.log_value
-        if e.method == "independent-lower":
-            if check_lower and log_exceeds(value, truth):
+        if e.method not in UPPER_METHODS:
+            if check_lower and log_exceeds(value, truth.high):
                 failures.append(
                     f"{spec.model}{spec.params}: lower bound log {value} > "
-                    f"truth log {truth}"
+                    f"truth log {truth.high}"
                 )
-        elif not e.vacuous and log_exceeds(truth, value):
+        elif not e.vacuous and log_exceeds(truth.low, value):
             failures.append(
                 f"{spec.model}{spec.params}: {e.method} log {value} < "
-                f"truth log {truth}"
+                f"truth log {truth.low}"
             )
     return failures
 
@@ -106,23 +110,20 @@ class TestCriterion1DominationSuite:
                     continue
                 for p in P_GRID:
                     spec = ModelSpec("runs", {"n": n, "k": k, "p": p})
-                    truth = runs_zero_exact(n, k, p).log_value
-                    failures += domination_failures(spec, truth, check_lower=True)
+                    failures += domination_failures(spec, reference_for(spec), check_lower=True)
                     points += 1
 
         for n in (6, 9, 12):
             for k in (2, 3):
                 for p in P_GRID:
                     spec = ModelSpec("ustat", {"n": n, "k": k, "p": p})
-                    truth = ustat_zero_exact(n, k, p).log_value
-                    failures += domination_failures(spec, truth, check_lower=True)
+                    failures += domination_failures(spec, reference_for(spec), check_lower=True)
                     points += 1
 
         for n in (4, 5, 6):
             for p in (0.1, 0.3, 0.5):
                 spec = ModelSpec("triangles", {"n": n, "p": p})
-                truth = triangle_free_exact(n, p).log_value
-                failures += domination_failures(spec, truth, check_lower=True)
+                failures += domination_failures(spec, reference_for(spec), check_lower=True)
                 points += 1
 
         elapsed = time.perf_counter() - started
@@ -146,8 +147,7 @@ class TestCriterion1DominationSuite:
                     spec = ModelSpec(
                         "hypergraph-cover", {"N": N, "k": k, "n_draws": n_draws}
                     )
-                    truth = cover_all_exact(N, k, n_draws).log_value
-                    failures += domination_failures(spec, truth, check_lower=False)
+                    failures += domination_failures(spec, reference_for(spec), check_lower=False)
                     s = summary_for(spec)
                     if s.cov_sum < 0:
                         skipped_additive += 1

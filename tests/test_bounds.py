@@ -627,7 +627,7 @@ def mp_tilted(s, t, log_w):
         return float(log_product), float(mpmath.log(mpmath.exp(log_product) + cov))
 
 
-_SPECIAL_MEANS = (0.0, 1e-300, 1e-12, 0.25, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0)
+_SPECIAL_MEANS = (0.0, 1e-310, 1e-300, 1e-12, 0.25, 0.5, 1 - 1e-9, 1 - 1e-12, 1.0)
 
 
 @st.composite
@@ -635,19 +635,24 @@ def tilted_points(draw):
     """(summary, t, log_w) with means on both sides of p (1 - e^{-t}) = 1/2,
     past which each term is ln((1 - p) + p e^{-t}) in place of
     log1p(p expm1(-t)).  Terms p (1 - e^{-t}) below the normal range are
-    left out: they round to subnormals (see test_subnormal_terms)."""
+    left out, unless a shared mean's weight brings them back into it (see
+    test_subnormal_terms)."""
     t = draw(st.one_of(st.just(math.inf), st.floats(1e-12, 60.0)))
     cap = 1.0 if t == math.inf else min(1.0, 0.5 / -math.expm1(-t))
     mean = st.one_of(st.floats(0.0, cap), st.floats(cap, 1.0), st.sampled_from(_SPECIAL_MEANS))
     cov = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0), st.floats(1e-300, 1e60)))
-    mean = mean.filter(lambda p: p == 0.0 or p * -math.expm1(-t) >= sys.float_info.min)
+
+    def normal(weight):
+        return lambda p: p == 0.0 or weight * p * -math.expm1(-t) >= sys.float_info.min
+
     if draw(st.booleans()):
-        s = homog(draw(st.integers(1, 10**9)), draw(mean), 0.0, cov)
+        count = draw(st.integers(1, 10**9))
+        s = homog(count, draw(mean.filter(normal(count))), 0.0, cov)
     else:
         # a size drawn evenly, so that most lists pass the 128 terms past
         # which numpy's pairwise summation splits the sum into blocks
         size = draw(st.integers(1, 300))
-        s = hetero(draw(st.lists(mean, min_size=size, max_size=size)), 0.0, cov)
+        s = hetero(draw(st.lists(mean.filter(normal(1)), min_size=size, max_size=size)), 0.0, cov)
     return s, t, draw(st.one_of(st.just(-math.inf), st.floats(-800.0, 50.0)))
 
 
@@ -713,16 +718,17 @@ class TestTiltedProductPrecision:
         log_product, _ = mp_tilted(s, 31.6, -math.inf)
         assert tilted(s, 31.6, -math.inf)[0] == pytest.approx(log_product, rel=1e-14, abs=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="p expm1(-t) = -1e-312 rounds to a subnormal with 12 digits, and the "
-        "weight of 1e9 brings the log back into the normal range",
-    )
-    def test_subnormal_terms(self):
-        s = homog(10**9, 1e-300, 0.0, 0.0)
-        log_product, _ = mp_tilted(s, 1e-12, -math.inf)
-        assert tilted(s, 1e-12, -math.inf)[0] == pytest.approx(log_product, rel=1e-14, abs=0.0)
+    # p expm1(-t) is a subnormal (-1e-312 with 12 digits, or 5e-324 times
+    # expm1(-1) with none), and the weight brings ln P back into the normal range
+    @pytest.mark.parametrize("count,p,t", [(10**9, 1e-300, 1e-12), (10**18, 5e-324, 1.0)])
+    def test_subnormal_terms(self, count, p, t):
+        s = homog(count, p, 0.0, 0.0)
+        log_product, _ = mp_tilted(s, t, -math.inf)
+        assert tilted(s, t, -math.inf)[0] == pytest.approx(log_product, rel=1e-14, abs=0.0)
+        with mpmath.workdps(60):
+            r = mpmath.mpf(p) * mpmath.exp(-t) / (1 + mpmath.mpf(p) * mpmath.expm1(-t))
+            ref = [float(count * r), float(count * r * r)]
+        assert s.tilted_product[1](t)[1:] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestEvaluateAll:

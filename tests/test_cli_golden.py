@@ -120,6 +120,13 @@ COMMANDS: list[list[str]] = [
     # a mean near 1 at large t, where p (1 - e^{-t}) > 1/2: the tilted
     # product's term is ln((1 - p) + p e^{-t})
     ["bound", "--summary", _SUMMARY_NEAR_ONE, "--t", "31.6"],
+    # verify's reference: --mc at an exact size keeps the oracle, a Monte
+    # Carlo interval with no success has a lower end of 0, and an exact
+    # truth below the double range prints 0.0
+    ["verify", "--model", "runs", "--n", "10", "--k", "2", "--p", "0.5",
+     "--mc", "--trials", "20000"],
+    ["verify", "--model", "triangles", "--n", "9", "--p", "0.9", "--mc", "--trials", "200"],
+    ["verify", "--model", "runs", "--n", "400", "--k", "1", "--p", "0.9"],
 ]
 
 

@@ -30,6 +30,7 @@ from assocbounds.oracles import (
     monte_carlo,
     oracle_for,
     random_monotone_joint,
+    reference_for,
 )
 
 from conftest import (
@@ -371,6 +372,31 @@ class TestOracleDispatch:
             oracle_for(ModelSpec("hypergraph-cover", {"N": 9, "k": 3, "n_draws": 5}))
             is None
         )
+
+
+class TestReferenceFor:
+    EXACT = ModelSpec("runs", {"n": 10, "k": 2, "p": 0.5})
+    NO_ORACLE = ModelSpec("triangles", {"n": 9, "p": 0.9})
+
+    def test_exact_spec_gives_the_oracle_point(self):
+        oracle = oracle_for(self.EXACT)
+        low, high, fields = reference_for(self.EXACT)
+        assert low == high == oracle.log_value
+        assert fields == {"kind": "oracle", "value": oracle.linear}
+
+    @pytest.mark.usefixtures("no_trials")
+    def test_trials_at_an_exact_size_draw_none(self):
+        assert reference_for(self.EXACT, trials=20000) == reference_for(self.EXACT)
+
+    def test_no_successes_give_a_lower_end_of_minus_infinity(self):
+        # at p = 0.9 no trial of 200 is triangle-free
+        low, high, fields = reference_for(self.NO_ORACLE, trials=200)
+        assert fields["kind"] == "monte-carlo" and fields["ci_lower"] == 0.0
+        assert low == -math.inf and high == math.log(fields["ci_upper"]) < 0.0
+
+    def test_no_oracle_and_no_trials_refused(self):
+        with pytest.raises(ValueError, match="rerun with --mc and --trials"):
+            reference_for(self.NO_ORACLE)
 
 
 class TestMgfGapCheck:

@@ -42,9 +42,10 @@ class Mutant:
 
 
 CLI, MODELS = "assocbounds/cli.py", "assocbounds/models.py"
-NUMERICS = "assocbounds/numerics.py"
+NUMERICS, ORACLES = "assocbounds/numerics.py", "assocbounds/oracles.py"
 VERIFY = "tests/test_cli.py::TestVerifyCommand::"
 VERIFY_MC = "tests/test_cli.py::TestVerifyMonteCarlo::"
+REFERENCE = "tests/test_oracles.py::TestReferenceFor::"
 LEMMA_NULL = "tests/test_cli.py::TestLemmaCheckCommand::test_violation_fails_and_prints_null"
 SPEC_READERS = (
     "tests/test_models.py::test_invalid_spec_refused_with_its_violations",
@@ -77,21 +78,36 @@ NON_NUMBER = ("tests/test_family.py::TestJsonInterchange::test_non_number_field_
               "tests/test_cli.py::TestBoundCommand::test_non_number_field_exits_two_naming_it")
 
 MUTANTS = [
-    # verify: one verdict over the log interval [low, high], in both
-    # directions, for both kinds of reference
-    Mutant("verify: oracle never above an upper bound", CLI,
-           "low = high = oracle.log_value", "low, high = -math.inf, oracle.log_value",
+    # the reference: the oracle's point, else the Monte Carlo interval's ends
+    Mutant("reference: oracle never above an upper bound", ORACLES,
+           "Reference(oracle.log_value, oracle.log_value,",
+           "Reference(-math.inf, oracle.log_value,",
            (VERIFY + "test_upper_bound_below_tiny_truth_fails",)),
-    Mutant("verify: oracle never below a lower bound", CLI,
-           "low = high = oracle.log_value", "low, high = oracle.log_value, math.inf",
+    Mutant("reference: oracle never below a lower bound", ORACLES,
+           "Reference(oracle.log_value, oracle.log_value,",
+           "Reference(oracle.log_value, math.inf,",
            (VERIFY + "test_product_above_truth_near_one_fails",
             VERIFY + "test_hypergraph_small_draws_reports_lower_bound_failure")),
-    Mutant("verify: Monte Carlo lower end read as 0", CLI,
+    Mutant("reference: Monte Carlo lower end read as 0", ORACLES,
            "for x in (mc.ci.lower, mc.ci.upper)", "for x in (0.0, mc.ci.upper)",
            (VERIFY_MC + "test_upper_bound_at_the_lower_end",)),
-    Mutant("verify: Monte Carlo upper end read as 1", CLI,
+    Mutant("reference: Monte Carlo upper end read as 1", ORACLES,
            "for x in (mc.ci.lower, mc.ci.upper)", "for x in (mc.ci.lower, 1.0)",
            (VERIFY_MC + "test_lower_bound_at_the_upper_end",)),
+    Mutant("reference: Monte Carlo ends swapped", ORACLES,
+           "for x in (mc.ci.lower, mc.ci.upper)", "for x in (mc.ci.upper, mc.ci.lower)",
+           (REFERENCE + "test_no_successes_give_a_lower_end_of_minus_infinity",
+            VERIFY_MC + "test_upper_bound_at_the_lower_end")),
+    Mutant("reference: Monte Carlo in place of the oracle when trials are given", ORACLES,
+           "    if oracle is not None:\n        return Reference(",
+           "    if oracle is not None and trials is None:\n        return Reference(",
+           (REFERENCE + "test_trials_at_an_exact_size_draw_none",)),
+    Mutant("reference: a lower end of 0 has no log", ORACLES,
+           "LogProb.from_linear(x).log_value", "math.log(x)",
+           (VERIFY_MC + "test_no_successes_pass_every_upper_bound",
+            REFERENCE + "test_no_successes_give_a_lower_end_of_minus_infinity")),
+    # verify: one verdict over the log interval [low, high], in both
+    # directions, for both kinds of reference
     Mutant("verify: ends swapped", CLI,
            "not log_exceeds(v, high) if lower else e.vacuous or not log_exceeds(low, v)",
            "not log_exceeds(v, low) if lower else e.vacuous or not log_exceeds(high, v)",
@@ -103,9 +119,6 @@ MUTANTS = [
     Mutant("verify: lower verdict without the tolerance", CLI,
            "not log_exceeds(v, high) if lower", "not v > high if lower",
            (VERIFY_MC + "test_lower_bound_at_the_upper_end",)),
-    Mutant("verify: a lower end of 0 has no log", CLI,
-           "LogProb.from_linear(x).log_value", "math.log(x)",
-           (VERIFY_MC + "test_no_successes_pass_every_upper_bound",)),
     # stdout is JSON: null where a value is not finite
     Mutant("verify: an infinite bound printed", CLI,
            '"bound": None if linear == math.inf else linear,', '"bound": linear,',
@@ -157,10 +170,10 @@ MUTANTS = [
     Mutant("clopper_pearson: successes outside [0, trials] taken", "assocbounds/numerics.py",
            "if not 0 <= successes <= trials:", "if False:",
            ("tests/test_numerics.py::TestClopperPearson::test_successes_outside_the_trials_rejected",)),
-    Mutant("random_monotone_joint: 17 variables taken", "assocbounds/oracles.py",
+    Mutant("random_monotone_joint: 17 variables taken", ORACLES,
            "not 1 <= n_vars <= 16", "not 1 <= n_vars <= 17",
            ("tests/test_oracles.py::TestMgfGapCheck::test_random_law_size_outside_the_range_rejected",)),
-    Mutant("random_monotone_joint: 13 bits taken", "assocbounds/oracles.py",
+    Mutant("random_monotone_joint: 13 bits taken", ORACLES,
            "not 1 <= n_bits <= 12", "not 1 <= n_bits <= 13",
            ("tests/test_oracles.py::TestMgfGapCheck::test_random_law_size_outside_the_range_rejected",)),
     # the one rule that forms delta and cov_sum from a family's pair classes
@@ -220,6 +233,9 @@ MUTANTS = [
            "near_one = x < -0.5\n            f = ", "near_one = x < -1.0\n            f = ",
            (TILTED + "test_near_one_means_at_large_t",
             "tests/test_cli_golden.py::test_output_matches_the_recorded_one[48-bound]")),
+    Mutant("tilted product: subnormal threshold 0 (shared mean)", FAMILY,
+           "if -x < tiny:", "if -x < 0.0:",
+           (TILTED + "test_subnormal_terms",)),
     Mutant("tilted product: near-one threshold -1 (several means)", FAMILY,
            "near_one = x < -0.5\n            p = ", "near_one = x < -1.0\n            p = ",
            (SLOPE_SUMS,)),
@@ -264,7 +280,7 @@ MUTANTS = [
            "    except (TypeError, ValueError):\n        n = None",
            "    except TypeError:\n        n = None", NON_NUMBER),
     # the run options and t are used as read
-    Mutant("monte_carlo: the unread seed used", "assocbounds/oracles.py",
+    Mutant("monte_carlo: the unread seed used", ORACLES,
            "trials, level, seed, workers = check_run(", "trials, level, _, workers = check_run(",
            (RUN_OPTIONS_READ,)),
     # the samplers under the Philox stream contract
@@ -295,10 +311,10 @@ MUTANTS = [
            "dtype=np.min_scalar_type(n))", "dtype=np.uint8)",
            ("tests/test_models.py::TestPhiloxWords::test_ustat_counts_match_the_doubles[300-280-0.93]",)),
     # cache-sized Monte Carlo batches
-    Mutant("_batch_rows: no row floor", "assocbounds/oracles.py",
+    Mutant("_batch_rows: no row floor", ORACLES,
            "min(_MIN_ROWS, _MAX_BATCH_WORDS // budget), 1)", "1)",
            ("tests/test_oracles.py::TestMonteCarlo::test_batch_rows",)),
-    Mutant("_BATCH_WORDS: 4,000,000 words again", "assocbounds/oracles.py",
+    Mutant("_BATCH_WORDS: 4,000,000 words again", ORACLES,
            "_BATCH_WORDS = 1 << 19", "_BATCH_WORDS = 4_000_000",
            ("tests/test_oracles.py::TestMonteCarlo::test_batches_stay_cache_sized",)),
 ]
